@@ -3,9 +3,12 @@
 Breaks are located by minimizing the sum of within-segment squared
 deviations about each segment mean plus a fixed penalty per break. The
 exact dynamic program evaluates candidate segment costs from cumulative
-sums in O(1) and is quadratic in the series length; a faster dichotomous
-(binary segmentation) alternative splits greedily while the penalized
-objective keeps improving.
+sums in O(1). Without a cap on the number of breaks it drops candidate
+starts that can never win again (PELT pruning), which returns the same
+breaks as the unpruned recursion, bit for bit. It is quadratic in the
+series length in the worst case (no breaks) and near-linear when the
+regimes grow with the series. A faster dichotomous (binary segmentation)
+alternative splits greedily while the penalized objective keeps improving.
 
 Index convention: a break h is the first sample of the new regime and is
 reported 1-based, so a result with breaks (h,) splits x into x[1..h-1] and
@@ -112,17 +115,17 @@ def default_penalty(values: np.ndarray) -> float:
     return 2.0 * sigma2 * math.log(n)
 
 
-def _prefix_cost_fn(x: np.ndarray):
-    """O(1) cost of x[i:j] (0-based half-open) from cumulative sums."""
-    s1 = np.concatenate([[0.0], np.cumsum(x)])
-    s2 = np.concatenate([[0.0], np.cumsum(x * x)])
+def _prefix_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative sums of x and x**2, each with a leading 0."""
+    return np.concatenate([[0.0], np.cumsum(x)]), np.concatenate([[0.0], np.cumsum(x * x)])
 
-    def cost(i: int, j: int) -> float:
-        n = j - i
-        tot = s1[j] - s1[i]
-        return max((s2[j] - s2[i]) - tot * tot / n, 0.0)
 
-    return s1, s2, cost
+def _segment_costs(s1: np.ndarray, s2: np.ndarray, i, j):
+    """O(1) cost of x[i:j] (0-based half-open) from the prefix sums of x,
+    vectorised over i or j; clamped at 0 against rounding."""
+    lens = np.subtract(j, i, dtype=float)
+    tot = s1[j] - s1[i]
+    return np.maximum((s2[j] - s2[i]) - tot * tot / lens, 0.0)
 
 
 def _result_from_offsets(
@@ -152,9 +155,7 @@ def _best_single_offset(x: np.ndarray, lo: int, hi: int, min_segment: int):
     n = hi - lo
     if n < 2 * min_segment:
         return None
-    seg = x[lo:hi]
-    s1 = np.concatenate([[0.0], np.cumsum(seg)])
-    s2 = np.concatenate([[0.0], np.cumsum(seg * seg)])
+    s1, s2 = _prefix_sums(x[lo:hi])
     cuts = np.arange(min_segment, n - min_segment + 1)  # local split positions
     left_n = cuts.astype(float)
     right_n = (n - cuts).astype(float)
@@ -179,22 +180,58 @@ def detect_single(
 
 def _dp_unbounded(x: np.ndarray, theta: float, ms: int) -> list[int]:
     """Penalized optimal partitioning: global minimizer of
-    sum(segment costs) + theta * n_breaks with all segments >= ms."""
+    sum(segment costs) + theta * n_breaks with all segments >= ms.
+
+    Exact pruned DP (PELT; Killick, Fearnhead & Eckley, JASA 107:1590,
+    2012). Splitting a segment never raises its cost, so a start tau whose
+    candidate at step t exceeds best[t] + theta scores above start t at
+    every step s >= t + ms. Start t only becomes admissible at step t + ms,
+    so tau is dropped then, not at step t: with a minimum segment length,
+    pruning at step t would lose optima.
+
+    The rounding margin `delta` makes the dropped set exact in floating
+    point. With u = 2**-53 and W = max|x| * sum|x| (a bound on every
+    segment's sum(x**2) and sum(x)**2 / length), superadditivity holds
+    exactly for costs taken from the stored prefix sums; the clamp at 0
+    breaks it by at most 12 n u W, and the three candidates compared plus
+    the threshold are off by at most u (36 W + 11 theta) together. delta =
+    64 eps (n + 1) (W + theta), eps = 2u, exceeds that sum at least 6-fold
+    while n**2 u << 1, so a dropped start scores strictly above its
+    dominator at every later step. Surviving starts stay in ascending
+    order and are scored by the same expression, so best, prev, the
+    smallest-index tie rule and the breaks equal the unpruned recursion bit
+    for bit. For non-finite x, delta is inf or nan and nothing is dropped.
+    """
     n = x.size
-    s1 = np.concatenate([[0.0], np.cumsum(x)])
-    s2 = np.concatenate([[0.0], np.cumsum(x * x)])
+    s1, s2 = _prefix_sums(x)
     best = np.full(n + 1, np.inf)
     prev = np.zeros(n + 1, dtype=int)
     best[0] = -theta  # cancels the per-segment theta of the first segment
+    w = float(np.abs(x).max()) * float(np.abs(x).sum())
+    delta = 64 * np.finfo(float).eps * (n + 1) * (w + theta)
+    alive = np.ones(n + 1, dtype=bool)
+    buf = np.zeros(n + 1, dtype=int)  # buf[:m]: admissible starts, ascending
+    m = 1  # start 0; starts 1..ms-1 have best == inf and never join
+    dominated: dict[int, np.ndarray] = {}  # t -> starts to drop when t joins
     for j in range(ms, n + 1):
-        i = np.arange(0, j - ms + 1)
-        lens = (j - i).astype(float)
-        tot = s1[j] - s1[i]
-        seg = np.maximum((s2[j] - s2[i]) - tot * tot / lens, 0.0)
-        cand = best[i] + seg + theta
-        k = int(np.argmin(cand))  # smallest index wins ties
+        t = j - ms
+        if t >= ms:
+            gone = dominated.pop(t, None)
+            if gone is not None:
+                alive[gone] = False
+                kept = buf[:m][alive[buf[:m]]]
+                m = kept.size
+                buf[:m] = kept
+            buf[m] = t
+            m += 1
+        starts = buf[:m]
+        cand = best[starts] + _segment_costs(s1, s2, starts, j) + theta
+        k = int(cand.argmin())  # smallest index wins ties
         best[j] = cand[k]
-        prev[j] = int(i[k])
+        prev[j] = int(starts[k])
+        gone = starts[cand > best[j] + theta + delta]
+        if gone.size:
+            dominated[j] = gone
     cuts = []
     j = n
     while j > 0:
@@ -209,25 +246,17 @@ def _dp_capped(x: np.ndarray, theta: float, ms: int, hmax: int) -> list[int]:
     """Exact DP over break counts 0..hmax; picks the count minimizing the
     penalized objective (ties to the smaller count)."""
     n = x.size
-    s1 = np.concatenate([[0.0], np.cumsum(x)])
-    s2 = np.concatenate([[0.0], np.cumsum(x * x)])
-
-    def seg_costs(i: np.ndarray, j: int) -> np.ndarray:
-        lens = (j - i).astype(float)
-        tot = s1[j] - s1[i]
-        return np.maximum((s2[j] - s2[i]) - tot * tot / lens, 0.0)
-
+    s1, s2 = _prefix_sums(x)
     hmax = max(min(hmax, n // ms - 1), 0)
     # cost[k][j]: best unpenalized cost of x[:j] split into k+1 segments
     cost = np.full((hmax + 1, n + 1), np.inf)
     back = np.zeros((hmax + 1, n + 1), dtype=int)
-    for j in range(ms, n + 1):
-        cost[0, j] = max(s2[j] - s1[j] * s1[j] / j, 0.0)
+    cost[0, ms:] = _segment_costs(s1, s2, 0, np.arange(ms, n + 1))
     for k in range(1, hmax + 1):
         lo = (k + 1) * ms
         for j in range(lo, n + 1):
             i = np.arange(k * ms, j - ms + 1)
-            cand = cost[k - 1, i] + seg_costs(i, j)
+            cand = cost[k - 1, i] + _segment_costs(s1, s2, i, j)
             idx = int(np.argmin(cand))
             cost[k, j] = cand[idx]
             back[k, j] = int(i[idx])
@@ -244,7 +273,7 @@ def _dp_capped(x: np.ndarray, theta: float, ms: int, hmax: int) -> list[int]:
 def _binary_segmentation(x: np.ndarray, theta: float, ms: int, hmax: int | None) -> list[int]:
     """Greedy dichotomous splitting: repeatedly take the split with the
     largest penalized improvement until none improves (or the cap binds)."""
-    _, _, cost = _prefix_cost_fn(x)
+    s1, s2 = _prefix_sums(x)
     cuts: list[int] = []
     heap = []  # (-gain, split, lo, hi)
     counter = 0
@@ -255,7 +284,7 @@ def _binary_segmentation(x: np.ndarray, theta: float, ms: int, hmax: int | None)
         if found is None:
             return
         b, split_cost = found
-        gain = cost(lo, hi) - split_cost - theta
+        gain = float(_segment_costs(s1, s2, lo, hi)) - split_cost - theta
         if gain > 0:
             heapq.heappush(heap, (-gain, counter, b, lo, hi))
             counter += 1

@@ -274,20 +274,23 @@ def cmd_analyze(args) -> int:
     segment_entries = []
     for seg in report.segments:
         entry = {"label": seg.label, "start": seg.start, "stop": seg.stop}
+        reasons = [seg.skipped_reason] if seg.skipped_reason else []
         seg_vals = flucts.values[seg.start : seg.stop]
         try:
             est = gph_estimate(seg_vals)
             entry["d_hat"] = est.d_hat
             entry["d_stderr"] = est.stderr
         except InputError:
-            entry["d_hat"] = None
-            entry["d_stderr"] = None
+            entry["d_hat"] = entry["d_stderr"] = None
+        except NumericalError as exc:
+            entry["d_hat"] = entry["d_stderr"] = None
+            reasons.append(f"numerical: gph: {exc}")
         try:
             entry["hurst_dfa"] = hurst_dfa(seg_vals, mf_cfg)
         except (InputError, NumericalError):
             entry["hurst_dfa"] = None
         entry["delta_alpha"] = seg.spectrum.delta_alpha if seg.spectrum else None
-        entry["skipped_reason"] = seg.skipped_reason
+        entry["skipped_reason"] = "; ".join(reasons) or None
         segment_entries.append(entry)
 
     comparison = None

@@ -477,8 +477,9 @@ def s_mfdfa(
 
     When detection returns no breaks the single reported spectrum is the
     plain whole-series MF-DFA (identical code path, identical numbers).
-    Segments too short for the configured grids are flagged and skipped
-    while the rest are still reported.
+    Segments too short for the configured grids, or numerically degenerate
+    (for example flat, with a zero window variance), are flagged and
+    skipped while the rest are still reported.
     """
     flucts = to_fluctuations(series)
     cp = detect_multiple(flucts.values, cp_config)
@@ -494,6 +495,10 @@ def s_mfdfa(
         except InputError as exc:
             reports.append(
                 SegmentReport(label, a, b, None, None, None, skipped_reason=f"too short: {exc}")
+            )
+        except NumericalError as exc:
+            reports.append(
+                SegmentReport(label, a, b, None, None, None, skipped_reason=f"numerical: {exc}")
             )
     return StructuredReport(
         series_label=series.label,

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smfdfa import (
     ChangePointConfig,
@@ -53,6 +55,67 @@ def brute_force_best_cost(x: np.ndarray, theta: float, ms: int, hmax: int) -> fl
     if hmax >= 1 and n >= 2 * ms:
         recurse(0, hmax, ())
     return best
+
+
+def dense_dp_offsets(x: np.ndarray, theta: float, ms: int) -> list[int]:
+    """Reference: the unpruned optimal-partitioning recursion, which scores
+    every admissible start at every step. The library's pruned DP must
+    return the same 0-based offsets."""
+    n = x.size
+    s1 = np.concatenate([[0.0], np.cumsum(x)])
+    s2 = np.concatenate([[0.0], np.cumsum(x * x)])
+    best = np.full(n + 1, np.inf)
+    prev = np.zeros(n + 1, dtype=int)
+    best[0] = -theta  # cancels the per-segment theta of the first segment
+    for j in range(ms, n + 1):
+        i = np.arange(0, j - ms + 1)
+        lens = (j - i).astype(float)
+        tot = s1[j] - s1[i]
+        seg = np.maximum((s2[j] - s2[i]) - tot * tot / lens, 0.0)
+        cand = best[i] + seg + theta
+        k = int(np.argmin(cand))  # smallest index wins ties
+        best[j] = cand[k]
+        prev[j] = int(i[k])
+    cuts = []
+    j = n
+    while j > 0:
+        i = prev[j]
+        if i > 0:
+            cuts.append(i)
+        j = i
+    return sorted(cuts)
+
+
+@st.composite
+def dp_instances(draw):
+    """(x, theta, min_segment) over the inputs where rounding and ties
+    decide the optimum: Gaussian noise, piecewise-constant steps (exact
+    zero costs when noiseless), small integers (many tied candidates) and
+    a 1e6 offset with 1e-3 noise (costs near the rounding floor)."""
+    ms = draw(st.integers(2, 12), label="min_segment")
+    n = draw(st.integers(ms, 400), label="n")
+    kind = draw(st.sampled_from(["gaussian", "steps", "integer", "offset"]), label="kind")
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    if kind == "gaussian":
+        x = gen.standard_normal(n)
+    elif kind == "steps":
+        edges = np.sort(gen.integers(0, n, size=gen.integers(0, 6)))
+        x = np.zeros(n)
+        for e in edges:
+            x[e:] += float(gen.integers(-3, 4))
+        x += draw(st.sampled_from([0.0, 0.3]), label="noise") * gen.standard_normal(n)
+    elif kind == "integer":
+        x = gen.integers(0, 3, n).astype(float)
+    else:
+        x = 1e6 + 1e-3 * gen.standard_normal(n)
+    penalty = draw(st.sampled_from(["zero", "default", "uniform"]), label="penalty")
+    if penalty == "zero":
+        theta = 0.0
+    elif penalty == "default":
+        theta = default_penalty(x)
+    else:  # uniform over [0, 3] times the default
+        theta = draw(st.floats(0.0, 3.0), label="scale") * default_penalty(x)
+    return x, theta, ms
 
 
 class TestSegmentCost:
@@ -113,6 +176,15 @@ class TestDetectMultiple:
             got = detect_multiple(x, ChangePointConfig(penalty=theta, min_segment=ms))
             want = brute_force_best_cost(x, theta, ms, hmax=n // ms - 1)
             assert got.total_cost == want
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(dp_instances())
+    def test_pruned_dp_equals_unpruned_recursion(self, instance):
+        # [DERIVED] pruning only drops starts that can never win again, so
+        # the breaks equal the full recursion's, ties and rounding included
+        x, theta, ms = instance
+        got = detect_multiple(x, ChangePointConfig(penalty=theta, min_segment=ms))
+        assert list(got.offsets) == dense_dp_offsets(x, theta, ms)
 
     def test_three_sigma_step_localized(self):
         # [DERIVED] classic detectability regime: unit noise, 3 sigma shift

@@ -171,6 +171,33 @@ class TestAnalyze:
         assert set(rows[0]) == {"segment", "q", "tau", "alpha", "f_alpha"}
         float(rows[0]["tau"])  # numeric cells
 
+    def test_flat_regime_is_flagged_not_fatal(self, tmp_path, capsys):
+        # 600 noisy returns, 600 zero returns, 600 noisy returns: the flat
+        # regime's fluctuations are exactly 0, so MF-DFA (zero window
+        # variance) and GPH (vanishing periodogram) both fail numerically
+        # there. The run must still succeed and report the noisy regimes.
+        rng = np.random.default_rng(1)
+        r = np.concatenate([rng.normal(0.0, 0.01, 600), np.zeros(600),
+                            rng.normal(0.0, 0.01, 600)])
+        path = write_price_csv(tmp_path / "flat.csv",
+                               100.0 * np.exp(np.concatenate([[0.0], np.cumsum(r)])))
+        out = tmp_path / "o"
+        assert main(["analyze", str(path), "--out", str(out)]) == 0
+        segments = json.loads((out / "report.json").read_text())["segments"]
+        flat = [s for s in segments if s["start"] >= 600 and s["stop"] <= 1200]
+        assert len(flat) == 1
+        assert flat[0]["skipped_reason"].startswith("numerical: window variance is exactly 0")
+        assert "numerical: gph:" in flat[0]["skipped_reason"]
+        assert flat[0]["delta_alpha"] is None
+        assert flat[0]["d_hat"] is None and flat[0]["d_stderr"] is None
+        for s in (segments[0], segments[-1]):
+            assert s["skipped_reason"] is None
+            assert s["delta_alpha"] is not None and s["d_hat"] is not None
+        flagged = [row["label"] for row in read_csv_rows(out / "segments.csv")
+                   if row["skipped_reason"]]
+        assert flagged == [flat[0]["label"]]
+        assert "numerical failure" not in capsys.readouterr().err
+
 
 # -------------------------------------------------------------- subcommands
 
