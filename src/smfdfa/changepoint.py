@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -76,13 +76,7 @@ class ChangePointResult:
             "segment_costs": list(self.segment_costs),
             "total_cost": self.total_cost,
             "n": self.n,
-            "config": {
-                "statistic": self.config_used.statistic,
-                "penalty": self.config_used.penalty,
-                "max_breaks": self.config_used.max_breaks,
-                "min_segment": self.config_used.min_segment,
-                "method": self.config_used.method,
-            },
+            "config": asdict(self.config_used),
         }
         if timestamps is not None:
             out["break_timestamps"] = [str(timestamps[b]) for b in self.offsets]

@@ -22,8 +22,8 @@ from . import __version__
 from .changepoint import ChangePointConfig, detect_multiple
 from .errors import InputError, NumericalError
 from .forecast import pipeline_compare
-from .longmemory import arfima_generate, fgn_generate, gph_estimate, hurst_dfa
-from .mfdfa import MfdfaConfig, analyze_segment, generate_cascade, s_mfdfa
+from .longmemory import MIN_HURST_LENGTH, arfima_generate, fgn_generate, gph_estimate, hurst_dfa
+from .mfdfa import MfdfaConfig, SegmentReport, analyze_segment, generate_cascade, s_mfdfa
 from .serialize import (
     CHANGEPOINT_HEADER,
     FORECAST_HEADER,
@@ -172,54 +172,53 @@ def _load_config_file(args) -> dict:
     return cfg
 
 
-def _pick(flag_value, file_cfg: dict, key: str, default):
+def _checked(key: str, value, convert):
+    """convert(value) for a config-file value; a malformed value is an input
+    error that names its key."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"config key {key!r} has a bad value {value!r}: {exc}") from exc
+
+
+def _number(value):
+    """A JSON number, kept as given so the config echo shows it unchanged."""
+    if not isinstance(value, (int, float)):
+        raise TypeError("expected a number")
+    return value
+
+
+def _pick(flag_value, file_cfg: dict, key: str, default, convert=lambda v: v):
     if flag_value is not None:
         return flag_value
-    if key in file_cfg and file_cfg[key] is not None:
-        return file_cfg[key]
+    if file_cfg.get(key) is not None:
+        return _checked(key, file_cfg[key], convert)
     return default
 
 
+def _grid(file_cfg: dict, key: str, convert, default=None):
+    """A config-file list as a tuple of convert(item); absent or empty means default."""
+    items = file_cfg.get(key)
+    return _checked(key, items, lambda v: tuple(convert(x) for x in v)) if items else default
+
+
 def _mf_config(args, file_cfg: dict) -> MfdfaConfig:
-    defaults = MfdfaConfig()
-    q_grid = file_cfg.get("q_grid")
-    scale_grid = file_cfg.get("scale_grid")
-    regression_range = file_cfg.get("regression_range")
     return MfdfaConfig(
-        q_grid=tuple(float(q) for q in q_grid) if q_grid else defaults.q_grid,
-        scale_grid=tuple(int(s) for s in scale_grid) if scale_grid else None,
-        detrend_order=int(_pick(args.detrend_order, file_cfg, "detrend_order", 1)),
-        regression_range=tuple(regression_range) if regression_range else None,
+        q_grid=_grid(file_cfg, "q_grid", float, MfdfaConfig().q_grid),
+        scale_grid=_grid(file_cfg, "scale_grid", int),
+        detrend_order=_pick(args.detrend_order, file_cfg, "detrend_order", 1, int),
+        regression_range=_grid(file_cfg, "regression_range", _number),
     )
 
 
 def _cp_config(args, file_cfg: dict) -> ChangePointConfig:
     return ChangePointConfig(
         statistic=file_cfg.get("statistic", "mean-and-variance"),
-        penalty=_pick(args.penalty, file_cfg, "penalty", None),
-        max_breaks=_pick(args.max_breaks, file_cfg, "max_breaks", None),
-        min_segment=int(_pick(args.min_segment, file_cfg, "min_segment", 32)),
+        penalty=_pick(args.penalty, file_cfg, "penalty", None, _number),
+        max_breaks=_pick(args.max_breaks, file_cfg, "max_breaks", None, int),
+        min_segment=_pick(args.min_segment, file_cfg, "min_segment", 32, int),
         method=_pick(args.cp_method, file_cfg, "cp_method", "exact-dp"),
     )
-
-
-def _mf_config_echo(cfg: MfdfaConfig) -> dict:
-    return {
-        "q_grid": list(cfg.q_grid),
-        "scale_grid": list(cfg.scale_grid) if cfg.scale_grid else None,
-        "detrend_order": cfg.detrend_order,
-        "regression_range": list(cfg.regression_range) if cfg.regression_range else None,
-    }
-
-
-def _cp_config_echo(cfg: ChangePointConfig) -> dict:
-    return {
-        "statistic": cfg.statistic,
-        "penalty": cfg.penalty,
-        "max_breaks": cfg.max_breaks,
-        "min_segment": cfg.min_segment,
-        "method": cfg.method,
-    }
 
 
 def _load_series(args):
@@ -259,6 +258,21 @@ def _analysis_values(args, series) -> np.ndarray:
     return to_fluctuations(series).values
 
 
+def _segment_hurst(seg: SegmentReport, values: np.ndarray, cfg: MfdfaConfig) -> float | None:
+    """DFA Hurst exponent of one regime: the q = 2 slope of its own MF-DFA
+    (the classical DFA exponent), or a q = 2 DFA pass when the q grid lacks
+    2 or the regime was too short for a spectrum. None for regimes shorter
+    than MIN_HURST_LENGTH or whose MF-DFA is numerically degenerate."""
+    if values.size < MIN_HURST_LENGTH or (seg.skipped_reason or "").startswith("numerical"):
+        return None
+    if seg.hurst is not None and 2.0 in cfg.q_grid:
+        return float(seg.hurst.rho[cfg.q_grid.index(2.0)])
+    try:
+        return hurst_dfa(values, cfg)
+    except (InputError, NumericalError):
+        return None
+
+
 def cmd_analyze(args) -> int:
     file_cfg = _load_config_file(args)
     series = _load_series(args)
@@ -285,10 +299,7 @@ def cmd_analyze(args) -> int:
         except NumericalError as exc:
             entry["d_hat"] = entry["d_stderr"] = None
             reasons.append(f"numerical: gph: {exc}")
-        try:
-            entry["hurst_dfa"] = hurst_dfa(seg_vals, mf_cfg)
-        except (InputError, NumericalError):
-            entry["hurst_dfa"] = None
+        entry["hurst_dfa"] = _segment_hurst(seg, seg_vals, mf_cfg)
         entry["delta_alpha"] = seg.spectrum.delta_alpha if seg.spectrum else None
         entry["skipped_reason"] = "; ".join(reasons) or None
         segment_entries.append(entry)
@@ -305,8 +316,8 @@ def cmd_analyze(args) -> int:
         "stats": stats_to_dict(stats, outliers),
         "structured": structured_report_to_dict(report),
         "segments": segment_entries,
-        "surrogate": surrogate_to_dict(comparison, _mf_config_echo(mf_cfg)) if comparison else None,
-        "config": {"mfdfa": _mf_config_echo(mf_cfg), "changepoint": _cp_config_echo(cp_cfg)},
+        "surrogate": surrogate_to_dict(comparison, asdict(mf_cfg)) if comparison else None,
+        "config": {"mfdfa": asdict(mf_cfg), "changepoint": asdict(cp_cfg)},
     }
     outputs = ["report.json"]
     write_json(out / "report.json", doc)
@@ -365,7 +376,7 @@ def cmd_changepoints(args) -> int:
         write_csv(out / "changepoints.csv", CHANGEPOINT_HEADER,
                   changepoint_rows(result, timestamps))
         outputs.append("changepoints.csv")
-    _write_manifest(args, out, _cp_config_echo(result.config_used), outputs)
+    _write_manifest(args, out, asdict(result.config_used), outputs)
     print(f"{result.n_breaks} break(s); offsets {[int(o) for o in result.offsets]}; "
           f"total cost {result.total_cost:.6g}")
     return 0
@@ -388,7 +399,7 @@ def cmd_mfdfa(args) -> int:
                      "alpha": list(spectrum.alpha), "f_alpha": list(spectrum.f_alpha),
                      "delta_alpha": spectrum.delta_alpha,
                      "alpha_monotone": spectrum.alpha_monotone},
-        "config": _mf_config_echo(mf_cfg),
+        "config": asdict(mf_cfg),
     }
     outputs = ["report.json"]
     write_json(out / "report.json", doc)
@@ -410,7 +421,7 @@ def cmd_surrogate(args) -> int:
     out = _outdir(args)
     values = _analysis_values(args, series)
     comparison = surrogate_test(values, args.kind, args.n, mf_cfg, args.seed)
-    doc = surrogate_to_dict(comparison, _mf_config_echo(mf_cfg))
+    doc = surrogate_to_dict(comparison, asdict(mf_cfg))
     outputs = ["surrogate.json"]
     write_json(out / "surrogate.json", doc)
     if args.format == "csv":
@@ -451,8 +462,8 @@ def cmd_forecast(args) -> int:
     out = _outdir(args)
     breaks = _parse_breaks(args, series, cp_cfg)
     methods = {"both": ("FD-NAR", "LFD-NAR"), "fd": ("FD-NAR",), "lfd": ("LFD-NAR",)}[args.method]
-    p = int(_pick(args.p, file_cfg, "p", 5))
-    hidden = int(_pick(args.hidden, file_cfg, "hidden_units", 20))
+    p = _pick(args.p, file_cfg, "p", 5, int)
+    hidden = _pick(args.hidden, file_cfg, "hidden_units", 20, int)
     report = pipeline_compare(
         series, breaks, p=p, hidden_units=hidden, seeds=(args.seed,),
         scale=args.scale, methods=methods, evaluation=args.evaluation, keep_fitted=True,
@@ -460,7 +471,7 @@ def cmd_forecast(args) -> int:
     config_snapshot = {
         "p": p, "hidden_units": hidden, "scale": args.scale, "methods": list(methods),
         "breaks": breaks, "evaluation": args.evaluation,
-        "changepoint": _cp_config_echo(cp_cfg),
+        "changepoint": asdict(cp_cfg),
     }
     doc = forecast_report_to_dict(report)
     doc["config"] = config_snapshot

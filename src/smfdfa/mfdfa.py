@@ -14,14 +14,14 @@ independently on change-point-delimited regimes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .changepoint import ChangePointConfig, ChangePointResult, detect_multiple
 from .errors import InputError, NumericalError
-from .series import FluctSeries, TimeSeries, split_segments, to_fluctuations
+from .series import FluctSeries, TimeSeries, to_fluctuations
 
 DEFAULT_Q_GRID = tuple(np.arange(-5.0, 5.0 + 0.25, 0.5))
 DEFAULT_MIN_SCALE = 16
@@ -65,9 +65,13 @@ class MfdfaConfig:
             raise InputError("q_grid must be strictly increasing")
         if self.detrend_order < 1:
             raise InputError("detrend_order must be >= 1")
+        if self.regression_range is not None and len(self.regression_range) != 2:
+            raise InputError("regression_range must be a (lo, hi) pair")
         object.__setattr__(self, "q_grid", q)
         if self.scale_grid is not None:
             s = tuple(int(v) for v in self.scale_grid)
+            if not s:
+                raise InputError("scale_grid must be nonempty")
             if any(b <= a for a, b in zip(s, s[1:])):
                 raise InputError("scale_grid must be strictly increasing")
             if s[0] < self.detrend_order + 2:
@@ -483,8 +487,7 @@ def s_mfdfa(
     """
     flucts = to_fluctuations(series)
     cp = detect_multiple(flucts.values, cp_config)
-    segmented = split_segments(flucts, cp.offsets, min_segment=1)
-    edges = segmented.edges
+    edges = (0, *cp.offsets, flucts.values.size)
     reports = []
     for k, (a, b) in enumerate(zip(edges, edges[1:])):
         label = f"{series.label or 'series'}::seg{k + 1}"

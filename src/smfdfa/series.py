@@ -1,5 +1,4 @@
-"""Time-series containers, transforms, descriptive statistics and
-segmentation bookkeeping.
+"""Time-series containers, transforms and descriptive statistics.
 
 All containers are frozen dataclasses wrapping 1-d float arrays; they are
 validated on construction and never mutated afterwards, so instances are
@@ -11,18 +10,13 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .errors import InputError
-
-# Minimum segment length used by the analysis pipeline (several scales are
-# needed per segment downstream). split_segments itself only enforces the
-# minimum it is given.
-DEFAULT_MIN_SEGMENT = 32
 
 
 @dataclass(frozen=True)
@@ -75,53 +69,6 @@ class FluctSeries:
 
     def __len__(self) -> int:
         return self.values.size
-
-
-Parent = Union[TimeSeries, FluctSeries]
-
-
-@dataclass(frozen=True)
-class SegmentedSeries:
-    """A partition of a parent series into contiguous, exhaustive segments.
-
-    ``boundaries`` are 0-based indices, each the first sample of a new
-    segment; an empty tuple means a single segment covering the parent.
-    """
-
-    parent: Parent
-    boundaries: tuple[int, ...]
-    min_segment: int = 1
-
-    def __post_init__(self):
-        n = len(self.parent)
-        bounds = tuple(int(b) for b in self.boundaries)
-        if any(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])):
-            raise InputError("break indices must be strictly increasing")
-        for b in bounds:
-            if b <= 0 or b >= n:
-                raise InputError(f"break index {b} is not interior to a series of length {n}")
-        edges = (0,) + bounds + (n,)
-        for a, b in zip(edges, edges[1:]):
-            if b - a < self.min_segment:
-                raise InputError(
-                    f"segment [{a}:{b}) is shorter than the minimum length {self.min_segment}"
-                )
-        object.__setattr__(self, "boundaries", bounds)
-
-    @property
-    def n_segments(self) -> int:
-        return len(self.boundaries) + 1
-
-    @property
-    def edges(self) -> tuple[int, ...]:
-        """Segment edges including 0 and len(parent)."""
-        return (0,) + self.boundaries + (len(self.parent),)
-
-    def segment_values(self) -> list[np.ndarray]:
-        """Views into the parent values, one per segment, in order."""
-        vals = self.parent.values
-        e = self.edges
-        return [vals[a:b] for a, b in zip(e, e[1:])]
 
 
 @dataclass(frozen=True)
@@ -279,11 +226,3 @@ def outlier_census(values: Sequence[float] | np.ndarray) -> OutlierCensus:
         q3=float(q3),
         iqr=float(iqr),
     )
-
-
-def split_segments(
-    series: Parent, breaks: Sequence[int], min_segment: int = 1
-) -> SegmentedSeries:
-    """Split a series at 0-based break indices (first sample of each new
-    segment). Concatenating the segments reproduces the parent exactly."""
-    return SegmentedSeries(parent=series, boundaries=tuple(breaks), min_segment=min_segment)

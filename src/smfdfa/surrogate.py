@@ -11,7 +11,7 @@ to linear correlation, or to nonlinear structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

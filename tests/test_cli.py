@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import write_price_csv
+from smfdfa import hurst_dfa, load_csv, to_fluctuations
 from smfdfa.cli import main
 
 
@@ -88,6 +89,14 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "config file not found" in capsys.readouterr().err
+        # malformed values are input errors naming their key, not tracebacks
+        for key, value in (("q_grid", ["a", 1]), ("min_segment", "x"), ("penalty", "high")):
+            cfg = tmp_path / f"{key}.json"
+            cfg.write_text(json.dumps({key: value}))
+            code = main(["analyze", str(price_csv), "--config", str(cfg),
+                         "--out", str(tmp_path / "o")])
+            assert code == 2
+            assert f"config key {key!r}" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- synth
@@ -197,6 +206,31 @@ class TestAnalyze:
                    if row["skipped_reason"]]
         assert flagged == [flat[0]["label"]]
         assert "numerical failure" not in capsys.readouterr().err
+
+    def test_flagged_regime_reports_no_hurst(self, tmp_path):
+        # With this draw the detected flat regime (599..1200) starts with
+        # one noisy fluctuation: its MF-DFA is flagged numerical, and a
+        # q = 2-only DFA pass would still return a number (0.070). A flagged
+        # regime reports no Hurst exponent; the noisy regimes still do.
+        rng = np.random.default_rng(0)
+        r = np.concatenate([rng.normal(0.0, 0.01, 600), np.zeros(600),
+                            rng.normal(0.0, 0.01, 600)])
+        path = write_price_csv(tmp_path / "flat.csv",
+                               100.0 * np.exp(np.concatenate([[0.0], np.cumsum(r)])))
+        out = tmp_path / "o"
+        assert main(["analyze", str(path), "--out", str(out)]) == 0
+        segments = json.loads((out / "report.json").read_text())["segments"]
+        rows = read_csv_rows(out / "segments.csv")
+        assert [(s["start"], s["stop"]) for s in segments] == [(0, 599), (599, 1200),
+                                                              (1200, 1800)]
+        assert segments[1]["skipped_reason"].startswith("numerical:")
+        assert segments[1]["hurst_dfa"] is None and rows[1]["hurst_dfa"] == ""
+        # [DERIVED] a regime's Hurst exponent is its q = 2 DFA slope
+        flucts = to_fluctuations(load_csv(path)).values
+        for i in (0, 2):
+            seg = flucts[segments[i]["start"]:segments[i]["stop"]]
+            assert segments[i]["hurst_dfa"] == hurst_dfa(seg)
+            assert float(rows[i]["hurst_dfa"]) == hurst_dfa(seg)
 
 
 # -------------------------------------------------------------- subcommands

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smfdfa import (
     FracDiffConfig,
     InputError,
     MfdfaConfig,
+    analyze_segment,
     arfima_generate,
     fgn_generate,
     frac_diff,
@@ -199,6 +202,26 @@ class TestHurstDfa:
         h2 = hurst_dfa(x, MfdfaConfig(detrend_order=2))
         assert h1 != h2
         assert abs(h1 - h2) < 0.1
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_equals_q2_row_of_segment_surface(self, data):
+        # [DERIVED] the q = 2 power mean is computed per moment, so the q = 2
+        # row of a full MF-DFA surface is the DFA surface bit for bit; the
+        # analyze command reads each regime's Hurst exponent from that row
+        n = data.draw(st.integers(256, 4096), label="n")
+        order = data.draw(st.integers(1, 3), label="detrend_order")
+        gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        x = np.abs(gen.standard_t(df=3, size=n))
+        regression_range = None
+        if data.draw(st.booleans(), label="restrict"):
+            scales = MfdfaConfig(detrend_order=order).resolve_scales(n)
+            lo = data.draw(st.integers(0, scales.size - 4), label="lo")
+            hi = data.draw(st.integers(lo + 3, scales.size - 1), label="hi")
+            regression_range = (int(scales[lo]), int(scales[hi]))
+        cfg = MfdfaConfig(detrend_order=order, regression_range=regression_range)
+        _, curve, _ = analyze_segment(x, cfg)
+        assert curve.rho[cfg.q_grid.index(2.0)] == hurst_dfa(x, cfg)
 
 
 class TestArfimaGenerate:

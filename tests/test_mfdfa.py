@@ -49,6 +49,10 @@ class TestConfigValidation:
         with pytest.raises(InputError):
             MfdfaConfig(scale_grid=(32, 16))
         with pytest.raises(InputError):
+            MfdfaConfig(scale_grid=())
+        with pytest.raises(InputError):
+            MfdfaConfig(regression_range=(16,))
+        with pytest.raises(InputError):
             MfdfaConfig(detrend_order=0)
 
     def test_scale_must_leave_detrend_dof(self):

@@ -1,4 +1,4 @@
-"""Ingestion, transforms, descriptive statistics and segmentation."""
+"""Ingestion, transforms and descriptive statistics."""
 
 import math
 
@@ -13,7 +13,6 @@ from smfdfa import (
     describe,
     load_csv,
     outlier_census,
-    split_segments,
     to_fluctuations,
 )
 from conftest import make_series, write_price_csv
@@ -160,29 +159,3 @@ class TestOutlierCensus:
             assert c.low_extreme <= c.low_mild
             assert c.high_extreme <= c.high_mild
 
-
-class TestSplitSegments:
-    def test_concatenation_reproduces_parent_exactly(self, rng):
-        x = rng.standard_normal(100)
-        seg = split_segments(make_series(x), [30, 62])
-        np.testing.assert_array_equal(np.concatenate(seg.segment_values()), x)
-        assert seg.n_segments == 3
-        assert seg.edges == (0, 30, 62, 100)
-
-    def test_no_breaks_gives_single_segment(self, rng):
-        x = rng.standard_normal(20)
-        seg = split_segments(make_series(x), [])
-        assert seg.n_segments == 1
-        np.testing.assert_array_equal(seg.segment_values()[0], x)
-
-    def test_min_segment_enforced(self, rng):
-        x = rng.standard_normal(50)
-        with pytest.raises(InputError):
-            split_segments(make_series(x), [3], min_segment=10)
-
-    def test_breaks_must_be_interior_and_increasing(self, rng):
-        x = rng.standard_normal(50)
-        with pytest.raises(InputError):
-            split_segments(make_series(x), [0])
-        with pytest.raises(InputError):
-            split_segments(make_series(x), [30, 30])
