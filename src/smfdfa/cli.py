@@ -46,6 +46,12 @@ from .series import CsvConfig, describe, load_csv, outlier_census, to_fluctuatio
 from .surrogate import surrogate_test
 
 SYNTH_START_DATE = np.datetime64("2000-01-01")
+# every key a --config file may hold; one set for all subcommands, so that
+# one file serves every command
+CONFIG_KEYS = frozenset({
+    "q_grid", "scale_grid", "detrend_order", "regression_range", "statistic",
+    "penalty", "max_breaks", "min_segment", "cp_method", "p", "hidden_units",
+})
 
 
 @dataclass(frozen=True)
@@ -97,7 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full pipeline: stats, breaks, per-segment spectra")
     _add_common(p)
-    _add_mf_flags(p)
+    # no --transform: analyze always segments the fluctuation series
+    p.add_argument("--detrend-order", type=int, default=None)
     _add_cp_flags(p)
     p.add_argument("--surrogates", type=int, default=0, help="surrogate count (0 disables)")
     p.add_argument("--surrogate-kind", choices=("shuffle", "phase"), default="shuffle")
@@ -169,6 +176,12 @@ def _load_config_file(args) -> dict:
         raise InputError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise InputError(f"config file {path} must hold a JSON object")
+    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    if unknown:
+        raise InputError(
+            "; ".join(f"config key {key!r} is not known" for key in unknown)
+            + f" (known keys: {', '.join(sorted(CONFIG_KEYS))})"
+        )
     return cfg
 
 

@@ -77,12 +77,12 @@ class NarModel:
 
 
 def _sigmoid(a: np.ndarray) -> np.ndarray:
-    out = np.empty_like(a)
-    pos = a >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
-    ea = np.exp(a[~pos])
-    out[~pos] = ea / (1.0 + ea)
-    return out
+    # 1 / (1 + e^-a) for a >= 0 and e^a / (1 + e^a) below, so exp never
+    # overflows. min(a, -a) is -|a| except that a NaN input passes through
+    # unchanged (np.minimum returns the first of two NaNs), as it does in
+    # the masked two-branch form: the results match that form bit for bit
+    e = np.exp(np.minimum(a, -a))
+    return np.where(a >= 0, 1.0, e) / (1.0 + e)
 
 
 def _lag_matrix(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -100,19 +100,27 @@ def _unpack(theta: np.ndarray, p: int, h: int):
     return w_in, b_in, w_out, b_out
 
 
-def _forward_jacobian(theta: np.ndarray, u: np.ndarray, p: int, h: int):
-    """Network output and its Jacobian w.r.t. the flattened parameters."""
+def _forward(theta: np.ndarray, u: np.ndarray, p: int, h: int):
+    """Hidden activations s (n, h) and network output (n,)."""
     w_in, b_in, w_out, b_out = _unpack(theta, p, h)
-    s = _sigmoid(u @ w_in.T + b_in)  # (n, h)
-    out = s @ w_out + b_out
+    s = _sigmoid(u @ w_in.T + b_in)
+    return s, s @ w_out + b_out
+
+
+def _fill_jacobian(
+    jac: np.ndarray, theta: np.ndarray, s: np.ndarray, u: np.ndarray, p: int, h: int
+):
+    """Write the Jacobian of the output w.r.t. the flattened parameters
+    into jac (n, n_params), given the hidden activations s at theta."""
+    w_out = _unpack(theta, p, h)[2]
     g = s * (1.0 - s) * w_out  # (n, h): d out / d preactivation
     n = u.shape[0]
-    jac = np.empty((n, theta.size))
-    jac[:, : h * p] = (g[:, :, None] * u[:, None, :]).reshape(n, h * p)
+    # splitting the contiguous last axis of this column slice gives a view,
+    # so out= writes into jac (a copy would be filled and dropped silently)
+    np.multiply(g[:, :, None], u[:, None, :], out=jac[:, : h * p].reshape(n, h, p))
     jac[:, h * p : h * p + h] = g
     jac[:, h * p + h : h * p + 2 * h] = s
     jac[:, -1] = 1.0
-    return out, jac
 
 
 def train_nar(
@@ -157,13 +165,18 @@ def train_nar(
     theta[: hidden_units * p] /= math.sqrt(p)
     theta[hidden_units * (p + 1) :] *= 0.1
 
-    out, jac = _forward_jacobian(theta, u, p, hidden_units)
+    s, out = _forward(theta, u, p, hidden_units)
     resid = out - target
     loss = float(np.dot(resid, resid)) / n_pairs
     trace = [loss]
     damping = config.damping_init
     eye = np.eye(n_params)
+    # one Jacobian buffer for the whole run, refilled at the accepted
+    # parameters; J'J and J'r are taken from it before any trial step, and
+    # trial steps need only the forward pass
+    jac = np.empty((n_pairs, n_params))
     for _ in range(config.max_iterations):
+        _fill_jacobian(jac, theta, s, u, p, hidden_units)
         jtj = jac.T @ jac
         jtr = jac.T @ resid
         accepted = False
@@ -174,12 +187,12 @@ def train_nar(
                 damping *= config.damping_factor
                 continue
             cand = theta + step
-            cand_out, cand_jac = _forward_jacobian(cand, u, p, hidden_units)
+            cand_s, cand_out = _forward(cand, u, p, hidden_units)
             cand_resid = cand_out - target
             cand_loss = float(np.dot(cand_resid, cand_resid)) / n_pairs
             if math.isfinite(cand_loss) and cand_loss <= loss:
                 improvement = loss - cand_loss
-                theta, jac, resid = cand, cand_jac, cand_resid
+                theta, s, resid = cand, cand_s, cand_resid
                 loss = cand_loss
                 trace.append(loss)
                 damping = max(damping / config.damping_factor, 1e-300)

@@ -89,14 +89,25 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "config file not found" in capsys.readouterr().err
-        # malformed values are input errors naming their key, not tracebacks
-        for key, value in (("q_grid", ["a", 1]), ("min_segment", "x"), ("penalty", "high")):
+        # malformed values and unknown keys are input errors naming their
+        # key, not tracebacks or silently ignored settings
+        for key, value in (("q_grid", ["a", 1]), ("min_segment", "x"), ("penalty", "high"),
+                           ("qgrid", [1, 2, 3])):
             cfg = tmp_path / f"{key}.json"
             cfg.write_text(json.dumps({key: value}))
             code = main(["analyze", str(price_csv), "--config", str(cfg),
                          "--out", str(tmp_path / "o")])
             assert code == 2
             assert f"config key {key!r}" in capsys.readouterr().err
+
+    def test_analyze_rejects_transform_flag(self, price_csv, tmp_path, capsys):
+        # analyze always segments the fluctuation series, so a --transform
+        # it would ignore is a usage error (mfdfa and surrogate keep it)
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(price_csv), "--transform", "values",
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --transform values" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- synth

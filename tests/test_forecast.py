@@ -8,15 +8,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import make_series
-from smfdfa.errors import InputError
+from smfdfa.errors import InputError, NumericalError
 from smfdfa.forecast import (
     METHOD_FD,
     METHOD_LFD,
     ForecastReport,
     ForecastRow,
     TrainConfig,
+    _sigmoid,
     mape,
     pipeline_compare,
     reconstruct,
@@ -33,6 +37,120 @@ def ar1_deterministic(n: int, phi: float = 0.8, c: float = 0.1, x0: float = 1.0)
     for i in range(1, n):
         x[i] = phi * x[i - 1] + c
     return x
+
+
+def masked_sigmoid(a: np.ndarray) -> np.ndarray:
+    """Reference: the two-branch logistic on boolean masks, 1 / (1 + e^-a)
+    where a >= 0 and e^a / (1 + e^a) elsewhere."""
+    out = np.empty_like(a)
+    pos = a >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    ea = np.exp(a[~pos])
+    out[~pos] = ea / (1.0 + ea)
+    return out
+
+
+def reference_train_nar(x: np.ndarray, p: int, h: int, seed: int, config: TrainConfig):
+    """Reference: the straightforward Levenberg-Marquardt loop, which builds
+    a fresh Jacobian with every trial step and uses masked_sigmoid. The
+    library's trainer must give the same weights and loss trace bit for
+    bit. Returns (w_in, b_in, w_out, b_out, loss_trace)."""
+    mean = float(x.mean())
+    scale = float(x.std())
+    if scale < 1e-12:
+        scale = 1.0
+    z = (x - mean) / scale
+    idx = np.arange(p, z.size)[:, None] + np.arange(-p, 0)[None, :]
+    u, target = z[idx], z[p:]
+    n = target.size
+
+    def forward_jacobian(theta):
+        w_in, b_in = theta[: h * p].reshape(h, p), theta[h * p : h * p + h]
+        w_out, b_out = theta[h * p + h : h * p + 2 * h], theta[-1]
+        s = masked_sigmoid(u @ w_in.T + b_in)
+        g = s * (1.0 - s) * w_out
+        jac = np.empty((n, theta.size))
+        jac[:, : h * p] = (g[:, :, None] * u[:, None, :]).reshape(n, h * p)
+        jac[:, h * p : h * p + h] = g
+        jac[:, h * p + h : h * p + 2 * h] = s
+        jac[:, -1] = 1.0
+        return s @ w_out + b_out, jac
+
+    rng = np.random.default_rng(seed)
+    n_params = h * (p + 2) + 1
+    theta = rng.normal(0.0, 1.0, n_params)
+    theta[: h * p] /= math.sqrt(p)
+    theta[h * (p + 1) :] *= 0.1
+    out, jac = forward_jacobian(theta)
+    resid = out - target
+    loss = float(np.dot(resid, resid)) / n
+    trace = [loss]
+    damping = config.damping_init
+    eye = np.eye(n_params)
+    for _ in range(config.max_iterations):
+        jtj = jac.T @ jac
+        jtr = jac.T @ resid
+        accepted = False
+        while damping <= config.damping_cap:
+            try:
+                step = np.linalg.solve(jtj + damping * eye, -jtr)
+            except np.linalg.LinAlgError:
+                damping *= config.damping_factor
+                continue
+            cand = theta + step
+            cand_out, cand_jac = forward_jacobian(cand)
+            cand_resid = cand_out - target
+            cand_loss = float(np.dot(cand_resid, cand_resid)) / n
+            if math.isfinite(cand_loss) and cand_loss <= loss:
+                improvement = loss - cand_loss
+                theta, jac, resid = cand, cand_jac, cand_resid
+                loss = cand_loss
+                trace.append(loss)
+                damping = max(damping / config.damping_factor, 1e-300)
+                accepted = True
+                break
+            damping *= config.damping_factor
+        if not accepted:
+            err = NumericalError("damping cap")
+            err.last_loss = loss
+            raise err
+        if improvement <= config.min_relative_improvement * max(loss, 1e-300):
+            break
+    return (theta[: h * p].reshape(h, p), theta[h * p : h * p + h],
+            theta[h * p + h : h * p + 2 * h], theta[-1:], np.array(trace))
+
+
+def bits(a) -> np.ndarray:
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+@st.composite
+def training_instances(draw):
+    """(series, p, hidden_units, seed, config): noisy AR(1), long-memory,
+    noiseless AR(1) and integer-valued series (repeated lag rows), with
+    damping caps low enough that some runs stop with NumericalError."""
+    n = draw(st.integers(60, 400), label="n")
+    p = draw(st.integers(1, 6), label="p")
+    h = draw(st.integers(1, 8), label="hidden_units")
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    kind = draw(st.sampled_from(["ar1", "arfima", "noiseless", "integer"]), label="kind")
+    gen = np.random.default_rng(seed)
+    if kind == "ar1":
+        x = np.empty(n)
+        x[0] = gen.standard_normal()
+        for i in range(1, n):
+            x[i] = 0.6 * x[i - 1] + gen.standard_normal()
+    elif kind == "arfima":
+        x = 100.0 + arfima_generate(0.3, n, seed=seed)
+    elif kind == "noiseless":
+        x = ar1_deterministic(n)
+    else:
+        x = gen.integers(0, 4, n).astype(float)
+    config = TrainConfig(
+        max_iterations=draw(st.integers(1, 30), label="max_iterations"),
+        damping_cap=draw(st.sampled_from([1e10, 1.0, 1e-2]), label="damping_cap"),
+    )
+    return x, p, h, seed, config
 
 
 # -------------------------------------------------------------------- mape
@@ -71,6 +189,29 @@ class TestMape:
     def test_empty_window(self):
         with pytest.raises(InputError, match="empty"):
             mape([], [])
+
+
+# ---------------------------------------------------------------- sigmoid
+
+SIGMOID_SPECIALS = np.concatenate([
+    [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+     745.2, -745.2, 746.0, -746.0, 1e300, -1e300],
+    # NaNs with a payload, quiet and signalling, of either sign
+    np.array([0x7FF8000000000001, 0xFFF8000000001234, 0x7FF4000000000000],
+             dtype=np.uint64).view(np.float64),
+])
+
+
+class TestSigmoid:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=40),
+                      elements=st.one_of(st.floats(), st.floats(-800.0, 800.0))))
+    @example(SIGMOID_SPECIALS)
+    def test_equals_masked_form(self, a):
+        # [DERIVED] each element takes the same exp, add and divide as in
+        # the two-branch form, so the bits match, NaN payloads and signs,
+        # -0.0, subnormals and exp underflow (|a| > 745) included
+        np.testing.assert_array_equal(bits(_sigmoid(a)), bits(masked_sigmoid(a)))
 
 
 # --------------------------------------------------------------- training
@@ -139,6 +280,38 @@ class TestTrainNar:
             TrainConfig(damping_factor=1.0)
         with pytest.raises(InputError, match="max_iterations"):
             TrainConfig(max_iterations=0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(training_instances())
+    def test_equals_reference_trainer(self, instance):
+        # [DERIVED] the trainer reuses one Jacobian buffer and builds it only
+        # for accepted steps; the arithmetic is the reference loop's, so the
+        # weights, the loss trace and a damping-cap failure match bit for bit
+        x, p, h, seed, config = instance
+        try:
+            want = reference_train_nar(x, p, h, seed, config)
+        except NumericalError as ref_err:
+            with pytest.raises(NumericalError) as got_err:
+                train_nar(x, p=p, hidden_units=h, seed=seed, config=config)
+            assert bits(got_err.value.last_loss) == bits(ref_err.last_loss)
+            return
+        got = train_nar(x, p=p, hidden_units=h, seed=seed, config=config)
+        for g, w in zip((got.w_in, got.b_in, got.w_out, got.b_out, got.loss_trace), want):
+            np.testing.assert_array_equal(bits(g), bits(w))
+
+    def test_damping_cap_failure_equals_reference(self, noisy_series):
+        # [DERIVED] seed 3 with the cap at 1.0 accepts steps first, then
+        # exhausts the damping: both trainers report the same last loss,
+        # which is below the initial one
+        config = TrainConfig(damping_cap=1.0, max_iterations=30)
+        with pytest.raises(NumericalError) as want:
+            reference_train_nar(noisy_series, 3, 6, 3, config)
+        with pytest.raises(NumericalError) as got:
+            train_nar(noisy_series, p=3, hidden_units=6, seed=3, config=config)
+        assert bits(got.value.last_loss) == bits(want.value.last_loss)
+        first = train_nar(noisy_series, p=3, hidden_units=6, seed=3,
+                          config=TrainConfig(max_iterations=1)).loss_trace[0]
+        assert got.value.last_loss < first
 
     def test_fits_noiseless_ar1_under_one_percent(self):
         # [DERIVED] x_t = 0.8 x_{t-1} + 0.1 from x_0 = 1 is a noiseless,
