@@ -36,7 +36,7 @@ timestamps = np.datetime64("2000-01-01") + np.arange(prices.size)
 series = TimeSeries(timestamps=timestamps, values=prices, label="two-regime")
 
 # --- whole-series analysis blurs the regimes ------------------------------
-flucts = to_fluctuations(series).values
+flucts = to_fluctuations(series)
 _, _, blended = analyze_segment(flucts, MfdfaConfig(), label="whole")
 print(f"whole-series spectrum width: {blended.delta_alpha:.3f} "
       "(one number for two very different regimes)\n")

@@ -27,21 +27,17 @@ import numpy as np
 
 from .errors import InputError
 
-STATISTICS = ("mean-and-variance", "mean-only")
 METHODS = ("exact-dp", "binary-segmentation")
 
 
 @dataclass(frozen=True)
 class ChangePointConfig:
-    statistic: str = "mean-and-variance"
     penalty: float | None = None  # None: 2 * sigma2_hat * log N, sigma2 from first differences
     max_breaks: int | None = None
     min_segment: int = 32
     method: str = "exact-dp"
 
     def __post_init__(self):
-        if self.statistic not in STATISTICS:
-            raise InputError(f"unknown statistic {self.statistic!r}; expected one of {STATISTICS}")
         if self.method not in METHODS:
             raise InputError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.penalty is not None and not self.penalty >= 0:
@@ -83,14 +79,9 @@ class ChangePointResult:
         return out
 
 
-def segment_cost(values: Sequence[float] | np.ndarray, statistic: str = "mean-and-variance") -> float:
-    """Within-segment cost: sum of squared deviations about the segment mean.
-
-    Equals length * population variance; the two statistic names are kept
-    for clarity but produce the same value.
-    """
-    if statistic not in STATISTICS:
-        raise InputError(f"unknown statistic {statistic!r}; expected one of {STATISTICS}")
+def segment_cost(values: Sequence[float] | np.ndarray) -> float:
+    """Within-segment cost: sum of squared deviations about the segment mean,
+    which equals length * population variance."""
     x = np.asarray(values, dtype=float)
     if x.size == 0:
         raise InputError("segment_cost: empty segment")
@@ -128,7 +119,7 @@ def _result_from_offsets(
     # Segment costs are recomputed with segment_cost on the final slices so
     # the reported total matches a direct evaluation bit-for-bit.
     edges = [0] + list(offsets) + [x.size]
-    costs = tuple(segment_cost(x[a:b], config.statistic) for a, b in zip(edges, edges[1:]))
+    costs = tuple(segment_cost(x[a:b]) for a, b in zip(edges, edges[1:]))
     total = float(sum(costs) + penalty * len(offsets))
     used = replace(config, penalty=penalty)
     return ChangePointResult(

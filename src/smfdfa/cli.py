@@ -49,8 +49,8 @@ SYNTH_START_DATE = np.datetime64("2000-01-01")
 # every key a --config file may hold; one set for all subcommands, so that
 # one file serves every command
 CONFIG_KEYS = frozenset({
-    "q_grid", "scale_grid", "detrend_order", "regression_range", "statistic",
-    "penalty", "max_breaks", "min_segment", "cp_method", "p", "hidden_units",
+    "q_grid", "scale_grid", "detrend_order", "regression_range", "penalty",
+    "max_breaks", "min_segment", "cp_method", "p", "hidden_units",
 })
 
 
@@ -226,7 +226,6 @@ def _mf_config(args, file_cfg: dict) -> MfdfaConfig:
 
 def _cp_config(args, file_cfg: dict) -> ChangePointConfig:
     return ChangePointConfig(
-        statistic=file_cfg.get("statistic", "mean-and-variance"),
         penalty=_pick(args.penalty, file_cfg, "penalty", None, _number),
         max_breaks=_pick(args.max_breaks, file_cfg, "max_breaks", None, int),
         min_segment=_pick(args.min_segment, file_cfg, "min_segment", 32, int),
@@ -268,15 +267,15 @@ def _write_manifest(args, out: Path, config_snapshot: dict, outputs: list[str]):
 def _analysis_values(args, series) -> np.ndarray:
     if args.transform == "values":
         return series.values
-    return to_fluctuations(series).values
+    return to_fluctuations(series)
 
 
 def _segment_hurst(seg: SegmentReport, values: np.ndarray, cfg: MfdfaConfig) -> float | None:
     """DFA Hurst exponent of one regime: the q = 2 slope of its own MF-DFA
     (the classical DFA exponent), or a q = 2 DFA pass when the q grid lacks
     2 or the regime was too short for a spectrum. None for regimes shorter
-    than MIN_HURST_LENGTH or whose MF-DFA is numerically degenerate."""
-    if values.size < MIN_HURST_LENGTH or (seg.skipped_reason or "").startswith("numerical"):
+    than MIN_HURST_LENGTH."""
+    if values.size < MIN_HURST_LENGTH:
         return None
     if seg.hurst is not None and 2.0 in cfg.q_grid:
         return float(seg.hurst.rho[cfg.q_grid.index(2.0)])
@@ -294,25 +293,29 @@ def cmd_analyze(args) -> int:
     out = _outdir(args)
 
     flucts = to_fluctuations(series)
-    stats = describe(flucts.values)
-    outliers = outlier_census(flucts.values)
+    stats = describe(flucts)
+    outliers = outlier_census(flucts)
     report = s_mfdfa(series, cp_cfg, mf_cfg)
 
     segment_entries = []
     for seg in report.segments:
         entry = {"label": seg.label, "start": seg.start, "stop": seg.stop}
         reasons = [seg.skipped_reason] if seg.skipped_reason else []
-        seg_vals = flucts.values[seg.start : seg.stop]
+        seg_vals = flucts[seg.start : seg.stop]
+        # a regime whose MF-DFA failed numerically (e.g. a flat one) reports
+        # no long-memory estimate; GPH still runs so that its failure is named
+        degenerate = (seg.skipped_reason or "").startswith("numerical")
+        entry["d_hat"] = entry["d_stderr"] = None
         try:
             est = gph_estimate(seg_vals)
-            entry["d_hat"] = est.d_hat
-            entry["d_stderr"] = est.stderr
+            if not degenerate:
+                entry["d_hat"] = est.d_hat
+                entry["d_stderr"] = est.stderr
         except InputError:
-            entry["d_hat"] = entry["d_stderr"] = None
+            pass
         except NumericalError as exc:
-            entry["d_hat"] = entry["d_stderr"] = None
             reasons.append(f"numerical: gph: {exc}")
-        entry["hurst_dfa"] = _segment_hurst(seg, seg_vals, mf_cfg)
+        entry["hurst_dfa"] = None if degenerate else _segment_hurst(seg, seg_vals, mf_cfg)
         entry["delta_alpha"] = seg.spectrum.delta_alpha if seg.spectrum else None
         entry["skipped_reason"] = "; ".join(reasons) or None
         segment_entries.append(entry)
@@ -320,7 +323,7 @@ def cmd_analyze(args) -> int:
     comparison = None
     if args.surrogates:
         comparison = surrogate_test(
-            flucts.values, args.surrogate_kind, args.surrogates, mf_cfg, args.seed
+            flucts, args.surrogate_kind, args.surrogates, mf_cfg, args.seed
         )
 
     doc = {
@@ -379,7 +382,7 @@ def cmd_changepoints(args) -> int:
     if args.transform == "values":
         values, timestamps = series.values, series.timestamps
     else:
-        values = to_fluctuations(series).values
+        values = to_fluctuations(series)
         # fluctuation i is the return realized at observation i + 1
         timestamps = series.timestamps[1:]
     result = detect_multiple(values, cp_cfg)
@@ -454,8 +457,7 @@ def _parse_breaks(args, series, cp_cfg) -> list[int]:
     if spec_str == "none":
         return []
     if spec_str == "auto":
-        flucts = to_fluctuations(series)
-        result = detect_multiple(flucts.values, cp_cfg)
+        result = detect_multiple(to_fluctuations(series), cp_cfg)
         # fluctuation offset f marks the first fluctuation of a new regime,
         # which is driven by the value at position f + 1
         return [f + 1 for f in result.offsets]

@@ -18,7 +18,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .changepoint import ChangePointResult
 from .errors import InputError, NumericalError
 from .longmemory import FracDiffResult, frac_diff, gph_estimate
 from .series import TimeSeries
@@ -318,14 +317,13 @@ def _fitted_with_levels(
 
 def pipeline_compare(
     series: TimeSeries | np.ndarray,
-    breaks: ChangePointResult | Sequence[int] | None,
+    breaks: Sequence[int] | None,
     p: int = DEFAULT_LAGS,
     hidden_units: int = DEFAULT_HIDDEN,
     seeds: Sequence[int] = (0,),
     train_config: TrainConfig = TrainConfig(),
     scale: str = "levels",
     methods: tuple[str, ...] = (METHOD_FD, METHOD_LFD),
-    truncation: int | None = None,
     evaluation: str = "in-sample",
     keep_fitted: bool = False,
 ) -> ForecastReport:
@@ -358,8 +356,6 @@ def pipeline_compare(
         raise InputError(f"unknown method {bad[0]!r}")
     if breaks is None:
         offsets: tuple[int, ...] = ()
-    elif isinstance(breaks, ChangePointResult):
-        offsets = breaks.offsets
     else:
         offsets = tuple(int(b) for b in breaks)
         if any(b <= 0 or b >= n for b in offsets):
@@ -372,7 +368,7 @@ def pipeline_compare(
     global_diff: FracDiffResult | None = None
     if METHOD_FD in methods:
         global_d = gph_estimate(x).d_hat
-        global_diff = frac_diff(x, global_d, truncation=truncation)
+        global_diff = frac_diff(x, global_d)
 
     rows: list[ForecastRow] = []
     for k, (a, b) in enumerate(zip(edges, edges[1:])):
@@ -387,7 +383,7 @@ def pipeline_compare(
         if METHOD_LFD in methods:
             try:
                 local_d = gph_estimate(x_seg).d_hat
-                local_diff = frac_diff(x_seg, local_d, truncation=truncation)
+                local_diff = frac_diff(x_seg, local_d)
                 jobs.append((METHOD_LFD, local_d, local_diff.values, local_diff.burn_in))
             except InputError as exc:
                 skip.append((METHOD_LFD, f"local estimate failed: {exc}", math.nan))

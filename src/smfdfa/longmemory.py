@@ -11,7 +11,7 @@ through Davies-Harte circulant embedding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -107,20 +107,6 @@ def _auto_truncation(d: float, n: int) -> int:
 
 
 @dataclass(frozen=True)
-class FracDiffConfig:
-    """Differencing order and filter truncation (None means automatic)."""
-
-    d: float
-    truncation: int | None = None
-
-    def __post_init__(self):
-        if not math.isfinite(self.d):
-            raise InputError(f"order must be finite, got {self.d!r}")
-        if self.truncation is not None and int(self.truncation) < 1:
-            raise InputError(f"truncation must be >= 1, got {self.truncation}")
-
-
-@dataclass(frozen=True)
 class FracDiffResult:
     values: np.ndarray
     d: float
@@ -128,48 +114,45 @@ class FracDiffResult:
     burn_in: int  # leading samples whose filter history is incomplete
 
 
-def frac_diff(
-    series: np.ndarray, config: FracDiffConfig | float, truncation: int | None = None
-) -> FracDiffResult:
+def frac_diff(series: np.ndarray, d: float, truncation: int | None = None) -> FracDiffResult:
     """Fractional difference of order d with a truncated binomial filter.
 
-    y_t = sum_{k=0..K} w_k x_{t-k}. Output keeps the input's length; the
-    first K samples see a shortened filter history and are flagged as
-    burn-in. d = 0 is the identity; d = 1 is exact first differencing with
-    y_0 = x_0; negative d fractionally integrates.
+    y_t = sum_{k=0..K} w_k x_{t-k}, with K = truncation or, when None, an
+    automatic cutoff. Output keeps the input's length; the first K samples
+    see a shortened filter history and are flagged as burn-in. d = 0 is the
+    identity; d = 1 is exact first differencing with y_0 = x_0; negative d
+    fractionally integrates.
     """
-    if not isinstance(config, FracDiffConfig):
-        config = FracDiffConfig(d=float(config), truncation=truncation)
+    d = float(d)
+    if not math.isfinite(d):
+        raise InputError(f"order must be finite, got {d!r}")
+    if truncation is not None and int(truncation) < 1:
+        raise InputError(f"truncation must be >= 1, got {truncation}")
     x = np.asarray(series, dtype=float)
     n = x.size
     if n == 0:
         raise InputError("cannot difference an empty series")
-    k_max = _auto_truncation(config.d, n) if config.truncation is None else int(config.truncation)
+    k_max = _auto_truncation(d, n) if truncation is None else int(truncation)
     if k_max >= n:
         raise InputError(f"truncation {k_max} must be smaller than the series length {n}")
-    w = frac_diff_weights(config.d, k_max)
+    w = frac_diff_weights(d, k_max)
     out = np.convolve(x, w)[:n]
-    return FracDiffResult(values=out, d=config.d, truncation=k_max, burn_in=k_max)
+    return FracDiffResult(values=out, d=d, truncation=k_max, burn_in=k_max)
 
 
 def frac_integrate(
-    series: np.ndarray, config: FracDiffConfig | float, truncation: int | None = None
+    series: np.ndarray, d: float, truncation: int | None = None
 ) -> FracDiffResult:
     """Inverse of frac_diff at the same order: applies (1 - B)^{-d}."""
-    if not isinstance(config, FracDiffConfig):
-        config = FracDiffConfig(d=float(config), truncation=truncation)
-    res = frac_diff(series, FracDiffConfig(d=-config.d, truncation=config.truncation))
-    return FracDiffResult(
-        values=res.values, d=config.d, truncation=res.truncation, burn_in=res.burn_in
-    )
+    d = float(d)
+    return replace(frac_diff(series, -d, truncation), d=d)
 
 
-def arfima_generate(
-    d: float, n: int, seed: int, sigma: float = 1.0, burn_in: int | None = None
-) -> np.ndarray:
-    """ARFIMA(0, d, 0) sample path: (1 - B)^{-d} applied to seeded Gaussian
-    noise, with a leading burn-in dropped so every kept sample has a full
-    filter history. Requires |d| < 0.5 (stationary, invertible range).
+def arfima_generate(d: float, n: int, seed: int, sigma: float = 1.0) -> np.ndarray:
+    """ARFIMA(0, d, 0) sample path: (1 - B)^{-d}, truncated at
+    MAX_AUTO_TRUNCATION lags, applied to seeded Gaussian noise, with that
+    many leading samples dropped so every kept sample has a full filter
+    history. Requires |d| < 0.5 (stationary, invertible range).
     """
     if not abs(d) < 0.5:
         raise InputError(f"need |d| < 0.5 for a stationary path, got d={d}")
@@ -177,12 +160,10 @@ def arfima_generate(
         raise InputError(f"n must be >= 1, got {n}")
     if sigma <= 0:
         raise InputError(f"sigma must be positive, got {sigma}")
-    if burn_in is None:
-        burn_in = MAX_AUTO_TRUNCATION
+    burn_in = MAX_AUTO_TRUNCATION
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(n + burn_in) * sigma
-    k_max = min(max(burn_in, 1), n + burn_in - 1)
-    w = frac_diff_weights(-d, k_max)
+    w = frac_diff_weights(-d, burn_in)
     path = np.convolve(noise, w)[: n + burn_in]
     return path[burn_in:]
 

@@ -21,24 +21,23 @@ import numpy as np
 
 from .changepoint import ChangePointConfig, ChangePointResult, detect_multiple
 from .errors import InputError, NumericalError
-from .series import FluctSeries, TimeSeries, to_fluctuations
+from .series import TimeSeries, to_fluctuations
 
 DEFAULT_Q_GRID = tuple(np.arange(-5.0, 5.0 + 0.25, 0.5))
 DEFAULT_MIN_SCALE = 16
 DEFAULT_N_SCALES = 20
 
 
-def default_scale_grid(
-    n: int, s_min: int = DEFAULT_MIN_SCALE, n_scales: int = DEFAULT_N_SCALES
-) -> np.ndarray:
-    """Log-spaced integer scales from s_min to n // 4 (unique, ascending)."""
+def default_scale_grid(n: int, s_min: int = DEFAULT_MIN_SCALE) -> np.ndarray:
+    """DEFAULT_N_SCALES log-spaced integer scales from s_min to n // 4
+    (unique, ascending)."""
     s_max = n // 4
     if s_max < s_min:
         raise InputError(
             f"segment of length {n} too short: largest usable scale {s_max} < minimum {s_min}"
         )
     grid = np.unique(
-        np.round(np.logspace(math.log10(s_min), math.log10(s_max), n_scales)).astype(int)
+        np.round(np.logspace(math.log10(s_min), math.log10(s_max), DEFAULT_N_SCALES)).astype(int)
     )
     return np.clip(grid, s_min, s_max)
 
@@ -207,7 +206,7 @@ def _check_power_mean_monotone(phi: np.ndarray, q_grid: np.ndarray, s: np.ndarra
 
 
 def fluctuation_surface(
-    segment: FluctSeries | Sequence[float] | np.ndarray,
+    segment: Sequence[float] | np.ndarray,
     config: MfdfaConfig = MfdfaConfig(),
     label: str = "",
 ) -> FluctuationSurface:
@@ -223,9 +222,7 @@ def fluctuation_surface(
     nonpositive moments are requested (negative moments of zero diverge);
     with only q > 0 such windows contribute zero.
     """
-    values = segment.values if isinstance(segment, FluctSeries) else np.asarray(segment, float)
-    if not label and isinstance(segment, FluctSeries):
-        label = segment.source_label
+    values = np.asarray(segment, float)
     n = values.size
     scales = config.resolve_scales(n)
     q_grid = np.asarray(config.q_grid, dtype=float)
@@ -486,14 +483,13 @@ def s_mfdfa(
     skipped while the rest are still reported.
     """
     flucts = to_fluctuations(series)
-    cp = detect_multiple(flucts.values, cp_config)
-    edges = (0, *cp.offsets, flucts.values.size)
+    cp = detect_multiple(flucts, cp_config)
+    edges = (0, *cp.offsets, flucts.size)
     reports = []
     for k, (a, b) in enumerate(zip(edges, edges[1:])):
         label = f"{series.label or 'series'}::seg{k + 1}"
-        seg_vals = flucts.values[a:b]
         try:
-            surface, curve, spectrum = analyze_segment(seg_vals, mf_config, label=label)
+            surface, curve, spectrum = analyze_segment(flucts[a:b], mf_config, label=label)
             reports.append(SegmentReport(label, a, b, surface, curve, spectrum))
         except InputError as exc:
             reports.append(

@@ -51,27 +51,6 @@ class TimeSeries:
 
 
 @dataclass(frozen=True)
-class FluctSeries:
-    """Nonnegative absolute log10-return magnitudes of a source series."""
-
-    values: np.ndarray
-    source_label: str = ""
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size < 1:
-            raise InputError("fluctuation series must be a nonempty 1-d array")
-        if not np.all(np.isfinite(vals)):
-            raise InputError("fluctuation series contains non-finite values")
-        if np.any(vals < 0):
-            raise InputError("fluctuation series must be nonnegative")
-        object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True)
 class DescriptiveStats:
     n: int
     minimum: float
@@ -102,11 +81,11 @@ class CsvConfig:
     date_column: str = "date"
     value_column: str = "price"
     date_format: str | None = None  # None means ISO-8601 (YYYY-MM-DD)
-    label: str | None = None        # default: file stem
 
 
 def load_csv(path: str | Path, config: CsvConfig = CsvConfig()) -> TimeSeries:
-    """Load a dated price CSV into a TimeSeries sorted by date.
+    """Load a dated price CSV into a TimeSeries sorted by date, labelled with
+    the file stem.
 
     The file must have a header row containing the configured columns.
     Duplicate dates are rejected; every parse failure reports the offending
@@ -149,11 +128,10 @@ def load_csv(path: str | Path, config: CsvConfig = CsvConfig()) -> TimeSeries:
     dup = np.flatnonzero(ts[1:] == ts[:-1])
     if dup.size:
         raise InputError(f"{path}: duplicated date {ts[dup[0]]}")
-    label = config.label if config.label is not None else path.stem
-    return TimeSeries(timestamps=ts, values=vals, label=label)
+    return TimeSeries(timestamps=ts, values=vals, label=path.stem)
 
 
-def to_fluctuations(series: TimeSeries) -> FluctSeries:
+def to_fluctuations(series: TimeSeries) -> np.ndarray:
     """Absolute log10 return magnitudes: out[t] = |log10(x[t+1]/x[t])|."""
     x = series.values
     bad = np.flatnonzero(x <= 0)
@@ -161,8 +139,7 @@ def to_fluctuations(series: TimeSeries) -> FluctSeries:
         raise InputError(
             f"non-positive value {x[bad[0]]} at index {int(bad[0])}: log transform undefined"
         )
-    out = np.abs(np.diff(np.log10(x)))
-    return FluctSeries(values=out, source_label=series.label)
+    return np.abs(np.diff(np.log10(x)))
 
 
 def describe(values: Sequence[float] | np.ndarray) -> DescriptiveStats:

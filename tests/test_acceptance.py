@@ -228,7 +228,7 @@ def test_criterion_04_zero_breaks_reduction():
     assert report.changepoints.n_breaks == 0
     assert len(report.segments) == 1
     seg = report.segments[0]
-    flucts = to_fluctuations(series).values
+    flucts = to_fluctuations(series)
     surface, curve, spectrum = analyze_segment(flucts, MfdfaConfig(), label=seg.label)
     np.testing.assert_array_equal(seg.surface.phi, surface.phi)
     np.testing.assert_array_equal(seg.surface.n_windows, surface.n_windows)

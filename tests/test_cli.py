@@ -90,9 +90,10 @@ class TestErrorPaths:
         assert code == 2
         assert "config file not found" in capsys.readouterr().err
         # malformed values and unknown keys are input errors naming their
-        # key, not tracebacks or silently ignored settings
+        # key, not tracebacks or silently ignored settings (there is one
+        # change-point cost, so "statistic" is not a key)
         for key, value in (("q_grid", ["a", 1]), ("min_segment", "x"), ("penalty", "high"),
-                           ("qgrid", [1, 2, 3])):
+                           ("qgrid", [1, 2, 3]), ("statistic", "mean-only")):
             cfg = tmp_path / f"{key}.json"
             cfg.write_text(json.dumps({key: value}))
             code = main(["analyze", str(price_csv), "--config", str(cfg),
@@ -218,11 +219,12 @@ class TestAnalyze:
         assert flagged == [flat[0]["label"]]
         assert "numerical failure" not in capsys.readouterr().err
 
-    def test_flagged_regime_reports_no_hurst(self, tmp_path):
+    def test_flagged_regime_reports_no_hurst(self, tmp_path, capsys):
         # With this draw the detected flat regime (599..1200) starts with
         # one noisy fluctuation: its MF-DFA is flagged numerical, and a
-        # q = 2-only DFA pass would still return a number (0.070). A flagged
-        # regime reports no Hurst exponent; the noisy regimes still do.
+        # q = 2-only DFA pass would still return a number (0.070), GPH one
+        # of 3e-31. A flagged regime reports neither Hurst exponent nor
+        # d_hat; the noisy regimes still do.
         rng = np.random.default_rng(0)
         r = np.concatenate([rng.normal(0.0, 0.01, 600), np.zeros(600),
                             rng.normal(0.0, 0.01, 600)])
@@ -236,8 +238,13 @@ class TestAnalyze:
                                                               (1200, 1800)]
         assert segments[1]["skipped_reason"].startswith("numerical:")
         assert segments[1]["hurst_dfa"] is None and rows[1]["hurst_dfa"] == ""
+        assert segments[1]["d_hat"] is None and segments[1]["d_stderr"] is None
+        assert rows[1]["d_hat"] == ""
+        table = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert [segments[1]["label"], "599", "1200", "-", "-", "-"] in table
+        assert all(segments[i]["d_hat"] is not None for i in (0, 2))
         # [DERIVED] a regime's Hurst exponent is its q = 2 DFA slope
-        flucts = to_fluctuations(load_csv(path)).values
+        flucts = to_fluctuations(load_csv(path))
         for i in (0, 2):
             seg = flucts[segments[i]["start"]:segments[i]["stop"]]
             assert segments[i]["hurst_dfa"] == hurst_dfa(seg)

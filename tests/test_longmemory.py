@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smfdfa import (
-    FracDiffConfig,
     InputError,
     MfdfaConfig,
     analyze_segment,
@@ -122,10 +121,10 @@ class TestFracDiff:
             frac_diff(rng.standard_normal(100), 0.3, truncation=100)
 
     def test_config_validation(self):
-        with pytest.raises(InputError):
-            FracDiffConfig(d=math.inf)
-        with pytest.raises(InputError):
-            FracDiffConfig(d=0.3, truncation=0)
+        with pytest.raises(InputError, match="order must be finite"):
+            frac_diff(np.zeros(10), math.inf)
+        with pytest.raises(InputError, match="truncation must be >= 1"):
+            frac_diff(np.zeros(10), 0.3, truncation=0)
 
 
 class TestGph:

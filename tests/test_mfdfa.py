@@ -7,7 +7,6 @@ import pytest
 
 from smfdfa import (
     ChangePointConfig,
-    FluctSeries,
     FluctuationSurface,
     HurstCurve,
     InputError,
@@ -107,12 +106,6 @@ class TestFluctuationSurface:
             cfg = MfdfaConfig(q_grid=(2.0,))
             curve = generalized_hurst(fluctuation_surface(x, cfg))
             assert abs(curve.rho[0] - 0.5) < 0.1, f"seed {seed}: {curve.rho[0]}"
-
-    def test_label_comes_from_fluct_series(self):
-        f = FluctSeries(values=np.abs(np.random.default_rng(0).standard_normal(600)),
-                        source_label="prices")
-        surf = fluctuation_surface(f, MfdfaConfig(scale_grid=(16, 32, 64, 128)))
-        assert surf.segment_label == "prices"
 
     def test_power_mean_monotone_in_q(self, rng):
         # phi_q(s) is a power mean of window variances: non-decreasing in q
@@ -378,7 +371,7 @@ class TestStructuredPipeline:
         report = s_mfdfa(series, cp, mf)
         assert report.changepoints.n_breaks == 0
         assert len(report.segments) == 1
-        flucts = to_fluctuations(series).values
+        flucts = to_fluctuations(series)
         surf, curve, spec = analyze_segment(flucts, mf, label=report.segments[0].label)
         seg = report.segments[0]
         np.testing.assert_array_equal(seg.surface.phi, surf.phi)

@@ -29,3 +29,19 @@ def test_no_unused_imports():
     modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
     assert len(modules) >= 8
     assert [hit for path in modules for hit in unused_imports(path)] == []
+
+
+def test_all_lists_exactly_the_imported_names():
+    # a name deleted from a module must leave both the import and __all__
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    exported = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]
+    )
+    assert len(exported) == len(set(exported))
+    assert set(exported) == imported | {"__version__"}

@@ -7,7 +7,6 @@ import pytest
 
 from smfdfa import (
     CsvConfig,
-    FluctSeries,
     InputError,
     TimeSeries,
     describe,
@@ -81,24 +80,20 @@ class TestToFluctuations:
     def test_values_are_absolute_log10_return_magnitudes(self):
         # [TRIVIAL] 1 -> 10 is one decade up, 10 -> 1 one decade down
         f = to_fluctuations(make_series([1.0, 10.0, 1.0]))
-        np.testing.assert_allclose(f.values, [1.0, 1.0], rtol=1e-15)
+        np.testing.assert_allclose(f, [1.0, 1.0], rtol=1e-15)
         assert len(f) == 2  # length = source length - 1
 
     def test_scale_invariance(self):
         # [TRIVIAL] |log10(c x_{t+1} / (c x_t))| is independent of c > 0
         x = np.array([3.0, 5.0, 4.0, 8.0, 6.5])
-        f1 = to_fluctuations(make_series(x)).values
-        f2 = to_fluctuations(make_series(1234.5 * x)).values
+        f1 = to_fluctuations(make_series(x))
+        f2 = to_fluctuations(make_series(1234.5 * x))
         np.testing.assert_allclose(f1, f2, rtol=0, atol=1e-14)
 
     def test_non_positive_price_rejected_at_transform_time(self):
         series = make_series([1.0, -2.0, 3.0])
         with pytest.raises(InputError, match="index 1"):
             to_fluctuations(series)
-
-    def test_fluct_series_rejects_negative_values(self):
-        with pytest.raises(InputError):
-            FluctSeries(values=np.array([0.1, -0.1]))
 
 
 class TestDescribe:
