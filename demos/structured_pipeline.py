@@ -42,7 +42,7 @@ print(f"whole-series spectrum width: {blended.delta_alpha:.3f} "
       "(one number for two very different regimes)\n")
 
 # --- structured analysis: detect, split, analyze --------------------------
-report = s_mfdfa(series, ChangePointConfig(min_segment=256), MfdfaConfig())
+report = s_mfdfa(flucts, ChangePointConfig(min_segment=256), MfdfaConfig(), label=series.label)
 offsets = [int(o) for o in report.changepoints.offsets]
 print(f"detected {report.changepoints.n_breaks} break(s) at fluctuation "
       f"offset(s) {offsets} (true switch at 2048)\n")

@@ -1,11 +1,14 @@
 """Command-line orchestration.
 
 Subcommands: analyze (full structured pipeline), changepoints, mfdfa
-(whole-series analysis), surrogate, forecast, synth. Every run writes a
-manifest.json recording the command, input, fully resolved configuration,
-seed, package version and output files; identical invocations produce
-byte-identical outputs. Exit codes: 0 success, 2 input or usage error,
-3 numerical failure.
+(whole-series analysis), surrogate, forecast, synth. Each handler computes
+everything first and then hands its JSON documents and CSV tables to one
+writer, _emit, which creates --out, writes the documents, writes the tables
+unless --format json, and writes a manifest.json recording the command,
+input, fully resolved configuration, seed, format, package version and the
+sorted names of exactly the files it wrote. A failed run therefore writes
+nothing. Identical invocations produce byte-identical outputs. Exit codes:
+0 success, 2 input or usage error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +25,7 @@ import numpy as np
 from . import __version__
 from .changepoint import ChangePointConfig, detect_multiple
 from .errors import InputError, NumericalError
-from .forecast import pipeline_compare
+from .forecast import DEFAULT_HIDDEN, DEFAULT_LAGS, pipeline_compare
 from .longmemory import MIN_HURST_LENGTH, arfima_generate, fgn_generate, gph_estimate, hurst_dfa
 from .mfdfa import MfdfaConfig, SegmentReport, analyze_segment, generate_cascade, s_mfdfa
 from .serialize import (
@@ -52,31 +56,22 @@ CONFIG_KEYS = frozenset({
     "q_grid", "scale_grid", "detrend_order", "regression_range", "penalty",
     "max_breaks", "min_segment", "cp_method", "p", "hidden_units",
 })
+SEGMENTS_HEADER = ("label", "start", "stop", "delta_alpha", "d_hat", "hurst_dfa",
+                   "skipped_reason")
+SURROGATE_HEADER = ("index", "delta_alpha")
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Record of one CLI run: enough to reproduce its outputs exactly."""
-
-    command: str
-    input: str | None
-    config: dict
-    seed: int
-    format: str
-    version: str
-    outputs: tuple[str, ...]
-
-
-def _add_common(p: argparse.ArgumentParser, needs_input: bool = True):
-    if needs_input:
+def _add_common(p: argparse.ArgumentParser, reads_input: bool = True):
+    if reads_input:
         p.add_argument("input", help="input CSV path")
         p.add_argument("--date-column", default=None)
         p.add_argument("--value-column", default=None)
         p.add_argument("--date-format", default=None)
     p.add_argument("--out", default="smfdfa_out", help="output directory")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None, help="JSON file overriding analysis defaults")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    if reads_input:
+        p.add_argument("--config", default=None, help="JSON file overriding analysis defaults")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _add_mf_flags(p: argparse.ArgumentParser):
@@ -147,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_forecast)
 
     p = sub.add_parser("synth", help="write a synthetic series CSV")
-    _add_common(p, needs_input=False)
+    _add_common(p, reads_input=False)
     p.add_argument("kind", choices=("cascade", "fgn", "arfima", "step"))
     p.add_argument("--b1", type=float, default=0.75, help="cascade: larger weight")
     p.add_argument("--b2", type=float, default=0.25, help="cascade: smaller weight")
@@ -160,7 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--break-at", type=int, default=None, help="step: 0-based shift offset")
     p.add_argument("--shift", type=float, default=3.0, help="step: mean shift")
     p.add_argument("--offset", type=float, default=0.0, help="constant added to the values")
-    p.set_defaults(handler=cmd_synth)
+    # synth has no input, reads no config file and always writes CSV
+    p.set_defaults(handler=cmd_synth, input=None, format="csv")
     return parser
 
 
@@ -217,9 +213,10 @@ def _grid(file_cfg: dict, key: str, convert, default=None):
 
 def _mf_config(args, file_cfg: dict) -> MfdfaConfig:
     return MfdfaConfig(
-        q_grid=_grid(file_cfg, "q_grid", float, MfdfaConfig().q_grid),
+        q_grid=_grid(file_cfg, "q_grid", float, MfdfaConfig.q_grid),
         scale_grid=_grid(file_cfg, "scale_grid", int),
-        detrend_order=_pick(args.detrend_order, file_cfg, "detrend_order", 1, int),
+        detrend_order=_pick(args.detrend_order, file_cfg, "detrend_order",
+                            MfdfaConfig.detrend_order, int),
         regression_range=_grid(file_cfg, "regression_range", _number),
     )
 
@@ -228,40 +225,41 @@ def _cp_config(args, file_cfg: dict) -> ChangePointConfig:
     return ChangePointConfig(
         penalty=_pick(args.penalty, file_cfg, "penalty", None, _number),
         max_breaks=_pick(args.max_breaks, file_cfg, "max_breaks", None, int),
-        min_segment=_pick(args.min_segment, file_cfg, "min_segment", 32, int),
-        method=_pick(args.cp_method, file_cfg, "cp_method", "exact-dp"),
+        min_segment=_pick(args.min_segment, file_cfg, "min_segment",
+                          ChangePointConfig.min_segment, int),
+        method=_pick(args.cp_method, file_cfg, "cp_method", ChangePointConfig.method),
     )
 
 
 def _load_series(args):
-    path = Path(args.input)
-    if not path.exists():
-        raise InputError(f"input file not found: {path}")
     cfg = CsvConfig(
         date_column=args.date_column or "date",
         value_column=args.value_column or "price",
         date_format=args.date_format,
     )
-    return load_csv(path, cfg)
+    return load_csv(args.input, cfg)
 
 
-def _outdir(args) -> Path:
+def _emit(args, config: dict, docs: dict, tables: dict) -> None:
+    """Write one run's outputs to --out: each JSON document of docs (file
+    name -> object), each CSV table of tables (file name -> (header, rows))
+    unless --format json, and manifest.json naming exactly those files.
+    Handlers call it once everything is computed, so a failed run writes
+    nothing; rows may be lazy, so a JSON-only run builds none."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_manifest(args, out: Path, config_snapshot: dict, outputs: list[str]):
-    manifest = RunManifest(
-        command=args.command,
-        input=getattr(args, "input", None),
-        config=config_snapshot,
-        seed=args.seed,
-        format=args.format,
-        version=__version__,
-        outputs=tuple(sorted(outputs)),
-    )
-    write_json(out / "manifest.json", asdict(manifest))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot create output directory {out}: {exc.strerror}") from exc
+    for name, doc in docs.items():
+        write_json(out / name, doc)
+    tables = tables if args.format == "csv" else {}
+    for name, (header, rows) in tables.items():
+        write_csv(out / name, header, rows)
+    write_json(out / "manifest.json", {
+        "command": args.command, "input": args.input, "config": config, "seed": args.seed,
+        "format": args.format, "version": __version__, "outputs": sorted([*docs, *tables]),
+    })
 
 
 def _analysis_values(args, series) -> np.ndarray:
@@ -290,12 +288,11 @@ def cmd_analyze(args) -> int:
     series = _load_series(args)
     mf_cfg = _mf_config(args, file_cfg)
     cp_cfg = _cp_config(args, file_cfg)
-    out = _outdir(args)
 
     flucts = to_fluctuations(series)
     stats = describe(flucts)
     outliers = outlier_census(flucts)
-    report = s_mfdfa(series, cp_cfg, mf_cfg)
+    report = s_mfdfa(flucts, cp_cfg, mf_cfg, label=series.label)
 
     segment_entries = []
     for seg in report.segments:
@@ -326,6 +323,7 @@ def cmd_analyze(args) -> int:
             flucts, args.surrogate_kind, args.surrogates, mf_cfg, args.seed
         )
 
+    config = {"mfdfa": asdict(mf_cfg), "changepoint": asdict(cp_cfg)}
     doc = {
         "series": series.label,
         "n": int(series.values.size),
@@ -333,30 +331,21 @@ def cmd_analyze(args) -> int:
         "structured": structured_report_to_dict(report),
         "segments": segment_entries,
         "surrogate": surrogate_to_dict(comparison, asdict(mf_cfg)) if comparison else None,
-        "config": {"mfdfa": asdict(mf_cfg), "changepoint": asdict(cp_cfg)},
+        "config": config,
     }
-    outputs = ["report.json"]
-    write_json(out / "report.json", doc)
-    if args.format == "csv":
-        analyzed = [s for s in report.segments if s.spectrum is not None]
-        write_csv(out / "surfaces.csv", SURFACE_HEADER,
-                  [r for s in analyzed for r in surface_rows(s.surface)])
-        write_csv(out / "hurst.csv", HURST_HEADER,
-                  [r for s in analyzed for r in hurst_rows(s.hurst)])
-        write_csv(out / "spectra.csv", SPECTRUM_HEADER,
-                  [r for s in analyzed for r in spectrum_rows(s.spectrum)])
-        write_csv(out / "changepoints.csv", CHANGEPOINT_HEADER,
-                  changepoint_rows(report.changepoints, series.timestamps[1:]))
-        write_csv(out / "segments.csv",
-                  ("label", "start", "stop", "delta_alpha", "d_hat", "hurst_dfa", "skipped_reason"),
-                  [(e["label"], e["start"], e["stop"], e["delta_alpha"], e["d_hat"],
-                    e["hurst_dfa"], e["skipped_reason"]) for e in segment_entries])
-        outputs += ["surfaces.csv", "hurst.csv", "spectra.csv", "changepoints.csv", "segments.csv"]
-        if comparison:
-            write_csv(out / "surrogate.csv", ("index", "delta_alpha"),
-                      list(enumerate(comparison.surrogate_delta_alphas)))
-            outputs.append("surrogate.csv")
-    _write_manifest(args, out, doc["config"], outputs)
+    analyzed = [s for s in report.segments if s.spectrum is not None]
+    tables = {
+        "surfaces.csv": (SURFACE_HEADER, (r for s in analyzed for r in surface_rows(s.surface))),
+        "hurst.csv": (HURST_HEADER, (r for s in analyzed for r in hurst_rows(s.hurst))),
+        "spectra.csv": (SPECTRUM_HEADER,
+                        (r for s in analyzed for r in spectrum_rows(s.spectrum))),
+        "changepoints.csv": (CHANGEPOINT_HEADER,
+                             changepoint_rows(report.changepoints, series.timestamps[1:])),
+        "segments.csv": (SEGMENTS_HEADER, map(itemgetter(*SEGMENTS_HEADER), segment_entries)),
+    }
+    if comparison:
+        tables["surrogate.csv"] = (SURROGATE_HEADER, enumerate(comparison.surrogate_delta_alphas))
+    _emit(args, config, {"report.json": doc}, tables)
 
     print(f"series {series.label}: n={series.values.size}, "
           f"{report.changepoints.n_breaks} break(s) at offsets "
@@ -378,7 +367,6 @@ def cmd_changepoints(args) -> int:
     file_cfg = _load_config_file(args)
     series = _load_series(args)
     cp_cfg = _cp_config(args, file_cfg)
-    out = _outdir(args)
     if args.transform == "values":
         values, timestamps = series.values, series.timestamps
     else:
@@ -386,13 +374,8 @@ def cmd_changepoints(args) -> int:
         # fluctuation i is the return realized at observation i + 1
         timestamps = series.timestamps[1:]
     result = detect_multiple(values, cp_cfg)
-    outputs = ["changepoints.json"]
-    write_json(out / "changepoints.json", result.to_dict(timestamps))
-    if args.format == "csv":
-        write_csv(out / "changepoints.csv", CHANGEPOINT_HEADER,
-                  changepoint_rows(result, timestamps))
-        outputs.append("changepoints.csv")
-    _write_manifest(args, out, asdict(result.config_used), outputs)
+    _emit(args, asdict(result.config_used), {"changepoints.json": result.to_dict(timestamps)},
+          {"changepoints.csv": (CHANGEPOINT_HEADER, changepoint_rows(result, timestamps))})
     print(f"{result.n_breaks} break(s); offsets {[int(o) for o in result.offsets]}; "
           f"total cost {result.total_cost:.6g}")
     return 0
@@ -402,7 +385,6 @@ def cmd_mfdfa(args) -> int:
     file_cfg = _load_config_file(args)
     series = _load_series(args)
     mf_cfg = _mf_config(args, file_cfg)
-    out = _outdir(args)
     values = _analysis_values(args, series)
     surface, curve, spectrum = analyze_segment(values, mf_cfg, label=series.label)
     doc = {
@@ -417,14 +399,11 @@ def cmd_mfdfa(args) -> int:
                      "alpha_monotone": spectrum.alpha_monotone},
         "config": asdict(mf_cfg),
     }
-    outputs = ["report.json"]
-    write_json(out / "report.json", doc)
-    if args.format == "csv":
-        write_csv(out / "surface.csv", SURFACE_HEADER, surface_rows(surface))
-        write_csv(out / "hurst.csv", HURST_HEADER, hurst_rows(curve))
-        write_csv(out / "spectrum.csv", SPECTRUM_HEADER, spectrum_rows(spectrum))
-        outputs += ["surface.csv", "hurst.csv", "spectrum.csv"]
-    _write_manifest(args, out, doc["config"], outputs)
+    _emit(args, doc["config"], {"report.json": doc}, {
+        "surface.csv": (SURFACE_HEADER, surface_rows(surface)),
+        "hurst.csv": (HURST_HEADER, hurst_rows(curve)),
+        "spectrum.csv": (SPECTRUM_HEADER, spectrum_rows(spectrum)),
+    })
     print(f"series {series.label}: n={values.size}, delta_alpha={spectrum.delta_alpha:.4f}, "
           f"rho(min q)={curve.rho[0]:.4f}, rho(max q)={curve.rho[-1]:.4f}")
     return 0
@@ -434,18 +413,12 @@ def cmd_surrogate(args) -> int:
     file_cfg = _load_config_file(args)
     series = _load_series(args)
     mf_cfg = _mf_config(args, file_cfg)
-    out = _outdir(args)
     values = _analysis_values(args, series)
     comparison = surrogate_test(values, args.kind, args.n, mf_cfg, args.seed)
     doc = surrogate_to_dict(comparison, asdict(mf_cfg))
-    outputs = ["surrogate.json"]
-    write_json(out / "surrogate.json", doc)
-    if args.format == "csv":
-        write_csv(out / "surrogate.csv", ("index", "delta_alpha"),
-                  list(enumerate(comparison.surrogate_delta_alphas)))
-        outputs.append("surrogate.csv")
-    _write_manifest(args, out, {"mfdfa": doc["mf_config"], "kind": args.kind, "n": args.n},
-                    outputs)
+    _emit(args, {"mfdfa": doc["mf_config"], "kind": args.kind, "n": args.n},
+          {"surrogate.json": doc},
+          {"surrogate.csv": (SURROGATE_HEADER, enumerate(comparison.surrogate_delta_alphas))})
     print(f"original delta_alpha={comparison.original_delta_alpha:.4f}, "
           f"quantile={comparison.quantile:.3f} over {len(comparison.surrogate_delta_alphas)} "
           f"surrogates ({comparison.n_failed} failed)")
@@ -474,11 +447,10 @@ def cmd_forecast(args) -> int:
     file_cfg = _load_config_file(args)
     series = _load_series(args)
     cp_cfg = _cp_config(args, file_cfg)
-    out = _outdir(args)
     breaks = _parse_breaks(args, series, cp_cfg)
     methods = {"both": ("FD-NAR", "LFD-NAR"), "fd": ("FD-NAR",), "lfd": ("LFD-NAR",)}[args.method]
-    p = _pick(args.p, file_cfg, "p", 5, int)
-    hidden = _pick(args.hidden, file_cfg, "hidden_units", 20, int)
+    p = _pick(args.p, file_cfg, "p", DEFAULT_LAGS, int)
+    hidden = _pick(args.hidden, file_cfg, "hidden_units", DEFAULT_HIDDEN, int)
     report = pipeline_compare(
         series, breaks, p=p, hidden_units=hidden, seeds=(args.seed,),
         scale=args.scale, methods=methods, evaluation=args.evaluation, keep_fitted=True,
@@ -490,19 +462,15 @@ def cmd_forecast(args) -> int:
     }
     doc = forecast_report_to_dict(report)
     doc["config"] = config_snapshot
-    outputs = ["report.json"]
-    write_json(out / "report.json", doc)
-    if args.format == "csv":
-        write_csv(out / "forecast.csv", FORECAST_HEADER, forecast_rows(report))
-        fitted_rows = [
-            (r.segment_label, r.method, r.seed, r.eval_start + i, a_i, f_i)
-            for r in report.rows if r.fitted is not None
-            for i, (a_i, f_i) in enumerate(zip(r.actual, r.fitted))
-        ]
-        write_csv(out / "fitted.csv",
-                  ("segment", "method", "seed", "index", "actual", "fitted"), fitted_rows)
-        outputs += ["forecast.csv", "fitted.csv"]
-    _write_manifest(args, out, config_snapshot, outputs)
+    fitted_rows = (
+        (r.segment_label, r.method, r.seed, r.eval_start + i, a_i, f_i)
+        for r in report.rows if r.fitted is not None
+        for i, (a_i, f_i) in enumerate(zip(r.actual, r.fitted))
+    )
+    _emit(args, config_snapshot, {"report.json": doc}, {
+        "forecast.csv": (FORECAST_HEADER, forecast_rows(report)),
+        "fitted.csv": (("segment", "method", "seed", "index", "actual", "fitted"), fitted_rows),
+    })
     for method, value in sorted(report.aggregate().items()):
         print(f"{method}: mean MAPE {value:.4f}% over "
               f"{sum(1 for r in report.rows if r.method == method and not r.skipped_reason)} "
@@ -511,7 +479,6 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    out = _outdir(args)
     rng_seed = args.seed
     if args.kind == "cascade":
         values = generate_cascade(
@@ -539,22 +506,20 @@ def cmd_synth(args) -> int:
     values = values + args.offset
     params["offset"] = args.offset
     dates = SYNTH_START_DATE + np.arange(values.size)
-    write_csv(out / "series.csv", ("date", "price"),
-              [(str(d), float(v)) for d, v in zip(dates, values)])
-    _write_manifest(args, out, params, ["series.csv"])
-    print(f"wrote {values.size} rows of kind {args.kind!r} to {out / 'series.csv'}")
+    _emit(args, params, {},
+          {"series.csv": (("date", "price"), ((str(d), float(v)) for d, v in zip(dates, values)))})
+    print(f"wrote {values.size} rows of kind {args.kind!r} to {Path(args.out) / 'series.csv'}")
     return 0
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed < 0:  # NumPy's generators take only non-negative seeds
+        parser.error(f"argument --seed: must be a non-negative integer, got {args.seed}")
     try:
         return args.handler(args)
     except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, finite_1d
 from .mfdfa import MfdfaConfig, fluctuation_surface, generalized_hurst
 
 WEIGHT_CUTOFF = 1e-5
@@ -43,8 +43,9 @@ def gph_estimate(returns: np.ndarray, bandwidth: int | None = None) -> LongMemor
     Regresses log I(lambda_j) on -2 log(2 sin(lambda_j / 2)) over the
     first m Fourier frequencies, m = floor(sqrt(N)) by default. The
     reported standard error is the asymptotic sqrt(pi^2 / 6 / SSX).
+    InputError unless the returns are 1-d and finite.
     """
-    x = np.asarray(returns, dtype=float)
+    x = finite_1d(returns)
     n = x.size
     if n < MIN_GPH_LENGTH:
         raise InputError(f"need at least {MIN_GPH_LENGTH} samples, got {n}")

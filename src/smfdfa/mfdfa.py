@@ -20,8 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .changepoint import ChangePointConfig, ChangePointResult, detect_multiple
-from .errors import InputError, NumericalError
-from .series import TimeSeries, to_fluctuations
+from .errors import InputError, NumericalError, finite_1d
 
 DEFAULT_Q_GRID = tuple(np.arange(-5.0, 5.0 + 0.25, 0.5))
 DEFAULT_MIN_SCALE = 16
@@ -218,11 +217,12 @@ def fluctuation_surface(
     variances are aggregated into power means per q, with the logarithmic
     average at q = 0.
 
-    Raises NumericalError when a window variance is exactly zero and
-    nonpositive moments are requested (negative moments of zero diverge);
-    with only q > 0 such windows contribute zero.
+    Raises InputError unless the segment is 1-d and finite, and
+    NumericalError when a window variance is exactly zero and nonpositive
+    moments are requested (negative moments of zero diverge); with only
+    q > 0 such windows contribute zero.
     """
-    values = np.asarray(segment, float)
+    values = finite_1d(segment)
     n = values.size
     scales = config.resolve_scales(n)
     q_grid = np.asarray(config.q_grid, dtype=float)
@@ -469,12 +469,14 @@ def analyze_segment(
 
 
 def s_mfdfa(
-    series: TimeSeries,
+    flucts: np.ndarray,
     cp_config: ChangePointConfig = ChangePointConfig(),
     mf_config: MfdfaConfig = MfdfaConfig(),
+    label: str = "",
 ) -> StructuredReport:
-    """Structured MF-DFA: fluctuation transform, change-point detection on
-    the transform, then an independent MF-DFA on every resulting regime.
+    """Structured MF-DFA of a fluctuation series (for prices, the output of
+    series.to_fluctuations): change-point detection on it, then an
+    independent MF-DFA on every resulting regime.
 
     When detection returns no breaks the single reported spectrum is the
     plain whole-series MF-DFA (identical code path, identical numbers).
@@ -482,25 +484,25 @@ def s_mfdfa(
     (for example flat, with a zero window variance), are flagged and
     skipped while the rest are still reported.
     """
-    flucts = to_fluctuations(series)
+    flucts = finite_1d(flucts)
     cp = detect_multiple(flucts, cp_config)
     edges = (0, *cp.offsets, flucts.size)
     reports = []
     for k, (a, b) in enumerate(zip(edges, edges[1:])):
-        label = f"{series.label or 'series'}::seg{k + 1}"
+        name = f"{label or 'series'}::seg{k + 1}"
         try:
-            surface, curve, spectrum = analyze_segment(flucts[a:b], mf_config, label=label)
-            reports.append(SegmentReport(label, a, b, surface, curve, spectrum))
+            surface, curve, spectrum = analyze_segment(flucts[a:b], mf_config, label=name)
+            reports.append(SegmentReport(name, a, b, surface, curve, spectrum))
         except InputError as exc:
             reports.append(
-                SegmentReport(label, a, b, None, None, None, skipped_reason=f"too short: {exc}")
+                SegmentReport(name, a, b, None, None, None, skipped_reason=f"too short: {exc}")
             )
         except NumericalError as exc:
             reports.append(
-                SegmentReport(label, a, b, None, None, None, skipped_reason=f"numerical: {exc}")
+                SegmentReport(name, a, b, None, None, None, skipped_reason=f"numerical: {exc}")
             )
     return StructuredReport(
-        series_label=series.label,
+        series_label=label,
         changepoints=cp,
         segments=tuple(reports),
     )

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -62,36 +62,35 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
             writer.writerow([_cell(v) for v in row])
 
 
-def surface_rows(surface: FluctuationSurface) -> list[tuple]:
+# The *_rows builders are generators: a --format json run builds no CSV rows.
+
+
+def surface_rows(surface: FluctuationSurface) -> Iterator[tuple]:
     """Long format: one row per (q, s) cell."""
-    out = []
     for i, q in enumerate(surface.q_grid):
         for j, s in enumerate(surface.scale_grid):
-            out.append(
-                (surface.segment_label, float(q), int(s), float(surface.phi[i, j]),
-                 int(surface.n_windows[j]))
-            )
-    return out
+            yield (surface.segment_label, float(q), int(s), float(surface.phi[i, j]),
+                   int(surface.n_windows[j]))
 
 
 SURFACE_HEADER = ("segment", "q", "s", "phi", "n_windows")
 
 
-def hurst_rows(curve: HurstCurve) -> list[tuple]:
-    return [
+def hurst_rows(curve: HurstCurve) -> Iterator[tuple]:
+    return (
         (curve.segment_label, float(q), float(r), float(e), float(r2))
         for q, r, e, r2 in zip(curve.q_grid, curve.rho, curve.stderr, curve.r_squared)
-    ]
+    )
 
 
 HURST_HEADER = ("segment", "q", "rho", "stderr", "r_squared")
 
 
-def spectrum_rows(spec: SingularitySpectrum) -> list[tuple]:
-    return [
+def spectrum_rows(spec: SingularitySpectrum) -> Iterator[tuple]:
+    return (
         (spec.segment_label, float(q), float(t), float(a), float(f))
         for q, t, a, f in zip(spec.q_grid, spec.tau, spec.alpha, spec.f_alpha)
-    ]
+    )
 
 
 SPECTRUM_HEADER = ("segment", "q", "tau", "alpha", "f_alpha")
@@ -119,12 +118,11 @@ def hurst_to_dict(curve: HurstCurve) -> dict:
     }
 
 
-def changepoint_rows(result: ChangePointResult, timestamps=None) -> list[tuple]:
-    rows = []
-    for i, h in enumerate(result.breaks):
-        ts = str(timestamps[h - 1]) if timestamps is not None else None
-        rows.append((i + 1, h, h - 1, ts))
-    return rows
+def changepoint_rows(result: ChangePointResult, timestamps=None) -> Iterator[tuple]:
+    return (
+        (i + 1, h, h - 1, str(timestamps[h - 1]) if timestamps is not None else None)
+        for i, h in enumerate(result.breaks)
+    )
 
 
 CHANGEPOINT_HEADER = ("break_number", "first_index_of_new_regime", "offset", "timestamp")
@@ -170,12 +168,12 @@ FORECAST_HEADER = (
 )
 
 
-def forecast_rows(report: ForecastReport) -> list[tuple]:
-    return [
+def forecast_rows(report: ForecastReport) -> Iterator[tuple]:
+    return (
         (r.segment_label, r.method, r.d_used, r.mape, r.seed, r.n_eval, r.start, r.stop,
          r.skipped_reason)
         for r in report.rows
-    ]
+    )
 
 
 def forecast_report_to_dict(report: ForecastReport) -> dict:

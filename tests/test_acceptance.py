@@ -224,7 +224,8 @@ def test_criterion_04_zero_breaks_reduction():
     rng = np.random.default_rng(4)
     prices = np.exp(np.cumsum(rng.standard_normal(1500)) * 0.01) * 40.0
     series = make_series(prices)
-    report = s_mfdfa(series, ChangePointConfig(penalty=1e15), MfdfaConfig())
+    report = s_mfdfa(to_fluctuations(series), ChangePointConfig(penalty=1e15), MfdfaConfig(),
+                     label=series.label)
     assert report.changepoints.n_breaks == 0
     assert len(report.segments) == 1
     seg = report.segments[0]

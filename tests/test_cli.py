@@ -110,6 +110,52 @@ class TestErrorPaths:
         assert exc.value.code == 2
         assert "unrecognized arguments: --transform values" in capsys.readouterr().err
 
+    def test_synth_rejects_config_and_format_flags(self, tmp_path, capsys):
+        # synth reads no config file and always writes CSV, so both flags
+        # would be ignored: they are usage errors
+        for flags in (["--config", str(tmp_path / "no.json")], ["--format", "json"]):
+            with pytest.raises(SystemExit) as exc:
+                main(["synth", "fgn", *flags, "--out", str(tmp_path / "o")])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_out_that_is_a_file_exits_2(self, price_csv, tmp_path, capsys):
+        # --out naming an existing file, or a path under one, is an input
+        # error rather than a traceback
+        for out in (price_csv, price_csv / "sub"):
+            code = main(["changepoints", str(price_csv), "--out", str(out)])
+            assert code == 2
+            assert "input error: cannot create output directory" in capsys.readouterr().err
+        assert price_csv.is_file()
+
+    def test_negative_seed_exits_2(self, price_csv, tmp_path, capsys):
+        # NumPy generators take only non-negative seeds; main rejects a
+        # negative one for every subcommand before any handler runs
+        out = tmp_path / "o"
+        for argv in (["synth", "fgn"], *([cmd, str(price_csv)] for cmd in
+                     ("analyze", "changepoints", "mfdfa", "surrogate", "forecast"))):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--seed", "-1", "--out", str(out)])
+            assert exc.value.code == 2
+            assert "--seed: must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_runs_leave_no_out_directory(self, price_csv, tmp_path):
+        # handlers compute everything before the one writer runs, so a run
+        # that exits 2 or 3 creates no --out directory
+        flat = write_price_csv(tmp_path / "flat.csv", np.full(600, 50.0))
+        cases = (
+            (["forecast", str(price_csv), "--breaks", "manual:900"], 2),
+            (["synth", "step", "--n", "100", "--break-at", "0"], 2),
+            (["analyze", str(price_csv), "--config", str(tmp_path / "no.json")], 2),
+            (["mfdfa", str(flat), "--transform", "values"], 3),  # zero window variance
+        )
+        for argv, expected in cases:
+            out = tmp_path / "o"
+            assert main([*argv, "--out", str(out)]) == expected, argv
+            assert not out.exists(), argv
+
 
 # ------------------------------------------------------------------- synth
 
@@ -128,6 +174,8 @@ class TestSynth:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "synth"
         assert manifest["outputs"] == ["series.csv"]
+        assert {p.name for p in out.iterdir()} == {"series.csv", "manifest.json"}
+        assert manifest["format"] == "csv"  # synth always writes CSV
         assert manifest["config"]["levels"] == 14
 
     def test_deterministic(self, tmp_path):
@@ -249,6 +297,37 @@ class TestAnalyze:
             seg = flucts[segments[i]["start"]:segments[i]["stop"]]
             assert segments[i]["hurst_dfa"] == hurst_dfa(seg)
             assert float(rows[i]["hurst_dfa"]) == hurst_dfa(seg)
+
+
+# ----------------------------------------------------------------- outputs
+
+# per subcommand: arguments after the input path, the JSON documents every
+# run writes, and the CSV tables a --format csv run adds
+SUBCOMMAND_OUTPUTS = {
+    "analyze": (["--surrogates", "10"], {"report.json"},
+                {"surfaces.csv", "hurst.csv", "spectra.csv", "changepoints.csv",
+                 "segments.csv", "surrogate.csv"}),
+    "changepoints": ([], {"changepoints.json"}, {"changepoints.csv"}),
+    "mfdfa": ([], {"report.json"}, {"surface.csv", "hurst.csv", "spectrum.csv"}),
+    "surrogate": (["--n", "10"], {"surrogate.json"}, {"surrogate.csv"}),
+    "forecast": (["--breaks", "none", "--p", "2", "--hidden", "3"], {"report.json"},
+                 {"forecast.csv", "fitted.csv"}),
+}
+
+
+class TestOutputs:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_OUTPUTS))
+    def test_manifest_lists_exactly_the_files_written(self, command, fmt, price_csv, tmp_path):
+        # synth, which has no --format, is checked in TestSynth
+        extra, docs, tables = SUBCOMMAND_OUTPUTS[command]
+        out = tmp_path / "o"
+        assert main([command, str(price_csv), *extra, "--format", fmt, "--out", str(out)]) == 0
+        expected = docs | tables if fmt == "csv" else docs
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == sorted(expected)
+        assert manifest["format"] == fmt
+        assert {p.name for p in out.iterdir()} == expected | {"manifest.json"}
 
 
 # -------------------------------------------------------------- subcommands

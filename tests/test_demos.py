@@ -1,0 +1,31 @@
+"""The demos run to completion against the current library.
+
+Each demo is a script that calls the public API the way a reader would, so
+a signature change that breaks one shows up here. forecast_comparison.py is
+left out: it trains many networks and takes several seconds.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "demo", ["cascade_benchmark.py", "structured_pipeline.py", "surrogate_attribution.py"]
+)
+def test_demo_runs(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

@@ -151,6 +151,14 @@ class TestGph:
     def test_length_guard(self, rng):
         with pytest.raises(InputError, match="128"):
             gph_estimate(rng.standard_normal(100))
+        # 2-d input used to raise a bare NumPy ValueError, and one inf
+        # gave d_hat = nan without an error
+        with pytest.raises(InputError, match="1-d"):
+            gph_estimate(rng.standard_normal((2, 600)))
+        x = rng.standard_normal(600)
+        x[7] = np.inf
+        with pytest.raises(InputError, match="non-finite value at index 7"):
+            gph_estimate(x)
 
     def test_bandwidth_guard(self, rng):
         x = rng.standard_normal(256)

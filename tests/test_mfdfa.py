@@ -63,6 +63,20 @@ class TestConfigValidation:
         cfg = MfdfaConfig(scale_grid=(16, 64))
         with pytest.raises(InputError):
             fluctuation_surface(rng.standard_normal(100), cfg)
+        # a segment must also be 1-d and finite: one NaN used to give phi = 0
+        # and a misleading "vanished" NumericalError, a (2, 600) array was
+        # analysed as 1200 samples
+        x = np.abs(rng.standard_normal(600))
+        x[5] = np.nan
+        with pytest.raises(InputError, match="non-finite value at index 5"):
+            fluctuation_surface(x, MfdfaConfig(q_grid=(2.0,)))
+        with pytest.raises(InputError, match="non-finite value at index 5"):
+            s_mfdfa(x)
+        for bad in (np.abs(rng.standard_normal((2, 600))), np.float64(1.0)):
+            with pytest.raises(InputError, match="1-d"):
+                fluctuation_surface(bad)
+            with pytest.raises(InputError, match="1-d"):
+                s_mfdfa(bad)
 
 
 class TestFluctuationSurface:
@@ -368,7 +382,7 @@ class TestStructuredPipeline:
         series = make_series(prices)
         cp = ChangePointConfig(penalty=1e15)
         mf = MfdfaConfig()
-        report = s_mfdfa(series, cp, mf)
+        report = s_mfdfa(to_fluctuations(series), cp, mf, label=series.label)
         assert report.changepoints.n_breaks == 0
         assert len(report.segments) == 1
         flucts = to_fluctuations(series)
@@ -383,7 +397,7 @@ class TestStructuredPipeline:
     def test_segments_cover_fluctuation_series(self, rng):
         prices = np.exp(np.cumsum(rng.standard_normal(3000)) * 0.01) * 10
         prices[1500:] *= np.exp(np.cumsum(rng.standard_normal(1500)) * 0.05)
-        report = s_mfdfa(make_series(prices))
+        report = s_mfdfa(to_fluctuations(make_series(prices)))
         edges = [report.segments[0].start] + [s.stop for s in report.segments]
         assert edges[0] == 0 and edges[-1] == 2999
         for a, b in zip(report.segments, report.segments[1:]):
@@ -394,7 +408,7 @@ class TestStructuredPipeline:
         # needs; those segments carry a reason instead of raising
         prices = np.exp(np.cumsum(rng.standard_normal(400)) * 0.02) * 5
         report = s_mfdfa(
-            make_series(prices),
+            to_fluctuations(make_series(prices)),
             ChangePointConfig(penalty=1e-9, min_segment=32),
             MfdfaConfig(scale_grid=(16, 24, 32, 48, 64)),
         )
@@ -416,7 +430,8 @@ class TestStructuredPipeline:
             noise = np.abs(gen.standard_normal(2048)) * 3e-3 + 1e-5
             mags = np.concatenate([cascade, noise])
             prices = integrate_magnitudes(mags, seed=seed)
-            report = s_mfdfa(make_series(prices), ChangePointConfig(min_segment=256))
+            report = s_mfdfa(to_fluctuations(make_series(prices)),
+                             ChangePointConfig(min_segment=256))
             assert report.changepoints.n_breaks >= 1
             segs = [s for s in report.segments if s.spectrum is not None]
             cascade_side = [s for s in segs if s.stop <= 2048 + 8]
