@@ -37,7 +37,7 @@ series = TimeSeries(timestamps=timestamps, values=prices, label="two-regime")
 
 # --- whole-series analysis blurs the regimes ------------------------------
 flucts = to_fluctuations(series)
-_, _, blended = analyze_segment(flucts, MfdfaConfig(), label="whole")
+_, _, blended = analyze_segment(flucts, MfdfaConfig())
 print(f"whole-series spectrum width: {blended.delta_alpha:.3f} "
       "(one number for two very different regimes)\n")
 

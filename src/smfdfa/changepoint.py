@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -64,19 +64,6 @@ class ChangePointResult:
     @property
     def n_breaks(self) -> int:
         return len(self.breaks)
-
-    def to_dict(self, timestamps: np.ndarray | None = None) -> dict:
-        out = {
-            "breaks": list(self.breaks),
-            "break_offsets": list(self.offsets),
-            "segment_costs": list(self.segment_costs),
-            "total_cost": self.total_cost,
-            "n": self.n,
-            "config": asdict(self.config_used),
-        }
-        if timestamps is not None:
-            out["break_timestamps"] = [str(timestamps[b]) for b in self.offsets]
-        return out
 
 
 def segment_cost(values: Sequence[float] | np.ndarray) -> float:

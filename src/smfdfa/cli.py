@@ -6,9 +6,11 @@ everything first and then hands its JSON documents and CSV tables to one
 writer, _emit, which creates --out, writes the documents, writes the tables
 unless --format json, and writes a manifest.json recording the command,
 input, fully resolved configuration, seed, format, package version and the
-sorted names of exactly the files it wrote. A failed run therefore writes
-nothing. Identical invocations produce byte-identical outputs. Exit codes:
-0 success, 2 input or usage error, 3 numerical failure.
+sorted names of exactly the files it wrote. A run that fails before _emit
+therefore writes nothing; a write that fails inside --out is an input error
+naming the file, and no manifest.json follows it. Identical invocations
+produce byte-identical outputs. Exit codes: 0 success, 2 input or usage
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -30,18 +32,25 @@ from .longmemory import MIN_HURST_LENGTH, arfima_generate, fgn_generate, gph_est
 from .mfdfa import MfdfaConfig, SegmentReport, analyze_segment, generate_cascade, s_mfdfa
 from .serialize import (
     CHANGEPOINT_HEADER,
+    FITTED_HEADER,
     FORECAST_HEADER,
     HURST_HEADER,
     SPECTRUM_HEADER,
     SURFACE_HEADER,
+    SURROGATE_HEADER,
     changepoint_rows,
+    changepoints_to_dict,
+    fitted_rows,
     forecast_report_to_dict,
     forecast_rows,
     hurst_rows,
+    hurst_to_dict,
     spectrum_rows,
+    spectrum_to_dict,
     stats_to_dict,
     structured_report_to_dict,
     surface_rows,
+    surrogate_rows,
     surrogate_to_dict,
     write_csv,
     write_json,
@@ -58,7 +67,6 @@ CONFIG_KEYS = frozenset({
 })
 SEGMENTS_HEADER = ("label", "start", "stop", "delta_alpha", "d_hat", "hurst_dfa",
                    "skipped_reason")
-SURROGATE_HEADER = ("index", "delta_alpha")
 
 
 def _add_common(p: argparse.ArgumentParser, reads_input: bool = True):
@@ -170,6 +178,8 @@ def _load_config_file(args) -> dict:
         cfg = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise InputError(f"config file {path} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise InputError(f"cannot read config file {path}: {exc.strerror}") from exc
     if not isinstance(cfg, dict):
         raise InputError(f"config file {path} must hold a JSON object")
     unknown = sorted(set(cfg) - CONFIG_KEYS)
@@ -244,22 +254,31 @@ def _emit(args, config: dict, docs: dict, tables: dict) -> None:
     """Write one run's outputs to --out: each JSON document of docs (file
     name -> object), each CSV table of tables (file name -> (header, rows))
     unless --format json, and manifest.json naming exactly those files.
-    Handlers call it once everything is computed, so a failed run writes
-    nothing; rows may be lazy, so a JSON-only run builds none."""
+    Handlers call it once everything is computed, so a run that fails
+    before it writes nothing; a failed write is an input error naming the
+    file, and writes no manifest. Rows may be lazy, so a JSON-only run
+    builds none."""
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InputError(f"cannot create output directory {out}: {exc.strerror}") from exc
-    for name, doc in docs.items():
-        write_json(out / name, doc)
     tables = tables if args.format == "csv" else {}
-    for name, (header, rows) in tables.items():
-        write_csv(out / name, header, rows)
-    write_json(out / "manifest.json", {
-        "command": args.command, "input": args.input, "config": config, "seed": args.seed,
-        "format": args.format, "version": __version__, "outputs": sorted([*docs, *tables]),
-    })
+    path = out
+    try:
+        for name, doc in docs.items():
+            path = out / name
+            write_json(path, doc)
+        for name, (header, rows) in tables.items():
+            path = out / name
+            write_csv(path, header, rows)
+        path = out / "manifest.json"
+        write_json(path, {
+            "command": args.command, "input": args.input, "config": config, "seed": args.seed,
+            "format": args.format, "version": __version__, "outputs": sorted([*docs, *tables]),
+        })
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _analysis_values(args, series) -> np.ndarray:
@@ -335,16 +354,17 @@ def cmd_analyze(args) -> int:
     }
     analyzed = [s for s in report.segments if s.spectrum is not None]
     tables = {
-        "surfaces.csv": (SURFACE_HEADER, (r for s in analyzed for r in surface_rows(s.surface))),
-        "hurst.csv": (HURST_HEADER, (r for s in analyzed for r in hurst_rows(s.hurst))),
+        "surfaces.csv": (SURFACE_HEADER,
+                         (r for s in analyzed for r in surface_rows(s.label, s.surface))),
+        "hurst.csv": (HURST_HEADER, (r for s in analyzed for r in hurst_rows(s.label, s.hurst))),
         "spectra.csv": (SPECTRUM_HEADER,
-                        (r for s in analyzed for r in spectrum_rows(s.spectrum))),
+                        (r for s in analyzed for r in spectrum_rows(s.label, s.spectrum))),
         "changepoints.csv": (CHANGEPOINT_HEADER,
                              changepoint_rows(report.changepoints, series.timestamps[1:])),
         "segments.csv": (SEGMENTS_HEADER, map(itemgetter(*SEGMENTS_HEADER), segment_entries)),
     }
     if comparison:
-        tables["surrogate.csv"] = (SURROGATE_HEADER, enumerate(comparison.surrogate_delta_alphas))
+        tables["surrogate.csv"] = (SURROGATE_HEADER, surrogate_rows(comparison))
     _emit(args, config, {"report.json": doc}, tables)
 
     print(f"series {series.label}: n={series.values.size}, "
@@ -374,7 +394,8 @@ def cmd_changepoints(args) -> int:
         # fluctuation i is the return realized at observation i + 1
         timestamps = series.timestamps[1:]
     result = detect_multiple(values, cp_cfg)
-    _emit(args, asdict(result.config_used), {"changepoints.json": result.to_dict(timestamps)},
+    _emit(args, asdict(result.config_used),
+          {"changepoints.json": changepoints_to_dict(result, timestamps)},
           {"changepoints.csv": (CHANGEPOINT_HEADER, changepoint_rows(result, timestamps))})
     print(f"{result.n_breaks} break(s); offsets {[int(o) for o in result.offsets]}; "
           f"total cost {result.total_cost:.6g}")
@@ -386,23 +407,19 @@ def cmd_mfdfa(args) -> int:
     series = _load_series(args)
     mf_cfg = _mf_config(args, file_cfg)
     values = _analysis_values(args, series)
-    surface, curve, spectrum = analyze_segment(values, mf_cfg, label=series.label)
+    surface, curve, spectrum = analyze_segment(values, mf_cfg)
     doc = {
         "series": series.label,
         "n": int(values.size),
         "transform": args.transform,
-        "hurst": {"q": list(curve.q_grid), "rho": list(curve.rho), "stderr": list(curve.stderr),
-                  "r_squared": list(curve.r_squared)},
-        "spectrum": {"q": list(spectrum.q_grid), "tau": list(spectrum.tau),
-                     "alpha": list(spectrum.alpha), "f_alpha": list(spectrum.f_alpha),
-                     "delta_alpha": spectrum.delta_alpha,
-                     "alpha_monotone": spectrum.alpha_monotone},
+        "hurst": hurst_to_dict(curve),
+        "spectrum": spectrum_to_dict(spectrum),
         "config": asdict(mf_cfg),
     }
     _emit(args, doc["config"], {"report.json": doc}, {
-        "surface.csv": (SURFACE_HEADER, surface_rows(surface)),
-        "hurst.csv": (HURST_HEADER, hurst_rows(curve)),
-        "spectrum.csv": (SPECTRUM_HEADER, spectrum_rows(spectrum)),
+        "surface.csv": (SURFACE_HEADER, surface_rows(series.label, surface)),
+        "hurst.csv": (HURST_HEADER, hurst_rows(series.label, curve)),
+        "spectrum.csv": (SPECTRUM_HEADER, spectrum_rows(series.label, spectrum)),
     })
     print(f"series {series.label}: n={values.size}, delta_alpha={spectrum.delta_alpha:.4f}, "
           f"rho(min q)={curve.rho[0]:.4f}, rho(max q)={curve.rho[-1]:.4f}")
@@ -418,7 +435,7 @@ def cmd_surrogate(args) -> int:
     doc = surrogate_to_dict(comparison, asdict(mf_cfg))
     _emit(args, {"mfdfa": doc["mf_config"], "kind": args.kind, "n": args.n},
           {"surrogate.json": doc},
-          {"surrogate.csv": (SURROGATE_HEADER, enumerate(comparison.surrogate_delta_alphas))})
+          {"surrogate.csv": (SURROGATE_HEADER, surrogate_rows(comparison))})
     print(f"original delta_alpha={comparison.original_delta_alpha:.4f}, "
           f"quantile={comparison.quantile:.3f} over {len(comparison.surrogate_delta_alphas)} "
           f"surrogates ({comparison.n_failed} failed)")
@@ -453,7 +470,7 @@ def cmd_forecast(args) -> int:
     hidden = _pick(args.hidden, file_cfg, "hidden_units", DEFAULT_HIDDEN, int)
     report = pipeline_compare(
         series, breaks, p=p, hidden_units=hidden, seeds=(args.seed,),
-        scale=args.scale, methods=methods, evaluation=args.evaluation, keep_fitted=True,
+        scale=args.scale, methods=methods, evaluation=args.evaluation,
     )
     config_snapshot = {
         "p": p, "hidden_units": hidden, "scale": args.scale, "methods": list(methods),
@@ -462,14 +479,9 @@ def cmd_forecast(args) -> int:
     }
     doc = forecast_report_to_dict(report)
     doc["config"] = config_snapshot
-    fitted_rows = (
-        (r.segment_label, r.method, r.seed, r.eval_start + i, a_i, f_i)
-        for r in report.rows if r.fitted is not None
-        for i, (a_i, f_i) in enumerate(zip(r.actual, r.fitted))
-    )
     _emit(args, config_snapshot, {"report.json": doc}, {
         "forecast.csv": (FORECAST_HEADER, forecast_rows(report)),
-        "fitted.csv": (("segment", "method", "seed", "index", "actual", "fitted"), fitted_rows),
+        "fitted.csv": (FITTED_HEADER, fitted_rows(report)),
     })
     for method, value in sorted(report.aggregate().items()):
         print(f"{method}: mean MAPE {value:.4f}% over "

@@ -267,24 +267,11 @@ class ForecastRow:
     start: int
     stop: int
     skipped_reason: str | None = None
-    # populated only when the pipeline is asked to keep fitted traces;
-    # eval_start is the absolute index of the first scored observation
+    # the scored traces, None on a skipped row; eval_start is the absolute
+    # index of the first scored observation
     eval_start: int | None = None
     actual: tuple[float, ...] | None = None
     fitted: tuple[float, ...] | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "segment": self.segment_label,
-            "method": self.method,
-            "d_used": self.d_used,
-            "mape": self.mape,
-            "seed": self.seed,
-            "n_eval": self.n_eval,
-            "start": self.start,
-            "stop": self.stop,
-            "skipped_reason": self.skipped_reason,
-        }
 
 
 @dataclass(frozen=True)
@@ -325,7 +312,6 @@ def pipeline_compare(
     scale: str = "levels",
     methods: tuple[str, ...] = (METHOD_FD, METHOD_LFD),
     evaluation: str = "in-sample",
-    keep_fitted: bool = False,
 ) -> ForecastReport:
     """Global-differencing vs per-segment-differencing NAR comparison.
 
@@ -341,8 +327,8 @@ def pipeline_compare(
     trains and scores on the whole usable window; evaluation="holdout"
     trains on the first 80% and scores on the remaining 20% only. Segments
     too short to estimate or train produce flagged rows instead of failing
-    the run. keep_fitted=True attaches the scored actual/fitted traces to
-    each row.
+    the run. Every row that was not skipped carries its scored
+    actual/fitted traces.
     """
     x = series.values if isinstance(series, TimeSeries) else np.asarray(series, dtype=float)
     label_base = series.label if isinstance(series, TimeSeries) else "series"
@@ -406,19 +392,13 @@ def pipeline_compare(
                     else:
                         scored_actual, scored_fitted = y_win[p + lo :], fitted_y[lo:]
                     score = mape(scored_actual, scored_fitted)
-                    trace = (
-                        dict(
-                            eval_start=a + cut + p + lo,
-                            actual=tuple(float(v) for v in scored_actual),
-                            fitted=tuple(float(v) for v in scored_fitted),
-                        )
-                        if keep_fitted
-                        else {}
-                    )
                     rows.append(
                         ForecastRow(
                             seg_label, method, d_used, score, seed,
-                            n_eval=scored_actual.size, start=a, stop=b, **trace,
+                            n_eval=scored_actual.size, start=a, stop=b,
+                            eval_start=a + cut + p + lo,
+                            actual=tuple(float(v) for v in scored_actual),
+                            fitted=tuple(float(v) for v in scored_fitted),
                         )
                     )
                 except InputError as exc:

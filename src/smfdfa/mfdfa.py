@@ -101,7 +101,6 @@ class FluctuationSurface:
     n_windows: np.ndarray  # N_s = 2 * floor(T / s) per scale
     n_samples: int
     detrend_order: int
-    segment_label: str = ""
     regression_range: tuple[float, float] | None = None
 
 
@@ -113,7 +112,6 @@ class HurstCurve:
     rho: np.ndarray
     stderr: np.ndarray
     r_squared: np.ndarray
-    segment_label: str = ""
 
 
 @dataclass(frozen=True)
@@ -126,7 +124,6 @@ class SingularitySpectrum:
     f_alpha: np.ndarray
     delta_alpha: float
     alpha_monotone: bool  # False flags a folded (non-monotone) finite-sample spectrum
-    segment_label: str = ""
 
 
 @dataclass(frozen=True)
@@ -207,7 +204,6 @@ def _check_power_mean_monotone(phi: np.ndarray, q_grid: np.ndarray, s: np.ndarra
 def fluctuation_surface(
     segment: Sequence[float] | np.ndarray,
     config: MfdfaConfig = MfdfaConfig(),
-    label: str = "",
 ) -> FluctuationSurface:
     """q-th order fluctuation function phi_q(s) of one segment.
 
@@ -241,7 +237,6 @@ def fluctuation_surface(
         n_windows=n_windows,
         n_samples=n,
         detrend_order=config.detrend_order,
-        segment_label=label,
         regression_range=config.regression_range,
     )
 
@@ -289,7 +284,6 @@ def generalized_hurst(surface: FluctuationSurface) -> HurstCurve:
         rho=rho,
         stderr=err,
         r_squared=r2,
-        segment_label=surface.segment_label,
     )
 
 
@@ -324,7 +318,6 @@ def scaling_and_spectrum(
         f_alpha=f_alpha,
         delta_alpha=float(alpha.max() - alpha.min()),
         alpha_monotone=monotone,
-        segment_label=curve.segment_label,
     )
 
 
@@ -460,10 +453,10 @@ class StructuredReport:
 
 
 def analyze_segment(
-    values: np.ndarray, config: MfdfaConfig, label: str = ""
+    values: np.ndarray, config: MfdfaConfig
 ) -> tuple[FluctuationSurface, HurstCurve, SingularitySpectrum]:
     """Surface -> Hurst curve -> spectrum for one segment."""
-    surface = fluctuation_surface(values, config, label=label)
+    surface = fluctuation_surface(values, config)
     curve = generalized_hurst(surface)
     return surface, curve, scaling_and_spectrum(curve)
 
@@ -491,7 +484,7 @@ def s_mfdfa(
     for k, (a, b) in enumerate(zip(edges, edges[1:])):
         name = f"{label or 'series'}::seg{k + 1}"
         try:
-            surface, curve, spectrum = analyze_segment(flucts[a:b], mf_config, label=name)
+            surface, curve, spectrum = analyze_segment(flucts[a:b], mf_config)
             reports.append(SegmentReport(name, a, b, surface, curve, spectrum))
         except InputError as exc:
             reports.append(

@@ -1,5 +1,10 @@
 """Deterministic CSV and JSON emission for analysis products.
 
+This module owns the JSON and CSV shape of every result object: it alone
+maps results to JSON documents and CSV rows, so no result class has a
+to_dict. MF-DFA results carry no segment label; the MF-DFA row builders
+take it as their first argument.
+
 All writers produce byte-identical files for identical inputs: fixed
 column orders, shortest-roundtrip float repr, sorted JSON keys, no
 timestamps or environment-dependent content. NaN cells become empty CSV
@@ -65,20 +70,19 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
 # The *_rows builders are generators: a --format json run builds no CSV rows.
 
 
-def surface_rows(surface: FluctuationSurface) -> Iterator[tuple]:
+def surface_rows(label: str, surface: FluctuationSurface) -> Iterator[tuple]:
     """Long format: one row per (q, s) cell."""
     for i, q in enumerate(surface.q_grid):
         for j, s in enumerate(surface.scale_grid):
-            yield (surface.segment_label, float(q), int(s), float(surface.phi[i, j]),
-                   int(surface.n_windows[j]))
+            yield (label, float(q), int(s), float(surface.phi[i, j]), int(surface.n_windows[j]))
 
 
 SURFACE_HEADER = ("segment", "q", "s", "phi", "n_windows")
 
 
-def hurst_rows(curve: HurstCurve) -> Iterator[tuple]:
+def hurst_rows(label: str, curve: HurstCurve) -> Iterator[tuple]:
     return (
-        (curve.segment_label, float(q), float(r), float(e), float(r2))
+        (label, float(q), float(r), float(e), float(r2))
         for q, r, e, r2 in zip(curve.q_grid, curve.rho, curve.stderr, curve.r_squared)
     )
 
@@ -86,9 +90,9 @@ def hurst_rows(curve: HurstCurve) -> Iterator[tuple]:
 HURST_HEADER = ("segment", "q", "rho", "stderr", "r_squared")
 
 
-def spectrum_rows(spec: SingularitySpectrum) -> Iterator[tuple]:
+def spectrum_rows(label: str, spec: SingularitySpectrum) -> Iterator[tuple]:
     return (
-        (spec.segment_label, float(q), float(t), float(a), float(f))
+        (label, float(q), float(t), float(a), float(f))
         for q, t, a, f in zip(spec.q_grid, spec.tau, spec.alpha, spec.f_alpha)
     )
 
@@ -98,7 +102,6 @@ SPECTRUM_HEADER = ("segment", "q", "tau", "alpha", "f_alpha")
 
 def spectrum_to_dict(spec: SingularitySpectrum) -> dict:
     return {
-        "segment": spec.segment_label,
         "q": list(spec.q_grid),
         "tau": list(spec.tau),
         "alpha": list(spec.alpha),
@@ -110,7 +113,6 @@ def spectrum_to_dict(spec: SingularitySpectrum) -> dict:
 
 def hurst_to_dict(curve: HurstCurve) -> dict:
     return {
-        "segment": curve.segment_label,
         "q": list(curve.q_grid),
         "rho": list(curve.rho),
         "stderr": list(curve.stderr),
@@ -118,21 +120,29 @@ def hurst_to_dict(curve: HurstCurve) -> dict:
     }
 
 
-def changepoint_rows(result: ChangePointResult, timestamps=None) -> Iterator[tuple]:
-    return (
-        (i + 1, h, h - 1, str(timestamps[h - 1]) if timestamps is not None else None)
-        for i, h in enumerate(result.breaks)
-    )
+def changepoints_to_dict(result: ChangePointResult, timestamps=None) -> dict:
+    out = {
+        "breaks": list(result.breaks),
+        "break_offsets": list(result.offsets),
+        "segment_costs": list(result.segment_costs),
+        "total_cost": result.total_cost,
+        "n": result.n,
+        "config": asdict(result.config_used),
+    }
+    if timestamps is not None:
+        out["break_timestamps"] = [str(timestamps[b]) for b in result.offsets]
+    return out
+
+
+def changepoint_rows(result: ChangePointResult, timestamps) -> Iterator[tuple]:
+    return ((i + 1, h, h - 1, str(timestamps[h - 1])) for i, h in enumerate(result.breaks))
 
 
 CHANGEPOINT_HEADER = ("break_number", "first_index_of_new_regime", "offset", "timestamp")
 
 
-def stats_to_dict(stats: DescriptiveStats, outliers: OutlierCensus | None = None) -> dict:
-    out = {"descriptive": asdict(stats)}
-    if outliers is not None:
-        out["outliers"] = asdict(outliers)
-    return out
+def stats_to_dict(stats: DescriptiveStats, outliers: OutlierCensus) -> dict:
+    return {"descriptive": asdict(stats), "outliers": asdict(outliers)}
 
 
 def structured_report_to_dict(report: StructuredReport) -> dict:
@@ -146,21 +156,25 @@ def structured_report_to_dict(report: StructuredReport) -> dict:
         }
         if seg.spectrum is not None:
             entry["delta_alpha"] = seg.spectrum.delta_alpha
-            entry["spectrum"] = spectrum_to_dict(seg.spectrum)
-            entry["hurst"] = hurst_to_dict(seg.hurst)
+            entry["spectrum"] = {"segment": seg.label, **spectrum_to_dict(seg.spectrum)}
+            entry["hurst"] = {"segment": seg.label, **hurst_to_dict(seg.hurst)}
         segments.append(entry)
     return {
         "series": report.series_label,
-        "changepoints": report.changepoints.to_dict(),
+        "changepoints": changepoints_to_dict(report.changepoints),
         "segments": segments,
     }
 
 
-def surrogate_to_dict(cmp_: SurrogateComparison, mf_config_echo: dict | None = None) -> dict:
-    out = cmp_.to_dict()
-    if mf_config_echo is not None:
-        out["mf_config"] = mf_config_echo
-    return out
+def surrogate_to_dict(cmp_: SurrogateComparison, mf_config: dict) -> dict:
+    return {**asdict(cmp_), "mf_config": mf_config}
+
+
+def surrogate_rows(cmp_: SurrogateComparison) -> Iterator[tuple]:
+    return enumerate(cmp_.surrogate_delta_alphas)
+
+
+SURROGATE_HEADER = ("index", "delta_alpha")
 
 
 FORECAST_HEADER = (
@@ -176,9 +190,21 @@ def forecast_rows(report: ForecastReport) -> Iterator[tuple]:
     )
 
 
+def fitted_rows(report: ForecastReport) -> Iterator[tuple]:
+    """One row per scored observation of every row that was not skipped."""
+    return (
+        (r.segment_label, r.method, r.seed, r.eval_start + i, a_i, f_i)
+        for r in report.rows if r.fitted is not None
+        for i, (a_i, f_i) in enumerate(zip(r.actual, r.fitted))
+    )
+
+
+FITTED_HEADER = ("segment", "method", "seed", "index", "actual", "fitted")
+
+
 def forecast_report_to_dict(report: ForecastReport) -> dict:
     return {
         "scale": report.scale,
-        "rows": [r.to_dict() for r in report.rows],
+        "rows": [dict(zip(FORECAST_HEADER, row)) for row in forecast_rows(report)],
         "aggregate": report.aggregate(),
     }

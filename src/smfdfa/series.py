@@ -94,9 +94,13 @@ def load_csv(path: str | Path, config: CsvConfig = CsvConfig()) -> TimeSeries:
     path = Path(path)
     if not path.exists():
         raise InputError(f"input file not found: {path}")
+    try:
+        fh = open(path, newline="", encoding="utf-8")
+    except OSError as exc:  # a directory, say, or no read permission
+        raise InputError(f"cannot read input file {path}: {exc.strerror}") from exc
     dates: list[dt.date] = []
     values: list[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         for col in (config.date_column, config.value_column):

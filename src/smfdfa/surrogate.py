@@ -95,16 +95,6 @@ class SurrogateComparison:
     seed: int
     n_failed: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "original_delta_alpha": self.original_delta_alpha,
-            "surrogate_delta_alphas": list(self.surrogate_delta_alphas),
-            "quantile": self.quantile,
-            "seed": self.seed,
-            "n_failed": self.n_failed,
-        }
-
 
 def surrogate_test(
     series: np.ndarray,
@@ -122,13 +112,13 @@ def surrogate_test(
     if n < 10:
         raise InputError(f"need at least 10 surrogates for a quantile, got {n}")
     x = np.asarray(series, dtype=float)
-    _, _, spectrum = analyze_segment(x, mf_config, label="original")
+    _, _, spectrum = analyze_segment(x, mf_config)
     widths = []
     n_failed = 0
     ensemble = make_ensemble(x, kind, n, seed)
-    for i, member in enumerate(ensemble.series):
+    for member in ensemble.series:
         try:
-            _, _, spec = analyze_segment(member, mf_config, label=f"{kind}#{i}")
+            _, _, spec = analyze_segment(member, mf_config)
             widths.append(spec.delta_alpha)
         except NumericalError:
             n_failed += 1

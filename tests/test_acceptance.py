@@ -230,7 +230,7 @@ def test_criterion_04_zero_breaks_reduction():
     assert len(report.segments) == 1
     seg = report.segments[0]
     flucts = to_fluctuations(series)
-    surface, curve, spectrum = analyze_segment(flucts, MfdfaConfig(), label=seg.label)
+    surface, curve, spectrum = analyze_segment(flucts, MfdfaConfig())
     np.testing.assert_array_equal(seg.surface.phi, surface.phi)
     np.testing.assert_array_equal(seg.surface.n_windows, surface.n_windows)
     np.testing.assert_array_equal(seg.hurst.rho, curve.rho)

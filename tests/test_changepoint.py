@@ -16,6 +16,7 @@ from smfdfa import (
     detect_single,
     segment_cost,
 )
+from smfdfa.serialize import changepoints_to_dict
 
 
 def brute_force_best_cost(x: np.ndarray, theta: float, ms: int, hmax: int) -> float:
@@ -260,7 +261,7 @@ class TestDetectMultiple:
         x = rng.standard_normal(100)
         x[50:] += 5.0
         r = detect_multiple(x, ChangePointConfig(penalty=1.0))
-        d = r.to_dict()
+        d = changepoints_to_dict(r)
         assert d["breaks"] == [h for h in r.breaks]
         assert d["break_offsets"] == [h - 1 for h in r.breaks]
         assert d["config"]["penalty"] == 1.0

@@ -141,6 +141,29 @@ class TestErrorPaths:
             assert "--seed: must be a non-negative integer" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_input_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        (tmp_path / "d").mkdir()
+        code = main(["analyze", str(tmp_path / "d"), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "input error: cannot read input file" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_that_is_a_directory_exits_2(self, price_csv, tmp_path, capsys):
+        code = main(["mfdfa", str(price_csv), "--config", str(tmp_path),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "input error: cannot read config file" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_failed_write_inside_out_exits_2(self, price_csv, tmp_path, capsys):
+        # a write that fails after --out exists names its file, and no
+        # manifest claims the run complete
+        out = tmp_path / "o"
+        (out / "hurst.csv").mkdir(parents=True)
+        assert main(["mfdfa", str(price_csv), "--out", str(out)]) == 2
+        assert f"input error: cannot write {out / 'hurst.csv'}" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_failed_runs_leave_no_out_directory(self, price_csv, tmp_path):
         # handlers compute everything before the one writer runs, so a run
         # that exits 2 or 3 creates no --out directory
@@ -328,6 +351,31 @@ class TestOutputs:
         assert manifest["outputs"] == sorted(expected)
         assert manifest["format"] == fmt
         assert {p.name for p in out.iterdir()} == expected | {"manifest.json"}
+
+    def test_regime_hurst_and_spectrum_match_mfdfa(self, price_csv, tmp_path):
+        # with no break the one regime is the whole fluctuation series, and
+        # analyze reports its hurst and spectrum in mfdfa's shape plus a
+        # segment key
+        assert main(["analyze", str(price_csv), "--penalty", "1e15", "--format", "json",
+                     "--out", str(tmp_path / "a")]) == 0
+        assert main(["mfdfa", str(price_csv), "--format", "json",
+                     "--out", str(tmp_path / "m")]) == 0
+        analyzed = json.loads((tmp_path / "a" / "report.json").read_text())
+        whole = json.loads((tmp_path / "m" / "report.json").read_text())
+        (seg,) = analyzed["structured"]["segments"]
+        for key in ("hurst", "spectrum"):
+            assert seg[key].pop("segment") == seg["label"]
+            assert seg[key] == whole[key]
+
+    def test_forecast_json_rows_equal_csv_rows(self, price_csv, tmp_path):
+        # the short first segment gives skipped rows (null/empty cells)
+        out = tmp_path / "o"
+        assert main(["forecast", str(price_csv), "--breaks", "manual:12,300", "--p", "2",
+                     "--hidden", "3", "--out", str(out)]) == 0
+        rows = json.loads((out / "report.json").read_text())["rows"]
+        assert any(r["skipped_reason"] for r in rows)
+        as_cells = [{k: "" if v is None else str(v) for k, v in r.items()} for r in rows]
+        assert as_cells == read_csv_rows(out / "forecast.csv")
 
 
 # -------------------------------------------------------------- subcommands

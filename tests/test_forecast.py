@@ -27,6 +27,7 @@ from smfdfa.forecast import (
     train_nar,
 )
 from smfdfa.longmemory import arfima_generate
+from smfdfa.serialize import forecast_report_to_dict
 
 FAST_TRAIN = TrainConfig(max_iterations=60)
 
@@ -448,12 +449,12 @@ class TestPipelineCompare:
             pipeline_compare(longmemory_series, None, methods=("AR",))
 
     def test_keep_fitted_attaches_scored_traces(self, longmemory_series):
-        # [TRIVIAL] the kept traces must be exactly what was scored: the
-        # row's own MAPE recomputes from them, and serialization still
-        # excludes them.
+        # [TRIVIAL] the traces a scored row carries must be exactly what
+        # was scored: the row's own MAPE recomputes from them, and
+        # serialization still excludes them.
         report = pipeline_compare(
             longmemory_series, None, p=3, hidden_units=6, seeds=(0,),
-            methods=(METHOD_FD,), train_config=FAST_TRAIN, keep_fitted=True,
+            methods=(METHOD_FD,), train_config=FAST_TRAIN,
         )
         row = report.rows[0]
         assert row.eval_start is not None
@@ -464,7 +465,8 @@ class TestPipelineCompare:
             np.asarray(row.actual),
             longmemory_series[row.eval_start : row.eval_start + row.n_eval],
         )
-        assert "actual" not in row.to_dict() and "eval_start" not in row.to_dict()
+        doc_row = forecast_report_to_dict(report)["rows"][0]
+        assert "actual" not in doc_row and "eval_start" not in doc_row
 
     def test_holdout_scores_only_the_tail(self, longmemory_series):
         # [TRIVIAL] holdout trains on the first 80% of the usable window
@@ -472,7 +474,7 @@ class TestPipelineCompare:
         # follow directly from the split arithmetic.
         common = dict(
             p=3, hidden_units=6, seeds=(0,), methods=(METHOD_FD,),
-            train_config=FAST_TRAIN, keep_fitted=True,
+            train_config=FAST_TRAIN,
         )
         full = pipeline_compare(longmemory_series, None, **common).rows[0]
         held = pipeline_compare(
@@ -494,7 +496,7 @@ class TestPipelineCompare:
         report = pipeline_compare(
             longmemory_series, None, p=3, hidden_units=6, seeds=(0,),
             methods=(METHOD_FD,), train_config=FAST_TRAIN,
-            scale="differenced", keep_fitted=True,
+            scale="differenced",
         )
         row = report.rows[0]
         assert report.scale == "differenced"
@@ -526,7 +528,8 @@ class TestForecastReport:
 
     def test_to_dict_fields(self):
         row = ForecastRow("s::seg1", METHOD_FD, 0.1, 2.0, 7, 10, 0, 50)
-        assert row.to_dict() == {
+        doc = forecast_report_to_dict(ForecastReport(rows=(row,), scale="levels"))
+        assert doc["rows"][0] == {
             "segment": "s::seg1",
             "method": METHOD_FD,
             "d_used": 0.1,

@@ -386,7 +386,7 @@ class TestStructuredPipeline:
         assert report.changepoints.n_breaks == 0
         assert len(report.segments) == 1
         flucts = to_fluctuations(series)
-        surf, curve, spec = analyze_segment(flucts, mf, label=report.segments[0].label)
+        surf, curve, spec = analyze_segment(flucts, mf)
         seg = report.segments[0]
         np.testing.assert_array_equal(seg.surface.phi, surf.phi)
         np.testing.assert_array_equal(seg.hurst.rho, curve.rho)

@@ -31,6 +31,19 @@ def test_no_unused_imports():
     assert [hit for path in modules for hit in unused_imports(path)] == []
 
 
+def test_no_class_defines_to_dict():
+    # serialize.py alone maps result objects to JSON documents and CSV rows
+    hits = [
+        f"{path.name}:{node.lineno}: {cls.name}.to_dict"
+        for path in sorted(SRC.glob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name == "to_dict"
+    ]
+    assert hits == []
+
+
 def test_all_lists_exactly_the_imported_names():
     # a name deleted from a module must leave both the import and __all__
     tree = ast.parse((SRC / "__init__.py").read_text())

@@ -8,6 +8,7 @@ import pytest
 
 from smfdfa.errors import InputError
 from smfdfa.mfdfa import MfdfaConfig, generate_cascade
+from smfdfa.serialize import clean, surrogate_to_dict
 from smfdfa.surrogate import (
     SurrogateComparison,
     make_ensemble,
@@ -232,7 +233,7 @@ class TestSurrogateTest:
     def test_to_dict_shape(self, cascade_comparison):
         # [TRIVIAL] serialization keeps every field and converts the widths
         # tuple to a JSON-friendly list.
-        d = cascade_comparison.to_dict()
+        d = clean(surrogate_to_dict(cascade_comparison, {"detrend_order": 1}))
         assert set(d) == {
             "kind",
             "original_delta_alpha",
@@ -240,9 +241,11 @@ class TestSurrogateTest:
             "quantile",
             "seed",
             "n_failed",
+            "mf_config",
         }
         assert d["kind"] == "shuffle"
         assert isinstance(d["surrogate_delta_alphas"], list)
+        assert d["mf_config"] == {"detrend_order": 1}
         assert len(d["surrogate_delta_alphas"]) == 12
         assert d["quantile"] == cascade_comparison.quantile
 
