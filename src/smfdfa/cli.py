@@ -29,7 +29,8 @@ from .changepoint import ChangePointConfig, detect_multiple
 from .errors import InputError, NumericalError
 from .forecast import DEFAULT_HIDDEN, DEFAULT_LAGS, pipeline_compare
 from .longmemory import MIN_HURST_LENGTH, arfima_generate, fgn_generate, gph_estimate, hurst_dfa
-from .mfdfa import MfdfaConfig, SegmentReport, analyze_segment, generate_cascade, s_mfdfa
+from .mfdfa import (MIN_SPECTRUM_Q, MfdfaConfig, SegmentReport, analyze_segment,
+                    generate_cascade, s_mfdfa)
 from .serialize import (
     CHANGEPOINT_HEADER,
     FITTED_HEADER,
@@ -175,9 +176,11 @@ def _load_config_file(args) -> dict:
     if not path.exists():
         raise InputError(f"config file not found: {path}")
     try:
-        cfg = json.loads(path.read_text())
+        cfg = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InputError(f"config file {path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read config file {path}: not UTF-8 text ({exc.reason})") from exc
     except OSError as exc:
         raise InputError(f"cannot read config file {path}: {exc.strerror}") from exc
     if not isinstance(cfg, dict):
@@ -222,13 +225,18 @@ def _grid(file_cfg: dict, key: str, convert, default=None):
 
 
 def _mf_config(args, file_cfg: dict) -> MfdfaConfig:
-    return MfdfaConfig(
+    """The MF-DFA settings of analyze, mfdfa and surrogate, each of which
+    needs a spectrum, so a q grid too small for one is an input error."""
+    cfg = MfdfaConfig(
         q_grid=_grid(file_cfg, "q_grid", float, MfdfaConfig.q_grid),
         scale_grid=_grid(file_cfg, "scale_grid", int),
         detrend_order=_pick(args.detrend_order, file_cfg, "detrend_order",
                             MfdfaConfig.detrend_order, int),
         regression_range=_grid(file_cfg, "regression_range", _number),
     )
+    if len(cfg.q_grid) < MIN_SPECTRUM_Q:
+        raise InputError(f"spectrum needs a Hurst curve on >= {MIN_SPECTRUM_Q} q points")
+    return cfg
 
 
 def _cp_config(args, file_cfg: dict) -> ChangePointConfig:

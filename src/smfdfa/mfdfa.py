@@ -25,6 +25,7 @@ from .errors import InputError, NumericalError, finite_1d
 DEFAULT_Q_GRID = tuple(np.arange(-5.0, 5.0 + 0.25, 0.5))
 DEFAULT_MIN_SCALE = 16
 DEFAULT_N_SCALES = 20
+MIN_SPECTRUM_Q = 5  # q points the Legendre spectrum needs
 
 
 def default_scale_grid(n: int, s_min: int = DEFAULT_MIN_SCALE) -> np.ndarray:
@@ -299,8 +300,8 @@ def scaling_and_spectrum(
     """
     q = curve.q_grid
     rho = curve.rho
-    if q.size < 5:
-        raise InputError("spectrum needs a Hurst curve on >= 5 q points")
+    if q.size < MIN_SPECTRUM_Q:
+        raise InputError(f"spectrum needs a Hurst curve on >= {MIN_SPECTRUM_Q} q points")
     if rho_prime is None:
         rho_prime = np.gradient(rho, q)
     else:
@@ -446,10 +447,6 @@ class StructuredReport:
     series_label: str
     changepoints: ChangePointResult
     segments: tuple[SegmentReport, ...]
-
-    @property
-    def delta_alphas(self) -> list[float | None]:
-        return [s.spectrum.delta_alpha if s.spectrum else None for s in self.segments]
 
 
 def analyze_segment(

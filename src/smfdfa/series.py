@@ -94,36 +94,41 @@ def load_csv(path: str | Path, config: CsvConfig = CsvConfig()) -> TimeSeries:
     path = Path(path)
     if not path.exists():
         raise InputError(f"input file not found: {path}")
-    try:
-        fh = open(path, newline="", encoding="utf-8")
-    except OSError as exc:  # a directory, say, or no read permission
-        raise InputError(f"cannot read input file {path}: {exc.strerror}") from exc
     dates: list[dt.date] = []
     values: list[float] = []
-    with fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in (config.date_column, config.value_column):
-            if col not in header:
-                raise InputError(f"column '{col}' not found in {path} (header: {header})")
-        for row in reader:
-            raw_date = (row.get(config.date_column) or "").strip()
-            raw_val = (row.get(config.value_column) or "").strip()
-            try:
-                if config.date_format is None:
-                    date = dt.date.fromisoformat(raw_date)
-                else:
-                    date = dt.datetime.strptime(raw_date, config.date_format).date()
-            except ValueError as exc:
-                raise InputError(f"{path} line {reader.line_num}: bad date '{raw_date}' ({exc})")
-            try:
-                value = float(raw_val)
-            except ValueError:
-                raise InputError(f"{path} line {reader.line_num}: bad value '{raw_val}'")
-            if not math.isfinite(value):
-                raise InputError(f"{path} line {reader.line_num}: non-finite value '{raw_val}'")
-            dates.append(date)
-            values.append(value)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or []
+            for col in (config.date_column, config.value_column):
+                if col not in header:
+                    raise InputError(f"column '{col}' not found in {path} (header: {header})")
+            for row in reader:
+                raw_date = (row.get(config.date_column) or "").strip()
+                raw_val = (row.get(config.value_column) or "").strip()
+                try:
+                    if config.date_format is None:
+                        date = dt.date.fromisoformat(raw_date)
+                    else:
+                        date = dt.datetime.strptime(raw_date, config.date_format).date()
+                except ValueError as exc:
+                    raise InputError(
+                        f"{path} line {reader.line_num}: bad date '{raw_date}' ({exc})"
+                    )
+                try:
+                    value = float(raw_val)
+                except ValueError:
+                    raise InputError(f"{path} line {reader.line_num}: bad value '{raw_val}'")
+                if not math.isfinite(value):
+                    raise InputError(
+                        f"{path} line {reader.line_num}: non-finite value '{raw_val}'"
+                    )
+                dates.append(date)
+                values.append(value)
+    except OSError as exc:  # a directory, say, or no read permission
+        raise InputError(f"cannot read input file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read input file {path}: not UTF-8 text ({exc.reason})") from exc
     if len(dates) < 2:
         raise InputError(f"{path}: need at least 2 rows, got {len(dates)}")
     order = np.argsort(np.asarray(dates, dtype="datetime64[D]"), kind="stable")

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from smfdfa import (
@@ -144,6 +144,20 @@ class TestDetectSingle:
         assert r.breaks == (41,)  # 1-based: first sample of the new regime
         assert r.segment_costs == (0.0, 0.0)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(dp_instances())
+    def test_split_is_the_best_two_segment_split(self, instance):
+        # [DERIVED] the scan scores splits with the DP's clamped kernel, so
+        # the split it returns costs at most the brute-force best split
+        # plus the DP's rounding margin delta (see _dp_unbounded)
+        x, _, ms = instance
+        assume(x.size >= 2 * ms)
+        b = detect_single(x, ChangePointConfig(min_segment=ms)).offsets[0]
+        best = min(segment_cost(x[:c]) + segment_cost(x[c:]) for c in range(ms, x.size - ms + 1))
+        w = float(np.abs(x).max()) * float(np.abs(x).sum())
+        delta = 64 * np.finfo(float).eps * (x.size + 1) * w
+        assert segment_cost(x[:b]) + segment_cost(x[b:]) <= best + delta
+
     def test_too_short_rejected(self):
         with pytest.raises(InputError):
             detect_single(np.zeros(10), ChangePointConfig(min_segment=8))
@@ -204,6 +218,19 @@ class TestDetectMultiple:
         w = float(np.abs(x).max()) * float(np.abs(x).sum())
         delta = 64 * np.finfo(float).eps * (x.size + 1) * (w + theta)
         assert greedy.total_cost >= exact.total_cost - delta
+
+    def test_binary_segmentation_on_noise_near_the_rounding_floor(self):
+        # [DERIVED] on pure noise at a 1e6 level the split costs sit near
+        # the rounding floor. Without the kernel's clamp at 0 they go
+        # negative, and binary segmentation puts 332 breaks on these 20
+        # inputs; the exact DP puts 33, the clamped scan 31 (measured)
+        counts = {"exact-dp": 0, "binary-segmentation": 0}
+        for seed in range(20):
+            x = 1e6 + 1e-3 * np.random.default_rng(seed).standard_normal(400)
+            for method in counts:
+                cfg = ChangePointConfig(min_segment=8, method=method)
+                counts[method] += detect_multiple(x, cfg).n_breaks
+        assert counts["binary-segmentation"] <= 2 * counts["exact-dp"]
 
     def test_three_sigma_step_localized(self):
         # [DERIVED] classic detectability regime: unit noise, 3 sigma shift
@@ -288,6 +315,8 @@ class TestConfigValidation:
             ChangePointConfig(method="genetic")
         with pytest.raises(InputError):
             ChangePointConfig(penalty=-1.0)
+        with pytest.raises(InputError):
+            ChangePointConfig(penalty=math.inf)
         with pytest.raises(InputError):
             ChangePointConfig(min_segment=1)
 

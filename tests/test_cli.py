@@ -155,6 +155,47 @@ class TestErrorPaths:
         assert "input error: cannot read config file" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_non_utf8_input_exits_2(self, price_csv, tmp_path, capsys):
+        # a 0xff byte in a price is an input error naming the file, not a
+        # UnicodeDecodeError traceback
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(price_csv.read_bytes().replace(b",1", b",\xff1", 1))
+        assert main(["analyze", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert (f"input error: cannot read input file {bad}: not UTF-8 text"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    def test_non_utf8_config_exits_2(self, price_csv, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(b'{"cp_method": "\xff"}')
+        code = main(["mfdfa", str(price_csv), "--config", str(cfg),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert (f"input error: cannot read config file {cfg}: not UTF-8 text"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
+    def test_q_grid_too_small_for_a_spectrum_exits_2(self, price_csv, tmp_path, capsys):
+        # every command that builds a spectrum rejects a q grid of < 5
+        # points up front, not as a "too short" flag on each regime;
+        # commands that ignore q_grid accept the same file
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"q_grid": [-2, 0, 2, 4]}))
+        for command in ("analyze", "mfdfa", "surrogate"):
+            code = main([command, str(price_csv), "--config", str(cfg),
+                         "--out", str(tmp_path / command)])
+            assert code == 2, command
+            assert ("input error: spectrum needs a Hurst curve on >= 5 q points"
+                    in capsys.readouterr().err), command
+            assert not (tmp_path / command).exists()
+        for argv in (["changepoints"],
+                     ["forecast", "--breaks", "none", "--method", "fd", "--p", "3",
+                      "--hidden", "6"]):
+            out = tmp_path / argv[0]
+            assert main([argv[0], str(price_csv), *argv[1:], "--config", str(cfg),
+                         "--out", str(out)]) == 0, argv
+            assert (out / "manifest.json").exists()
+
     def test_failed_write_inside_out_exits_2(self, price_csv, tmp_path, capsys):
         # a write that fails after --out exists names its file, and no
         # manifest claims the run complete
@@ -172,6 +213,11 @@ class TestErrorPaths:
             (["forecast", str(price_csv), "--breaks", "manual:900"], 2),
             (["synth", "step", "--n", "100", "--break-at", "0"], 2),
             (["analyze", str(price_csv), "--config", str(tmp_path / "no.json")], 2),
+            # an infinite penalty is rejected, not run to a null total cost
+            (["changepoints", str(price_csv), "--penalty", "inf"], 2),
+            (["changepoints", str(price_csv), "--penalty", "inf", "--max-breaks", "2"], 2),
+            (["changepoints", str(price_csv), "--penalty", "inf",
+              "--cp-method", "binary-segmentation"], 2),
             (["mfdfa", str(flat), "--transform", "values"], 3),  # zero window variance
         )
         for argv, expected in cases:

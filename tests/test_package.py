@@ -44,6 +44,38 @@ def test_no_class_defines_to_dict():
     assert hits == []
 
 
+def test_one_change_point_cost_kernel():
+    # every search in changepoint.py sums once, at its top level, into
+    # `s1, s2 = _prefix_sums(x)`, and only _segment_costs turns those sums
+    # into a cost, so a second copy of the cost cannot come back
+    tree = ast.parse((SRC / "changepoint.py").read_text())
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    summing = [
+        (fn.name, ast.unparse(stmt))
+        for fn in functions
+        for stmt in fn.body  # top-level statements only: never inside a loop
+        if isinstance(stmt, ast.Assign) and "_prefix_sums" in ast.unparse(stmt.value)
+    ]
+    assert sorted(summing) == sorted(
+        (name, "s1, s2 = _prefix_sums(x)")
+        for name in ("detect_single", "_dp_unbounded", "_dp_capped", "_binary_segmentation")
+    )
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "_prefix_sums"
+    ]
+    assert len(calls) == len(summing)
+    subtracting = {
+        fn.name
+        for fn in functions
+        for node in ast.walk(fn)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+        for side in (node.left, node.right)
+        if isinstance(side, ast.Subscript) and ast.unparse(side.value) in ("s1", "s2")
+    }
+    assert subtracting == {"_segment_costs"}
+
+
 def test_all_lists_exactly_the_imported_names():
     # a name deleted from a module must leave both the import and __all__
     tree = ast.parse((SRC / "__init__.py").read_text())
