@@ -47,10 +47,13 @@ offsets = [int(o) for o in report.changepoints.offsets]
 print(f"detected {report.changepoints.n_breaks} break(s) at fluctuation "
       f"offset(s) {offsets} (true switch at 2048)\n")
 
-print(f"{'segment':<16} {'start':>6} {'stop':>6} {'width':>7}")
+# Each regime also carries its own GPH memory factor d and DFA Hurst
+# exponent; None (shown "-") where the regime is too short for one.
+print(f"{'segment':<16} {'start':>6} {'stop':>6} {'width':>7} {'d_hat':>7} {'hurst':>7}")
 for seg in report.segments:
-    width = f"{seg.spectrum.delta_alpha:.3f}" if seg.spectrum else "-"
-    print(f"{seg.label:<16} {seg.start:>6} {seg.stop:>6} {width:>7}")
+    width, d_hat, hurst = ("-" if v is None else f"{v:.3f}" for v in (
+        seg.spectrum.delta_alpha if seg.spectrum else None, seg.d_hat, seg.hurst_dfa))
+    print(f"{seg.label:<16} {seg.start:>6} {seg.stop:>6} {width:>7} {d_hat:>7} {hurst:>7}")
 
 widths = [s.spectrum.delta_alpha for s in report.segments if s.spectrum]
 print(f"\nEvery cascade-driven segment is ~{min(widths[:-1]) / widths[-1]:.0f}x "

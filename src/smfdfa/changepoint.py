@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, finite_1d
 
 METHODS = ("exact-dp", "binary-segmentation")
 
@@ -97,6 +97,16 @@ def default_penalty(values: np.ndarray) -> float:
     return 2.0 * sigma2 * math.log(n)
 
 
+def _cost_input(values) -> np.ndarray:
+    """values as a finite 1-d array with length * max|x| at most sqrt(largest
+    float) / 4, so that no sum of squares of the cost or penalty overflows."""
+    x = finite_1d(values)
+    if x.size * np.abs(x).max(initial=0.0) > math.sqrt(np.finfo(float).max) / 4:
+        raise InputError(f"values as large as {np.abs(x).max():g} overflow the change-point "
+                         "sums of squares")
+    return x
+
+
 def _prefix_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative sums of x and x**2, each with a leading 0."""
     return np.concatenate([[0.0], np.cumsum(x)]), np.concatenate([[0.0], np.cumsum(x * x)])
@@ -142,7 +152,7 @@ def detect_single(
     values: Sequence[float] | np.ndarray, config: ChangePointConfig = ChangePointConfig()
 ) -> ChangePointResult:
     """Locate the single break minimizing the two-segment cost (no penalty)."""
-    x = np.asarray(values, dtype=float)
+    x = _cost_input(values)
     ms = config.min_segment
     if x.size < 2 * ms:
         raise InputError(f"series of length {x.size} too short for min_segment {ms}")
@@ -173,7 +183,7 @@ def _dp_unbounded(x: np.ndarray, theta: float, ms: int) -> list[int]:
     dominator at every later step. Surviving starts stay in ascending
     order and are scored by the same expression, so best, prev, the
     smallest-index tie rule and the breaks equal the unpruned recursion bit
-    for bit. For non-finite x, delta is inf or nan and nothing is dropped.
+    for bit.
     """
     n = x.size
     s1, s2 = _prefix_sums(x)
@@ -283,7 +293,7 @@ def detect_multiple(
     change-point scan recursively, accepting a split only while it lowers
     the penalized objective.
     """
-    x = np.asarray(values, dtype=float)
+    x = _cost_input(values)
     ms = config.min_segment
     if config.max_breaks is not None and x.size < (config.max_breaks + 1) * ms:
         raise InputError(

@@ -19,7 +19,6 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -28,14 +27,14 @@ from . import __version__
 from .changepoint import ChangePointConfig, detect_multiple
 from .errors import InputError, NumericalError
 from .forecast import DEFAULT_HIDDEN, DEFAULT_LAGS, pipeline_compare
-from .longmemory import MIN_HURST_LENGTH, arfima_generate, fgn_generate, gph_estimate, hurst_dfa
-from .mfdfa import (MIN_SPECTRUM_Q, MfdfaConfig, SegmentReport, analyze_segment,
-                    generate_cascade, s_mfdfa)
+from .longmemory import arfima_generate, fgn_generate
+from .mfdfa import MIN_SPECTRUM_Q, MfdfaConfig, analyze_segment, generate_cascade, s_mfdfa
 from .serialize import (
     CHANGEPOINT_HEADER,
     FITTED_HEADER,
     FORECAST_HEADER,
     HURST_HEADER,
+    SEGMENTS_HEADER,
     SPECTRUM_HEADER,
     SURFACE_HEADER,
     SURROGATE_HEADER,
@@ -46,6 +45,8 @@ from .serialize import (
     forecast_rows,
     hurst_rows,
     hurst_to_dict,
+    segment_entries,
+    segment_rows,
     spectrum_rows,
     spectrum_to_dict,
     stats_to_dict,
@@ -66,8 +67,6 @@ CONFIG_KEYS = frozenset({
     "q_grid", "scale_grid", "detrend_order", "regression_range", "penalty",
     "max_breaks", "min_segment", "cp_method", "p", "hidden_units",
 })
-SEGMENTS_HEADER = ("label", "start", "stop", "delta_alpha", "d_hat", "hurst_dfa",
-                   "skipped_reason")
 
 
 def _add_common(p: argparse.ArgumentParser, reads_input: bool = True):
@@ -295,21 +294,6 @@ def _analysis_values(args, series) -> np.ndarray:
     return to_fluctuations(series)
 
 
-def _segment_hurst(seg: SegmentReport, values: np.ndarray, cfg: MfdfaConfig) -> float | None:
-    """DFA Hurst exponent of one regime: the q = 2 slope of its own MF-DFA
-    (the classical DFA exponent), or a q = 2 DFA pass when the q grid lacks
-    2 or the regime was too short for a spectrum. None for regimes shorter
-    than MIN_HURST_LENGTH."""
-    if values.size < MIN_HURST_LENGTH:
-        return None
-    if seg.hurst is not None and 2.0 in cfg.q_grid:
-        return float(seg.hurst.rho[cfg.q_grid.index(2.0)])
-    try:
-        return hurst_dfa(values, cfg)
-    except (InputError, NumericalError):
-        return None
-
-
 def cmd_analyze(args) -> int:
     file_cfg = _load_config_file(args)
     series = _load_series(args)
@@ -320,29 +304,6 @@ def cmd_analyze(args) -> int:
     stats = describe(flucts)
     outliers = outlier_census(flucts)
     report = s_mfdfa(flucts, cp_cfg, mf_cfg, label=series.label)
-
-    segment_entries = []
-    for seg in report.segments:
-        entry = {"label": seg.label, "start": seg.start, "stop": seg.stop}
-        reasons = [seg.skipped_reason] if seg.skipped_reason else []
-        seg_vals = flucts[seg.start : seg.stop]
-        # a regime whose MF-DFA failed numerically (e.g. a flat one) reports
-        # no long-memory estimate; GPH still runs so that its failure is named
-        degenerate = (seg.skipped_reason or "").startswith("numerical")
-        entry["d_hat"] = entry["d_stderr"] = None
-        try:
-            est = gph_estimate(seg_vals)
-            if not degenerate:
-                entry["d_hat"] = est.d_hat
-                entry["d_stderr"] = est.stderr
-        except InputError:
-            pass
-        except NumericalError as exc:
-            reasons.append(f"numerical: gph: {exc}")
-        entry["hurst_dfa"] = None if degenerate else _segment_hurst(seg, seg_vals, mf_cfg)
-        entry["delta_alpha"] = seg.spectrum.delta_alpha if seg.spectrum else None
-        entry["skipped_reason"] = "; ".join(reasons) or None
-        segment_entries.append(entry)
 
     comparison = None
     if args.surrogates:
@@ -356,7 +317,7 @@ def cmd_analyze(args) -> int:
         "n": int(series.values.size),
         "stats": stats_to_dict(stats, outliers),
         "structured": structured_report_to_dict(report),
-        "segments": segment_entries,
+        "segments": segment_entries(report),
         "surrogate": surrogate_to_dict(comparison, asdict(mf_cfg)) if comparison else None,
         "config": config,
     }
@@ -369,7 +330,7 @@ def cmd_analyze(args) -> int:
                         (r for s in analyzed for r in spectrum_rows(s.label, s.spectrum))),
         "changepoints.csv": (CHANGEPOINT_HEADER,
                              changepoint_rows(report.changepoints, series.timestamps[1:])),
-        "segments.csv": (SEGMENTS_HEADER, map(itemgetter(*SEGMENTS_HEADER), segment_entries)),
+        "segments.csv": (SEGMENTS_HEADER, segment_rows(report)),
     }
     if comparison:
         tables["surrogate.csv"] = (SURROGATE_HEADER, surrogate_rows(comparison))
@@ -379,10 +340,9 @@ def cmd_analyze(args) -> int:
           f"{report.changepoints.n_breaks} break(s) at offsets "
           f"{[int(o) for o in report.changepoints.offsets]}")
     print(f"{'segment':<24} {'start':>6} {'stop':>6} {'d_alpha':>8} {'d_hat':>8} {'hurst':>7}")
-    for e in segment_entries:
-        da = f"{e['delta_alpha']:.3f}" if e["delta_alpha"] is not None else "-"
-        dh = f"{e['d_hat']:.3f}" if e["d_hat"] is not None else "-"
-        hu = f"{e['hurst_dfa']:.3f}" if e["hurst_dfa"] is not None else "-"
+    for e in doc["segments"]:
+        da, dh, hu = ("-" if e[k] is None else f"{e[k]:.3f}"
+                      for k in ("delta_alpha", "d_hat", "hurst_dfa"))
         print(f"{e['label']:<24} {e['start']:>6} {e['stop']:>6} {da:>8} {dh:>8} {hu:>7}")
     if comparison:
         print(f"surrogate({comparison.kind}, n={len(comparison.surrogate_delta_alphas)}): "

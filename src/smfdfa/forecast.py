@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, finite_1d
 from .longmemory import FracDiffResult, frac_diff, gph_estimate
 from .series import TimeSeries
 
@@ -140,16 +140,13 @@ def train_nar(
     Raises NumericalError carrying .last_loss when the damping exceeds its
     cap without finding an acceptable step.
     """
-    x = np.asarray(series, dtype=float)
+    x = finite_1d(series)
     if p < 1 or hidden_units < 1:
         raise InputError("p and hidden_units must be >= 1")
     if x.size < p + MIN_TRAIN_MARGIN:
         raise InputError(
             f"need at least {p + MIN_TRAIN_MARGIN} samples to train with p={p}, got {x.size}"
         )
-    if not np.all(np.isfinite(x)):
-        bad = int(np.flatnonzero(~np.isfinite(x))[0])
-        raise InputError(f"non-finite value at index {bad}")
     mean = float(x.mean())
     scale = float(x.std())
     if scale < 1e-12:

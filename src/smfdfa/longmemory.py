@@ -1,8 +1,8 @@
 """Long-memory estimation and synthesis.
 
-Estimators: the Geweke/Porter-Hudak log-periodogram regression for the
-fractional integration order d, and a DFA-based Hurst exponent (the q = 2
-row of the MF-DFA surface). Transforms: fractional differencing and its
+Estimator: the Geweke/Porter-Hudak log-periodogram regression for the
+fractional integration order d (the DFA Hurst exponent, the q = 2 case of
+MF-DFA, lives in mfdfa). Transforms: fractional differencing and its
 inverse with truncated binomial weights. Generators: ARFIMA(0, d, 0) by
 fractionally integrating white noise, and exact fractional Gaussian noise
 through Davies-Harte circulant embedding.
@@ -16,12 +16,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError, NumericalError, finite_1d
-from .mfdfa import MfdfaConfig, fluctuation_surface, generalized_hurst
 
 WEIGHT_CUTOFF = 1e-5
 MAX_AUTO_TRUNCATION = 500
 MIN_GPH_LENGTH = 128
-MIN_HURST_LENGTH = 256
 
 
 @dataclass(frozen=True)
@@ -67,23 +65,6 @@ def gph_estimate(returns: np.ndarray, bandwidth: int | None = None) -> LongMemor
     d = float(np.dot(rx, logp - logp.mean())) / ssx
     stderr = math.sqrt(math.pi**2 / 6.0 / ssx)
     return LongMemoryEstimate(d_hat=d, stderr=stderr, bandwidth=m, n=n)
-
-
-def hurst_dfa(series: np.ndarray, config: MfdfaConfig | None = None) -> float:
-    """Hurst exponent as the q = 2 scaling slope of the DFA fluctuation
-    function (monofractal special case of the MF-DFA surface)."""
-    x = np.asarray(series, dtype=float)
-    if x.size < MIN_HURST_LENGTH:
-        raise InputError(f"need at least {MIN_HURST_LENGTH} samples, got {x.size}")
-    base = config or MfdfaConfig()
-    cfg = MfdfaConfig(
-        q_grid=(2.0,),
-        scale_grid=base.scale_grid,
-        detrend_order=base.detrend_order,
-        regression_range=base.regression_range,
-    )
-    surface = fluctuation_surface(x, cfg)
-    return float(generalized_hurst(surface).rho[0])
 
 
 def frac_diff_weights(d: float, k_max: int) -> np.ndarray:

@@ -8,24 +8,28 @@ function against scale. On top of that sit the Legendre singularity
 spectrum, a fluctuation-analysis (box / partition function) variant for
 normalized measures, the binomial multiplicative cascade used as an
 analytic calibration target, and the structured pipeline that runs MF-DFA
-independently on change-point-delimited regimes.
+independently on change-point-delimited regimes and gives each regime its
+own DFA Hurst exponent (the q = 2 case) and GPH memory factor d.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from contextlib import suppress
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .changepoint import ChangePointConfig, ChangePointResult, detect_multiple
 from .errors import InputError, NumericalError, finite_1d
+from .longmemory import gph_estimate
 
 DEFAULT_Q_GRID = tuple(np.arange(-5.0, 5.0 + 0.25, 0.5))
 DEFAULT_MIN_SCALE = 16
 DEFAULT_N_SCALES = 20
 MIN_SPECTRUM_Q = 5  # q points the Legendre spectrum needs
+MIN_HURST_LENGTH = 256
 
 
 def default_scale_grid(n: int, s_min: int = DEFAULT_MIN_SCALE) -> np.ndarray:
@@ -288,6 +292,15 @@ def generalized_hurst(surface: FluctuationSurface) -> HurstCurve:
     )
 
 
+def hurst_dfa(series: np.ndarray, config: MfdfaConfig | None = None) -> float:
+    """Hurst exponent as the q = 2 scaling slope of the DFA fluctuation
+    function (monofractal special case of the MF-DFA surface)."""
+    if np.size(series) < MIN_HURST_LENGTH:
+        raise InputError(f"need at least {MIN_HURST_LENGTH} samples, got {np.size(series)}")
+    surface = fluctuation_surface(series, replace(config or MfdfaConfig(), q_grid=(2.0,)))
+    return float(generalized_hurst(surface).rho[0])
+
+
 def scaling_and_spectrum(
     curve: HurstCurve, rho_prime: np.ndarray | None = None
 ) -> SingularitySpectrum:
@@ -329,11 +342,12 @@ def fa_partition(
 ) -> PartitionFunction:
     """Box-probability partition function of a normalized measure.
 
-    p_s(gamma) sums the measure over disjoint boxes of length s (a trailing
-    remainder is dropped); Z_q(s) = sum |p|^q over nonempty boxes, and
-    tau(q) is the log-log slope of Z_q against s.
+    The measure must be 1-d, finite, nonnegative and sum to 1. p_s(gamma)
+    sums it over disjoint boxes of length s (a trailing remainder is
+    dropped); Z_q(s) = sum |p|^q over nonempty boxes, and tau(q) is the
+    log-log slope of Z_q against s.
     """
-    x = np.asarray(measure, dtype=float)
+    x = finite_1d(measure)
     if np.any(x < 0):
         raise InputError("measure must be nonnegative")
     total = float(np.sum(x))
@@ -430,8 +444,10 @@ def analytic_delta_alpha(b1: float, b2: float) -> float:
 
 @dataclass(frozen=True)
 class SegmentReport:
-    """Per-regime analysis products; spectrum is None when the segment was
-    too short for the configured grids (see skipped_reason)."""
+    """One regime's record. surface, hurst and spectrum are None when its
+    MF-DFA was skipped (see skipped_reason). The GPH d_hat and d_stderr and
+    the DFA hurst_dfa are None when the regime is too short for them or its
+    MF-DFA failed numerically; gph_failure names a numerical GPH failure."""
 
     label: str
     start: int  # 0-based offsets into the fluctuation series
@@ -440,6 +456,10 @@ class SegmentReport:
     hurst: HurstCurve | None
     spectrum: SingularitySpectrum | None
     skipped_reason: str | None = None
+    d_hat: float | None = None
+    d_stderr: float | None = None
+    hurst_dfa: float | None = None
+    gph_failure: str | None = None
 
 
 @dataclass(frozen=True)
@@ -458,6 +478,38 @@ def analyze_segment(
     return surface, curve, scaling_and_spectrum(curve)
 
 
+def _regime_report(label: str, start: int, stop: int, values: np.ndarray,
+                   config: MfdfaConfig) -> SegmentReport:
+    """MF-DFA, GPH d and DFA Hurst exponent of one regime. A regime whose
+    MF-DFA fails numerically (a flat one, say) reports no estimate, but GPH
+    still runs there so that its failure is named."""
+    surface = curve = spectrum = reason = None
+    degenerate = False
+    try:
+        surface, curve, spectrum = analyze_segment(values, config)
+    except InputError as exc:
+        reason = f"too short: {exc}"
+    except NumericalError as exc:
+        reason, degenerate = f"numerical: {exc}", True
+    d_hat = d_stderr = gph_failure = hurst = None
+    try:
+        est = gph_estimate(values)
+        if not degenerate:
+            d_hat, d_stderr = est.d_hat, est.stderr
+    except InputError:
+        pass
+    except NumericalError as exc:
+        gph_failure = f"numerical: gph: {exc}"
+    if not degenerate and values.size >= MIN_HURST_LENGTH:
+        if curve is not None and 2.0 in config.q_grid:
+            hurst = float(curve.rho[config.q_grid.index(2.0)])
+        else:
+            with suppress(InputError, NumericalError):
+                hurst = hurst_dfa(values, config)
+    return SegmentReport(label, start, stop, surface, curve, spectrum, reason,
+                         d_hat, d_stderr, hurst, gph_failure)
+
+
 def s_mfdfa(
     flucts: np.ndarray,
     cp_config: ChangePointConfig = ChangePointConfig(),
@@ -466,7 +518,7 @@ def s_mfdfa(
 ) -> StructuredReport:
     """Structured MF-DFA of a fluctuation series (for prices, the output of
     series.to_fluctuations): change-point detection on it, then an
-    independent MF-DFA on every resulting regime.
+    independent MF-DFA, GPH d and DFA Hurst exponent on every regime.
 
     When detection returns no breaks the single reported spectrum is the
     plain whole-series MF-DFA (identical code path, identical numbers).
@@ -477,22 +529,11 @@ def s_mfdfa(
     flucts = finite_1d(flucts)
     cp = detect_multiple(flucts, cp_config)
     edges = (0, *cp.offsets, flucts.size)
-    reports = []
-    for k, (a, b) in enumerate(zip(edges, edges[1:])):
-        name = f"{label or 'series'}::seg{k + 1}"
-        try:
-            surface, curve, spectrum = analyze_segment(flucts[a:b], mf_config)
-            reports.append(SegmentReport(name, a, b, surface, curve, spectrum))
-        except InputError as exc:
-            reports.append(
-                SegmentReport(name, a, b, None, None, None, skipped_reason=f"too short: {exc}")
-            )
-        except NumericalError as exc:
-            reports.append(
-                SegmentReport(name, a, b, None, None, None, skipped_reason=f"numerical: {exc}")
-            )
     return StructuredReport(
         series_label=label,
         changepoints=cp,
-        segments=tuple(reports),
+        segments=tuple(
+            _regime_report(f"{label or 'series'}::seg{k + 1}", a, b, flucts[a:b], mf_config)
+            for k, (a, b) in enumerate(zip(edges, edges[1:]))
+        ),
     )

@@ -17,6 +17,7 @@ import csv
 import json
 import math
 from dataclasses import asdict
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -164,6 +165,28 @@ def structured_report_to_dict(report: StructuredReport) -> dict:
         "changepoints": changepoints_to_dict(report.changepoints),
         "segments": segments,
     }
+
+
+def segment_entries(report: StructuredReport) -> list[dict]:
+    """One flat record per regime, naming both its MF-DFA and GPH failures."""
+    return [
+        {
+            "label": seg.label, "start": seg.start, "stop": seg.stop,
+            "delta_alpha": seg.spectrum.delta_alpha if seg.spectrum else None,
+            "d_hat": seg.d_hat, "d_stderr": seg.d_stderr, "hurst_dfa": seg.hurst_dfa,
+            "skipped_reason": "; ".join(filter(None, (seg.skipped_reason, seg.gph_failure)))
+            or None,
+        }
+        for seg in report.segments
+    ]
+
+
+def segment_rows(report: StructuredReport) -> Iterator[tuple]:
+    return map(itemgetter(*SEGMENTS_HEADER), segment_entries(report))
+
+
+SEGMENTS_HEADER = ("label", "start", "stop", "delta_alpha", "d_hat", "hurst_dfa",
+                   "skipped_reason")
 
 
 def surrogate_to_dict(cmp_: SurrogateComparison, mf_config: dict) -> dict:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, finite_1d
 
 
 @dataclass(frozen=True)
@@ -159,11 +159,9 @@ def describe(values: Sequence[float] | np.ndarray) -> DescriptiveStats:
     that feed JB = n/6 * (S^2 + K^2/4). Degenerate quantities come back as
     NaN rather than raising.
     """
-    x = np.asarray(values, dtype=float)
-    if x.ndim != 1 or x.size < 4:
+    x = finite_1d(values)
+    if x.size < 4:
         raise InputError("describe needs a 1-d sample with n >= 4")
-    if not np.all(np.isfinite(x)):
-        raise InputError("describe: sample contains non-finite values")
     n = x.size
     mean = float(np.mean(x))
     std = float(np.std(x, ddof=1))
@@ -198,8 +196,8 @@ def outlier_census(values: Sequence[float] | np.ndarray) -> OutlierCensus:
     Quartiles use linear interpolation of order statistics (numpy default).
     Mild counts include the extreme ones.
     """
-    x = np.asarray(values, dtype=float)
-    if x.ndim != 1 or x.size < 4:
+    x = finite_1d(values)
+    if x.size < 4:
         raise InputError("outlier_census needs a 1-d sample with n >= 4")
     q1, q3 = np.percentile(x, [25.0, 75.0])
     iqr = q3 - q1

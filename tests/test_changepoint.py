@@ -1,6 +1,7 @@
 """Penalized change-point detection: exactness against brute force."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -323,3 +324,47 @@ class TestConfigValidation:
     def test_series_too_short_for_cap(self):
         with pytest.raises(InputError):
             detect_multiple(np.zeros(50), ChangePointConfig(max_breaks=2, min_segment=32))
+
+
+# detect_single, and detect_multiple by each method under the default
+# penalty and an explicit one
+DETECTORS = [detect_single] + [
+    partial(detect_multiple, config=ChangePointConfig(penalty=penalty, method=method))
+    for penalty in (None, 1.0) for method in ("exact-dp", "binary-segmentation")
+]
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("detect", DETECTORS)
+    def test_non_finite_value_named(self, detect, rng):
+        # a NaN once passed as a "negative penalty", or gave no breaks
+        x = rng.standard_normal(300)
+        x[40] = np.nan
+        with pytest.raises(InputError, match="non-finite value at index 40"):
+            detect(x)
+
+    @pytest.mark.parametrize("detect", DETECTORS)
+    def test_two_dimensional_input_rejected(self, detect, rng):
+        with pytest.raises(InputError, match=r"1-d array, got shape \(2, 300\)"):
+            detect(rng.standard_normal((2, 300)))
+
+    @pytest.mark.parametrize("detect", DETECTORS)
+    def test_overflowing_values_named(self, detect):
+        # 200 values near 1e160 and 2e160: their squares overflow, which
+        # once surfaced as an infinite default penalty or a null total cost
+        x = np.where(np.arange(200) % 2, 2e160, 1e160)
+        with pytest.raises(InputError, match="values as large as 2e\\+160 overflow"):
+            detect(x)
+
+    @pytest.mark.parametrize("method", ["exact-dp", "binary-segmentation"])
+    def test_large_values_within_bound_scale_exactly(self, method):
+        # [TRIVIAL] scaling by a power of two is exact in floating point, so
+        # a series scaled up to ~1e148 (length * max|x| ~ 2e150, inside the
+        # bound) has the breaks, and the scaled costs, of the original
+        gen = np.random.default_rng(4)
+        x = np.concatenate([gen.normal(0, 1, 100), gen.normal(3, 1, 100)])
+        big = x * 2.0**490
+        small_r = detect_multiple(x, ChangePointConfig(method=method))
+        big_r = detect_multiple(big, ChangePointConfig(method=method))
+        assert big_r.breaks == small_r.breaks and big_r.n_breaks >= 1
+        assert big_r.total_cost == small_r.total_cost * 2.0**980

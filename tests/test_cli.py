@@ -454,6 +454,17 @@ class TestChangepoints:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["min_segment"] == 64
 
+    @pytest.mark.parametrize("extra", [[], ["--penalty", "1"]])
+    def test_overflowing_values_are_an_input_error(self, extra, tmp_path, capsys):
+        # prices near 1e160 and 2e160 square past the largest float: once an
+        # error about a penalty never given, or a null total cost with exit 0
+        path = write_price_csv(tmp_path / "huge.csv", np.where(np.arange(200) % 2, 2e160, 1e160))
+        out = tmp_path / "o"
+        assert main(["changepoints", str(path), "--transform", "values", *extra,
+                     "--out", str(out)]) == 2
+        assert "input error: values as large as 2e+160 overflow" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestMfdfaCommand:
     def test_cascade_is_strongly_multifractal(self, cascade_csv, tmp_path):

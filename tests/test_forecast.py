@@ -272,6 +272,10 @@ class TestTrainNar:
         with pytest.raises(InputError, match="non-finite value at index 17"):
             train_nar(bad, p=3)
 
+    def test_two_dimensional_input_rejected(self):
+        with pytest.raises(InputError, match=r"1-d array, got shape \(2, 300\)"):
+            train_nar(np.zeros((2, 300)), p=3)
+
     def test_predict_next_column_guard(self, trained):
         with pytest.raises(InputError, match="must have 3 columns"):
             trained.predict_next(np.zeros((2, 4)))

@@ -20,6 +20,8 @@ from smfdfa import (
     fluctuation_surface,
     generalized_hurst,
     generate_cascade,
+    gph_estimate,
+    hurst_dfa,
     s_mfdfa,
     scaling_and_spectrum,
     to_fluctuations,
@@ -373,6 +375,13 @@ class TestFaPartition:
         with pytest.raises(InputError, match="sum to 1"):
             fa_partition(np.full(64, 1.0))
 
+    def test_nan_cell_rejected(self):
+        # a NaN total passed the sum-to-1 check and its box was then dropped
+        m = np.full(256, 1.0 / 256)
+        m[100] = np.nan
+        with pytest.raises(InputError, match="non-finite value at index 100"):
+            fa_partition(m)
+
 
 class TestStructuredPipeline:
     def test_zero_breaks_reduces_to_plain_analysis_bitwise(self, rng):
@@ -418,6 +427,43 @@ class TestStructuredPipeline:
             assert "too short" in s.skipped_reason
             assert s.spectrum is None
         assert all(s.spectrum is not None for s in report.segments if not s.skipped_reason)
+
+    @pytest.mark.parametrize("q_grid", [MfdfaConfig.q_grid, (-3.0, -1.0, 1.0, 3.0, 4.0)])
+    def test_regime_record_holds_each_regimes_estimates(self, q_grid):
+        # 600 noisy, 600 zero and 600 noisy returns (the CLI's flat-regime
+        # input). Every other regime reports the GPH d and DFA Hurst exponent
+        # of its own slice, the latter from its q = 2 row or, when the q grid
+        # lacks 2, from a q = 2 pass; None where the slice is too short. The
+        # flat regime reports neither and names its GPH failure.
+        gen = np.random.default_rng(1)
+        r = np.concatenate([gen.normal(0.0, 0.01, 600), np.zeros(600),
+                            gen.normal(0.0, 0.01, 600)])
+        prices = 100.0 * np.exp(np.concatenate([[0.0], np.cumsum(r)]))
+        flucts = to_fluctuations(make_series(prices))
+        cfg = MfdfaConfig(q_grid=q_grid)
+        report = s_mfdfa(flucts, mf_config=cfg)
+
+        def unless_too_short(estimate, *args):
+            try:
+                return estimate(*args)
+            except InputError:
+                return None
+
+        (flat,) = [s for s in report.segments if s.start >= 600 and s.stop <= 1200]
+        assert flat.skipped_reason.startswith("numerical: window variance is exactly 0")
+        assert (flat.d_hat, flat.d_stderr, flat.hurst_dfa) == (None, None, None)
+        assert flat.gph_failure.startswith("numerical: gph: periodogram vanished")
+        estimated = 0
+        for seg in report.segments:
+            if seg is flat:
+                continue
+            values = flucts[seg.start:seg.stop]
+            est = unless_too_short(gph_estimate, values)
+            assert (seg.d_hat, seg.d_stderr) == ((est.d_hat, est.stderr) if est else (None, None))
+            assert seg.hurst_dfa == unless_too_short(hurst_dfa, values, cfg)
+            assert seg.gph_failure is None
+            estimated += seg.d_hat is not None and seg.hurst_dfa is not None
+        assert estimated >= 2
 
     def test_cascade_segment_wider_than_noise_segment(self):
         # [DERIVED] Monte Carlo: a price path whose return magnitudes are a

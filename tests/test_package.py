@@ -44,6 +44,20 @@ def test_no_class_defines_to_dict():
     assert hits == []
 
 
+def test_only_serialize_defines_headers():
+    # serialize.py alone owns every CSV shape, so no other module keeps a
+    # column list of its own
+    hits = [
+        f"{path.name}:{node.lineno}: {target.id}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id.endswith("_HEADER")
+    ]
+    assert hits and all(hit.startswith("serialize.py:") for hit in hits), hits
+
+
 def test_one_change_point_cost_kernel():
     # every search in changepoint.py sums once, at its top level, into
     # `s1, s2 = _prefix_sums(x)`, and only _segment_costs turns those sums

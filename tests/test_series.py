@@ -147,6 +147,17 @@ class TestOutlierCensus:
         assert (a.low_mild, a.high_mild, a.low_extreme, a.high_extreme) == (
             b.low_mild, b.high_mild, b.low_extreme, b.high_extreme)
 
+    @pytest.mark.parametrize("stat", [describe, outlier_census])
+    def test_non_finite_and_non_1d_samples_rejected(self, stat, rng):
+        # outlier_census once counted a NaN sample as all-zero counts with
+        # NaN quartiles
+        x = rng.standard_normal(300)
+        x[9] = np.nan
+        with pytest.raises(InputError, match="non-finite value at index 9"):
+            stat(x)
+        with pytest.raises(InputError, match=r"1-d array, got shape \(2, 150\)"):
+            stat(np.zeros((2, 150)))
+
     def test_extreme_never_exceeds_mild(self, rng):
         for _ in range(5):
             x = rng.standard_t(df=2, size=200)
