@@ -76,10 +76,20 @@ class ChangePointResult:
         return len(self.breaks)
 
 
+def _cost_input(values) -> np.ndarray:
+    """values as a finite 1-d array with length * max|x| at most sqrt(largest
+    float) / 4, so that no sum of squares of the cost or penalty overflows."""
+    x = finite_1d(values)
+    if x.size * np.abs(x).max(initial=0.0) > math.sqrt(np.finfo(float).max) / 4:
+        raise InputError(f"values as large as {np.abs(x).max():g} overflow the change-point "
+                         "sums of squares")
+    return x
+
+
 def segment_cost(values: Sequence[float] | np.ndarray) -> float:
     """Within-segment cost: sum of squared deviations about the segment mean,
     which equals length * population variance."""
-    x = np.asarray(values, dtype=float)
+    x = _cost_input(values)
     if x.size == 0:
         raise InputError("segment_cost: empty segment")
     d = x - x.mean()
@@ -89,22 +99,12 @@ def segment_cost(values: Sequence[float] | np.ndarray) -> float:
 def default_penalty(values: np.ndarray) -> float:
     """BIC-like default penalty 2 * sigma2_hat * log N with the noise variance
     estimated from first differences (Var(diff)/2)."""
-    x = np.asarray(values, dtype=float)
+    x = _cost_input(values)
     n = x.size
     if n < 3:
         return 0.0
     sigma2 = float(np.var(np.diff(x), ddof=1)) / 2.0
     return 2.0 * sigma2 * math.log(n)
-
-
-def _cost_input(values) -> np.ndarray:
-    """values as a finite 1-d array with length * max|x| at most sqrt(largest
-    float) / 4, so that no sum of squares of the cost or penalty overflows."""
-    x = finite_1d(values)
-    if x.size * np.abs(x).max(initial=0.0) > math.sqrt(np.finfo(float).max) / 4:
-        raise InputError(f"values as large as {np.abs(x).max():g} overflow the change-point "
-                         "sums of squares")
-    return x
 
 
 def _prefix_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -370,6 +370,8 @@ def pipeline_compare(
                 jobs.append((METHOD_LFD, local_d, local_diff.values, local_diff.burn_in))
             except InputError as exc:
                 skip.append((METHOD_LFD, f"local estimate failed: {exc}", math.nan))
+            except NumericalError as exc:
+                skip.append((METHOD_LFD, f"local estimate failed: numerical: {exc}", math.nan))
         cut = max((burn for *_, burn in jobs), default=0)
         for method, d_used, y_seg, _ in jobs:
             y_win = y_seg[cut:]

@@ -14,6 +14,7 @@ own DFA Hurst exponent (the q = 2 case) and GPH memory factor d.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import suppress
 from dataclasses import dataclass, replace
@@ -141,6 +142,23 @@ class PartitionFunction:
     tau_fa: np.ndarray
 
 
+@functools.lru_cache(maxsize=DEFAULT_N_SCALES)
+def _detrending_operator(s: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only design matrix of an order-m polynomial on s points and the
+    transpose of its pseudo-inverse, shared by every surface that uses scale s.
+
+    The abscissa is normalized to (0, 1] for conditioning. One scale grid's
+    worth of entries are kept, so the members of a surrogate ensemble, which
+    share their length and hence their grid, build each operator once.
+    """
+    u = (np.arange(1, s + 1, dtype=float)) / s
+    design = np.vander(u, order + 1, increasing=True)
+    pinv = np.linalg.pinv(design)
+    design.flags.writeable = False
+    pinv.flags.writeable = False
+    return design, pinv.T
+
+
 def _detrended_window_variances(profile: np.ndarray, s: int, order: int) -> np.ndarray:
     """Variance about an order-m polynomial fit in each window of size s.
 
@@ -152,13 +170,13 @@ def _detrended_window_variances(profile: np.ndarray, s: int, order: int) -> np.n
     fwd = profile[: t * s].reshape(t, s)
     bwd = profile[n - t * s:].reshape(t, s)[::-1]
     windows = np.concatenate([fwd, bwd], axis=0)
-    # shared design matrix on a normalized abscissa for conditioning
-    u = (np.arange(1, s + 1, dtype=float)) / s
-    design = np.vander(u, order + 1, increasing=True)
-    pinv = np.linalg.pinv(design)
-    coefs = windows @ pinv.T
-    resid = windows - coefs @ design.T
-    return np.mean(resid * resid, axis=1)
+    design, pinv_t = _detrending_operator(s, order)
+    # residuals and their squares overwrite the fit; the row sum over s is
+    # np.mean's pairwise sum and division, without its temporaries
+    fit = (windows @ pinv_t) @ design.T
+    np.subtract(windows, fit, out=fit)
+    np.multiply(fit, fit, out=fit)
+    return np.add.reduce(fit, axis=1) / s
 
 
 def _phi_column(sig2: np.ndarray, q_grid: np.ndarray, s: int) -> np.ndarray:

@@ -18,6 +18,8 @@ import numpy as np
 
 from .errors import InputError, finite_1d
 
+_UNIX_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()  # day 0 of datetime64[D]
+
 
 @dataclass(frozen=True)
 class TimeSeries:
@@ -94,45 +96,51 @@ def load_csv(path: str | Path, config: CsvConfig = CsvConfig()) -> TimeSeries:
     path = Path(path)
     if not path.exists():
         raise InputError(f"input file not found: {path}")
-    dates: list[dt.date] = []
+    days: list[int] = []  # proleptic Gregorian ordinals
     values: list[float] = []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
+            reader = csv.reader(fh)
+            header = next(reader, None) or []
             for col in (config.date_column, config.value_column):
                 if col not in header:
                     raise InputError(f"column '{col}' not found in {path} (header: {header})")
+            # csv.DictReader's rules: the last of a repeated name wins, a
+            # short row reads "" for the fields it lacks, blank rows are
+            # skipped, and line_num is the bad row's own (last) line, since
+            # DictReader re-reads it via its fieldnames property after the skip
+            i_date, i_val = (len(header) - 1 - header[::-1].index(col)
+                             for col in (config.date_column, config.value_column))
             for row in reader:
-                raw_date = (row.get(config.date_column) or "").strip()
-                raw_val = (row.get(config.value_column) or "").strip()
+                if not row:
+                    continue
+                line_num = reader.line_num
+                raw_date = row[i_date].strip() if i_date < len(row) else ""
+                raw_val = row[i_val].strip() if i_val < len(row) else ""
                 try:
                     if config.date_format is None:
                         date = dt.date.fromisoformat(raw_date)
                     else:
                         date = dt.datetime.strptime(raw_date, config.date_format).date()
                 except ValueError as exc:
-                    raise InputError(
-                        f"{path} line {reader.line_num}: bad date '{raw_date}' ({exc})"
-                    )
+                    raise InputError(f"{path} line {line_num}: bad date '{raw_date}' ({exc})")
                 try:
                     value = float(raw_val)
                 except ValueError:
-                    raise InputError(f"{path} line {reader.line_num}: bad value '{raw_val}'")
+                    raise InputError(f"{path} line {line_num}: bad value '{raw_val}'")
                 if not math.isfinite(value):
-                    raise InputError(
-                        f"{path} line {reader.line_num}: non-finite value '{raw_val}'"
-                    )
-                dates.append(date)
+                    raise InputError(f"{path} line {line_num}: non-finite value '{raw_val}'")
+                days.append(date.toordinal())
                 values.append(value)
     except OSError as exc:  # a directory, say, or no read permission
         raise InputError(f"cannot read input file {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot read input file {path}: not UTF-8 text ({exc.reason})") from exc
-    if len(dates) < 2:
-        raise InputError(f"{path}: need at least 2 rows, got {len(dates)}")
-    order = np.argsort(np.asarray(dates, dtype="datetime64[D]"), kind="stable")
-    ts = np.asarray(dates, dtype="datetime64[D]")[order]
+    if len(days) < 2:
+        raise InputError(f"{path}: need at least 2 rows, got {len(days)}")
+    day_numbers = np.asarray(days, dtype=np.int64)
+    order = np.argsort(day_numbers, kind="stable")
+    ts = (day_numbers[order] - _UNIX_EPOCH_ORDINAL).astype("datetime64[D]")
     vals = np.asarray(values, dtype=float)[order]
     dup = np.flatnonzero(ts[1:] == ts[:-1])
     if dup.size:

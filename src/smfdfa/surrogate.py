@@ -11,6 +11,7 @@ to linear correlation, or to nonlinear structure.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,11 +23,20 @@ KINDS = ("shuffle", "phase")
 DEFAULT_N_SURROGATES = 20
 
 
+# shortest series each kind accepts, and what it is needed for
+_MIN_LENGTH = {"shuffle": (2, "to shuffle"), "phase": (16, "for phase randomization")}
+
+
+def _check_length(n: int, kind: str) -> None:
+    minimum, purpose = _MIN_LENGTH[kind]
+    if n < minimum:
+        raise InputError(f"need at least {minimum} samples {purpose}, got {n}")
+
+
 def shuffle(series: np.ndarray, seed: int) -> np.ndarray:
     """Uniform random permutation of the values under the seeded generator."""
     x = np.asarray(series, dtype=float)
-    if x.size < 2:
-        raise InputError(f"need at least 2 samples to shuffle, got {x.size}")
+    _check_length(x.size, "shuffle")
     return np.random.default_rng(seed).permutation(x)
 
 
@@ -39,8 +49,7 @@ def phase_surrogate(series: np.ndarray, seed: int) -> np.ndarray:
     """
     x = np.asarray(series, dtype=float)
     n = x.size
-    if n < 16:
-        raise InputError(f"need at least 16 samples for phase randomization, got {n}")
+    _check_length(n, "phase")
     spectrum = np.fft.rfft(x)
     amplitude = np.abs(spectrum)
     rng = np.random.default_rng(seed)
@@ -52,11 +61,21 @@ def phase_surrogate(series: np.ndarray, seed: int) -> np.ndarray:
     return np.fft.irfft(rotated, n=n)
 
 
-def _member(series: np.ndarray, kind: str, seed: int, index: int) -> np.ndarray:
-    member_seed = seed ^ index
-    if kind == "shuffle":
-        return shuffle(series, member_seed)
-    return phase_surrogate(series, member_seed)
+class _Members(Sequence):
+    """Read-only sequence of surrogates of one series: member i is built
+    from generator seed seed^i each time it is accessed, so iterating holds
+    one member at a time."""
+
+    def __init__(self, series: np.ndarray, kind: str, seed: int, n: int):
+        self._series, self._kind, self._seed, self._n = series, kind, seed, n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index: int) -> np.ndarray:
+        i = range(self._n)[index]  # negative indices and bounds as in a tuple
+        build = shuffle if self._kind == "shuffle" else phase_surrogate
+        return build(self._series, self._seed ^ i)
 
 
 @dataclass(frozen=True)
@@ -64,19 +83,22 @@ class SurrogateEnsemble:
     kind: str
     n_surrogates: int
     seed: int
-    series: tuple[np.ndarray, ...]
+    series: Sequence[np.ndarray]
 
 
 def make_ensemble(series: np.ndarray, kind: str, n: int, seed: int) -> SurrogateEnsemble:
     """n independent surrogates; member i uses generator seed seed^i so the
-    ensemble is identical no matter how members are scheduled."""
+    ensemble is identical no matter how members are scheduled. Members are
+    built when accessed, from a read-only copy of the series."""
     if kind not in KINDS:
         raise InputError(f"kind must be one of {KINDS}, got {kind!r}")
     if n < 1:
         raise InputError(f"need at least 1 surrogate, got {n}")
-    x = np.asarray(series, dtype=float)
-    members = tuple(_member(x, kind, seed, i) for i in range(n))
-    return SurrogateEnsemble(kind=kind, n_surrogates=n, seed=seed, series=members)
+    x = np.array(series, dtype=float)
+    _check_length(x.size, kind)
+    x.flags.writeable = False
+    return SurrogateEnsemble(kind=kind, n_surrogates=n, seed=seed,
+                             series=_Members(x, kind, seed, n))
 
 
 @dataclass(frozen=True)

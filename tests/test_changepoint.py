@@ -356,6 +356,19 @@ class TestInputValidation:
         with pytest.raises(InputError, match="values as large as 2e\\+160 overflow"):
             detect(x)
 
+    @pytest.mark.parametrize("public", [segment_cost, default_penalty])
+    def test_public_cost_and_penalty_check_their_input(self, public, rng):
+        # they take input through the detectors' check: a NaN once gave nan,
+        # and values near 1e160 gave inf with an overflow warning
+        x = rng.standard_normal(300)
+        x[40] = np.nan
+        with pytest.raises(InputError, match="non-finite value at index 40"):
+            public(x)
+        with pytest.raises(InputError, match=r"1-d array, got shape \(2, 300\)"):
+            public(rng.standard_normal((2, 300)))
+        with pytest.raises(InputError, match="values as large as 2e\\+160 overflow"):
+            public(np.where(np.arange(200) % 2, 2e160, 1e160))
+
     @pytest.mark.parametrize("method", ["exact-dp", "binary-segmentation"])
     def test_large_values_within_bound_scale_exactly(self, method):
         # [TRIVIAL] scaling by a power of two is exact in floating point, so

@@ -528,6 +528,29 @@ class TestForecastCommand:
         assert rows[0]["method"] == "FD-NAR"
         assert rows[0]["segment"].endswith("::seg1")
 
+    def test_flat_regime_local_estimate_is_flagged_not_fatal(self, tmp_path, capsys):
+        # 600 noisy returns, 600 zero returns, 600 noisy returns: the prices
+        # of the middle regime are constant, so its GPH periodogram vanishes.
+        # That once aborted the run with exit 3; the LFD row is flagged
+        # instead and the noisy regimes are still scored.
+        rng = np.random.default_rng(0)
+        r = np.concatenate([rng.normal(0.0, 0.01, 600), np.zeros(600),
+                            rng.normal(0.0, 0.01, 600)])
+        path = write_price_csv(tmp_path / "flat.csv",
+                               100.0 * np.exp(np.concatenate([[0.0], np.cumsum(r)])))
+        out = tmp_path / "o"
+        assert main(["forecast", str(path), "--breaks", "manual:600,1200", "--method", "lfd",
+                     "--p", "2", "--hidden", "2", "--out", str(out)]) == 0
+        rows = read_csv_rows(out / "forecast.csv")
+        assert [(r["start"], r["stop"]) for r in rows] == [("0", "600"), ("600", "1200"),
+                                                           ("1200", "1801")]
+        assert rows[1]["skipped_reason"] == (
+            "local estimate failed: numerical: periodogram vanished at frequency index 1")
+        assert rows[1]["mape"] == "" and rows[1]["n_eval"] == "0"
+        for row in (rows[0], rows[2]):
+            assert row["skipped_reason"] == "" and float(row["mape"]) > 0
+        assert "numerical failure" not in capsys.readouterr().err
+
 
 # ---------------------------------------------------------------- process
 

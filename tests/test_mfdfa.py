@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smfdfa import (
     ChangePointConfig,
@@ -26,7 +28,24 @@ from smfdfa import (
     scaling_and_spectrum,
     to_fluctuations,
 )
+from smfdfa.mfdfa import _detrended_window_variances, _detrending_operator
 from conftest import integrate_magnitudes, make_series
+
+
+def reference_window_variances(profile: np.ndarray, s: int, order: int) -> np.ndarray:
+    """The detrending kernel as first written: a fresh design matrix and
+    pseudo-inverse per call, out-of-place residuals and np.mean."""
+    n = profile.size
+    t = n // s
+    fwd = profile[: t * s].reshape(t, s)
+    bwd = profile[n - t * s:].reshape(t, s)[::-1]
+    windows = np.concatenate([fwd, bwd], axis=0)
+    u = (np.arange(1, s + 1, dtype=float)) / s
+    design = np.vander(u, order + 1, increasing=True)
+    pinv = np.linalg.pinv(design)
+    coefs = windows @ pinv.T
+    resid = windows - coefs @ design.T
+    return np.mean(resid * resid, axis=1)
 
 
 class TestScaleGrid:
@@ -94,8 +113,6 @@ class TestFluctuationSurface:
         # [PAPER] 1000 samples at scale 300: floor gives 3 forward and 3
         # backward windows. The scale exceeds the quarter-length cap that
         # surface configs enforce, so the window helper is checked directly.
-        from smfdfa.mfdfa import _detrended_window_variances
-
         profile = np.cumsum(np.random.default_rng(0).standard_normal(1000))
         sig2 = _detrended_window_variances(profile, 300, order=1)
         assert sig2.size == 6
@@ -146,6 +163,32 @@ class TestFluctuationSurface:
         cfg1 = MfdfaConfig(q_grid=(2.0,), scale_grid=(8, 16, 32), detrend_order=1)
         surf1 = fluctuation_surface(values, cfg1)
         assert np.all(surf1.phi > 1e-3)
+
+
+class TestDetrendingKernel:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_bit_identical_to_reference_formula(self, data):
+        # [TRIVIAL] the cached operators and in-place residuals run the same
+        # GEMMs, subtraction, squares, pairwise row sums and division by s
+        # as the reference, so every variance matches it bit for bit
+        n = data.draw(st.integers(8, 3000), label="n")
+        order = data.draw(st.integers(1, 3), label="order")
+        s = data.draw(st.integers(order + 2, n), label="s")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        magnitude = data.draw(st.sampled_from([1e-12, 1e-3, 1.0, 1e4, 1e12]), label="magnitude")
+        profile = np.cumsum(np.random.default_rng(seed).standard_normal(n) * magnitude)
+        got = _detrended_window_variances(profile, s, order)
+        assert got.tobytes() == reference_window_variances(profile, s, order).tobytes()
+
+    def test_cached_operators_are_read_only(self):
+        design, pinv_t = _detrending_operator(64, 2)
+        assert design.shape == (64, 3) and pinv_t.shape == (64, 3)
+        for array in (design, pinv_t, pinv_t.base):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            pinv_t[0, 0] = 1.0
+        assert _detrending_operator(64, 2)[1] is pinv_t
 
 
 class TestGeneralizedHurst:

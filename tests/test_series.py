@@ -1,9 +1,15 @@
 """Ingestion, transforms and descriptive statistics."""
 
+import csv
+import datetime as dt
+import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from smfdfa import (
     CsvConfig,
@@ -61,6 +67,143 @@ class TestLoadCsv:
         with pytest.raises(InputError, match="nope.csv"):
             load_csv(tmp_path / "nope.csv")
 
+    def test_blank_lines_short_rows_and_repeated_names(self, tmp_path):
+        # [TRIVIAL] csv.DictReader's rules: the last "price" column wins, a
+        # short row reads "" for it, blank rows are skipped but counted in
+        # line numbers, and an error names the bad row's own line, not the
+        # first blank line before it
+        p = tmp_path / "b.csv"
+        p.write_text("date,price\n\n1990-01-01,x\n")
+        with pytest.raises(InputError, match="line 3: bad value 'x'"):
+            load_csv(p)
+        p = tmp_path / "g.csv"
+        p.write_text("date,price,price\n\n2000-01-02, 1 ,2\n2000-01-01,3,4,extra\n\n\n"
+                     "2000-01-03,5\n")
+        with pytest.raises(InputError, match="line 7: bad value ''"):
+            load_csv(p)
+        p.write_text("date,price,price\n\n2000-01-02, 1 ,2\n2000-01-01,3,4,extra\n\n")
+        series = load_csv(p)
+        np.testing.assert_array_equal(series.values, [4.0, 2.0])
+        assert series.timestamps.dtype == np.dtype("datetime64[D]")
+
+
+def reference_load_csv(path, config=CsvConfig()):
+    """The ingest loop as first written, on csv.DictReader, with one array
+    conversion of the dates per use."""
+    path = Path(path)
+    dates = []
+    values = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        for col in (config.date_column, config.value_column):
+            if col not in header:
+                raise InputError(f"column '{col}' not found in {path} (header: {header})")
+        for row in reader:
+            raw_date = (row.get(config.date_column) or "").strip()
+            raw_val = (row.get(config.value_column) or "").strip()
+            try:
+                if config.date_format is None:
+                    date = dt.date.fromisoformat(raw_date)
+                else:
+                    date = dt.datetime.strptime(raw_date, config.date_format).date()
+            except ValueError as exc:
+                raise InputError(f"{path} line {reader.line_num}: bad date '{raw_date}' ({exc})")
+            try:
+                value = float(raw_val)
+            except ValueError:
+                raise InputError(f"{path} line {reader.line_num}: bad value '{raw_val}'")
+            if not math.isfinite(value):
+                raise InputError(f"{path} line {reader.line_num}: non-finite value '{raw_val}'")
+            dates.append(date)
+            values.append(value)
+    if len(dates) < 2:
+        raise InputError(f"{path}: need at least 2 rows, got {len(dates)}")
+    order = np.argsort(np.asarray(dates, dtype="datetime64[D]"), kind="stable")
+    ts = np.asarray(dates, dtype="datetime64[D]")[order]
+    vals = np.asarray(values, dtype=float)[order]
+    dup = np.flatnonzero(ts[1:] == ts[:-1])
+    if dup.size:
+        raise InputError(f"{path}: duplicated date {ts[dup[0]]}")
+    return TimeSeries(timestamps=ts, values=vals, label=path.stem)
+
+
+DATE_FORMATS = (None, "%m/%d/%Y", "%Y%m%d")
+BAD_DATES = ("", "yesterday", "2021-02-30", "13/45/2020", "2020-1-1")
+BAD_VALUES = ("", "abc", "nan", "-inf", "1e400", "1,5")
+
+
+def padded(draw, text: str) -> str:
+    return draw(st.sampled_from(["", " ", "\t"])) + text + draw(st.sampled_from(["", "  "]))
+
+
+@st.composite
+def csv_documents(draw):
+    """(text, CsvConfig) pairs: a header drawn from a few names, repeats
+    allowed, then data rows that are blank, short, long or well formed,
+    with padded fields and some bad dates and values."""
+    date_format = draw(st.sampled_from(DATE_FORMATS))
+    value_column = draw(st.sampled_from(["price", "close"]))
+    header = draw(st.lists(st.sampled_from(["date", "price", "close", "note"]), max_size=5))
+    if draw(st.booleans()):
+        header += ["date", value_column]  # mostly loadable documents
+    dates = st.dates(dt.date(1990, 1, 1), dt.date(1990, 3, 1))
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        if draw(st.integers(0, 5)) == 0:
+            rows.append([])
+            continue
+        row = []
+        for name in header:
+            if name == "date" and draw(st.integers(0, 9)):
+                day = draw(dates)
+                row.append(padded(draw, day.isoformat() if date_format is None
+                                  else day.strftime(date_format)))
+            elif name == "date":
+                row.append(draw(st.sampled_from(BAD_DATES)))
+            elif name in ("price", "close") and draw(st.integers(0, 9)):
+                row.append(padded(draw, repr(draw(st.floats(-1e6, 1e6)))))
+            elif name in ("price", "close"):
+                row.append(draw(st.sampled_from(BAD_VALUES)))
+            else:
+                row.append(draw(st.sampled_from(["x", "a,b", "two\nlines", ""])))
+        cut = draw(st.integers(0, len(row) + 2))
+        rows.append(row[:cut] + ["extra"] * (cut - len(row)))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    if header or draw(st.booleans()):
+        writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue(), CsvConfig(value_column=value_column, date_format=date_format)
+
+
+def load_outcome(loader, path, config):
+    try:
+        series = loader(path, config)
+    except InputError as exc:
+        return str(exc)
+    return (series.timestamps.dtype, series.timestamps.tobytes(), series.values.tobytes(),
+            series.label)
+
+
+class TestLoadCsvMatchesDictReader:
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(csv_documents())
+    @example(("date,price\n\n\n1990-01-01,1\n1990-01-01,2\n", CsvConfig()))
+    @example(("date,price\n\n1990-01-01,x\n", CsvConfig()))
+    @example(("date,price\n1990-01-01,1\n\n\n1990-01-02\n", CsvConfig()))
+    @example(("\ndate,price\n1990-01-01,1\n", CsvConfig()))
+    @example(("", CsvConfig()))
+    def test_same_arrays_and_messages(self, tmp_path_factory, document):
+        # [DERIVED] the one-pass csv.reader loop against the DictReader loop
+        # it replaced: equal arrays, or the same InputError message, line
+        # numbers included
+        text, config = document
+        path = tmp_path_factory.getbasetemp() / "prices.csv"
+        path.write_text(text, newline="")
+        assert load_outcome(load_csv, path, config) == load_outcome(reference_load_csv, path,
+                                                                     config)
 
 class TestTimeSeries:
     def test_non_finite_value_rejected_with_position(self):

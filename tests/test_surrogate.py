@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from smfdfa.errors import InputError
-from smfdfa.mfdfa import MfdfaConfig, generate_cascade
+from smfdfa.mfdfa import MfdfaConfig, _detrending_operator, default_scale_grid, generate_cascade
 from smfdfa.serialize import clean, surrogate_to_dict
 from smfdfa.surrogate import (
     SurrogateComparison,
@@ -162,6 +162,29 @@ class TestMakeEnsemble:
         for i in range(3):
             np.testing.assert_array_equal(ens.series[i], phase_surrogate(x, 9 ^ i))
 
+    def test_members_are_a_read_only_sequence_built_on_access(self):
+        # [TRIVIAL] indexing, negative indexing and iteration all give
+        # member i = shuffle(x, seed ^ i); the sequence has no setter, and
+        # the ensemble keeps its own read-only copy of the series
+        x = np.arange(64, dtype=float)
+        ens = make_ensemble(x, kind="shuffle", n=5, seed=3)
+        x[:] = 0.0
+        expected = [shuffle(np.arange(64, dtype=float), 3 ^ i) for i in range(5)]
+        np.testing.assert_array_equal(ens.series[-1], expected[4])
+        assert len(ens.series) == 5
+        for got, want in zip(ens.series, expected, strict=True):
+            np.testing.assert_array_equal(got, want)
+        with pytest.raises(IndexError):
+            ens.series[5]
+        with pytest.raises(TypeError):
+            ens.series[0] = x
+
+    @pytest.mark.parametrize("kind, size, match", [("shuffle", 1, "at least 2"),
+                                                   ("phase", 15, "at least 16")])
+    def test_short_series_rejected_when_the_ensemble_is_made(self, kind, size, match):
+        with pytest.raises(InputError, match=match):
+            make_ensemble(np.arange(size, dtype=float), kind=kind, n=3, seed=0)
+
     def test_kind_validation(self):
         with pytest.raises(InputError, match="kind must be one of"):
             make_ensemble(np.arange(32, dtype=float), kind="wavelet", n=3, seed=0)
@@ -225,6 +248,17 @@ class TestSurrogateTest:
         c = surrogate_test(x, kind="phase", n=10, seed=2)
         assert c.kind == "phase"
         assert 0.0 < c.quantile <= 1.0
+
+    def test_detrending_operators_built_once_per_scale(self):
+        # [TRIVIAL] the original and its 10 members share one length, hence
+        # one scale grid: each scale's operator is built once, then reused
+        x = np.abs(ar1(4096, 0.5, seed=21)) + 1e-6
+        _detrending_operator.cache_clear()
+        surrogate_test(x, kind="shuffle", n=10, seed=5)
+        n_scales = len(default_scale_grid(4096))
+        info = _detrending_operator.cache_info()
+        assert info.misses == n_scales
+        assert info.hits == 10 * n_scales
 
     def test_minimum_count_guard(self):
         with pytest.raises(InputError, match="at least 10 surrogates"):
