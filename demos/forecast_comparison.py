@@ -12,8 +12,8 @@ anti-persistent (d = −0.2) at a known break, then compares:
 
 Scores are in-sample one-step MAPE on reintegrated levels.
 
-Run: python3 demos/forecast_comparison.py  (about half a minute: it trains
-eight small networks by full-batch Levenberg-Marquardt)
+Run: python3 demos/forecast_comparison.py  (7-10 s on a 2-core x86-64
+host: it trains eight small networks by full-batch Levenberg-Marquardt)
 """
 
 import numpy as np

@@ -53,6 +53,7 @@ from .serialize import (
     structured_report_to_dict,
     surface_rows,
     surrogate_rows,
+    surrogate_skipped_to_dict,
     surrogate_to_dict,
     write_csv,
     write_json,
@@ -305,11 +306,16 @@ def cmd_analyze(args) -> int:
     outliers = outlier_census(flucts)
     report = s_mfdfa(flucts, cp_cfg, mf_cfg, label=series.label)
 
-    comparison = None
+    comparison = surrogate_doc = None
     if args.surrogates:
-        comparison = surrogate_test(
-            flucts, args.surrogate_kind, args.surrogates, mf_cfg, args.seed
-        )
+        try:  # a flat regime zeroes a window: that skips the test, not the run
+            comparison = surrogate_test(flucts, args.surrogate_kind, args.surrogates, mf_cfg,
+                                        args.seed)
+        except NumericalError as exc:
+            surrogate_doc = surrogate_skipped_to_dict(args.surrogate_kind, args.surrogates,
+                                                      f"numerical: {exc}")
+        else:
+            surrogate_doc = surrogate_to_dict(comparison, asdict(mf_cfg))
 
     config = {"mfdfa": asdict(mf_cfg), "changepoint": asdict(cp_cfg)}
     doc = {
@@ -318,7 +324,7 @@ def cmd_analyze(args) -> int:
         "stats": stats_to_dict(stats, outliers),
         "structured": structured_report_to_dict(report),
         "segments": segment_entries(report),
-        "surrogate": surrogate_to_dict(comparison, asdict(mf_cfg)) if comparison else None,
+        "surrogate": surrogate_doc,
         "config": config,
     }
     analyzed = [s for s in report.segments if s.spectrum is not None]
@@ -348,6 +354,9 @@ def cmd_analyze(args) -> int:
         print(f"surrogate({comparison.kind}, n={len(comparison.surrogate_delta_alphas)}): "
               f"original delta_alpha={comparison.original_delta_alpha:.3f} "
               f"quantile={comparison.quantile:.3f}")
+    elif surrogate_doc:
+        print(f"surrogate({args.surrogate_kind}, n={args.surrogates}): skipped, "
+              f"{surrogate_doc['skipped_reason']}")
     return 0
 
 

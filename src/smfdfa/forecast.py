@@ -286,17 +286,24 @@ class ForecastReport:
         return out
 
 
-def _fitted_with_levels(
-    model: NarModel, y_win: np.ndarray, x_win: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fitted differenced values and their reintegrated level forecasts.
-
-    With teacher forcing the differencing history c_t = y_t - x_t is known
-    exactly from true values, so the level forecast is fitted_y - c_t.
+def _score_window(y_win: np.ndarray, x_win: np.ndarray, p: int, hidden_units: int, seed: int,
+                  train_config: TrainConfig, scale: str, evaluation: str):
+    """Train one network on a usable window of differenced values y_win
+    (levels x_win) and score its one-step fits: the window index of the
+    first scored sample, the scored actual and fitted values, and their
+    MAPE. With teacher forcing the differencing history y_t - x_t is known
+    exactly from true values, so a level forecast is fitted y_t minus it.
     """
-    rec = reconstruct(model, y_win)
-    c = y_win[model.p :] - x_win[model.p :]
-    return rec.fitted, rec.fitted - c
+    holdout = evaluation == "holdout"
+    split = int(0.8 * y_win.size) if holdout else y_win.size
+    model = train_nar(y_win[:split], p, hidden_units, seed, train_config)
+    first = split if holdout else p
+    fitted = reconstruct(model, y_win).fitted[first - p :]
+    actual = y_win[first:]
+    if scale == "levels":
+        fitted = fitted - (actual - x_win[first:])
+        actual = x_win[first:]
+    return first, actual, fitted, mape(actual, fitted)
 
 
 def pipeline_compare(
@@ -328,7 +335,7 @@ def pipeline_compare(
     actual/fitted traces.
     """
     x = series.values if isinstance(series, TimeSeries) else np.asarray(series, dtype=float)
-    label_base = series.label if isinstance(series, TimeSeries) else "series"
+    label_base = (series.label if isinstance(series, TimeSeries) else "") or "series"
     n = x.size
     if scale not in ("levels", "differenced"):
         raise InputError(f"scale must be 'levels' or 'differenced', got {scale!r}")
@@ -357,64 +364,42 @@ def pipeline_compare(
     for k, (a, b) in enumerate(zip(edges, edges[1:])):
         seg_label = f"{label_base}::seg{k + 1}"
         x_seg = x[a:b]
-        # (method, d_used, differenced segment, in-segment burn-in count)
-        jobs: list[tuple[str, float, np.ndarray, int]] = []
-        skip: list[tuple[str, str, float]] = []
+        # method -> (d_used, differenced segment, in-segment burn-in count),
+        # or the reason the method has no inputs on this segment
+        inputs: dict[str, tuple[float, np.ndarray, int] | str] = {}
         if METHOD_FD in methods:
-            jobs.append((METHOD_FD, global_d, global_diff.values[a:b],
-                         max(global_diff.burn_in - a, 0)))
+            inputs[METHOD_FD] = (global_d, global_diff.values[a:b],
+                                 max(global_diff.burn_in - a, 0))
         if METHOD_LFD in methods:
             try:
                 local_d = gph_estimate(x_seg).d_hat
                 local_diff = frac_diff(x_seg, local_d)
-                jobs.append((METHOD_LFD, local_d, local_diff.values, local_diff.burn_in))
+                inputs[METHOD_LFD] = (local_d, local_diff.values, local_diff.burn_in)
             except InputError as exc:
-                skip.append((METHOD_LFD, f"local estimate failed: {exc}", math.nan))
+                inputs[METHOD_LFD] = f"local estimate failed: {exc}"
             except NumericalError as exc:
-                skip.append((METHOD_LFD, f"local estimate failed: numerical: {exc}", math.nan))
-        cut = max((burn for *_, burn in jobs), default=0)
-        for method, d_used, y_seg, _ in jobs:
-            y_win = y_seg[cut:]
-            x_win = x_seg[cut:]
+                inputs[METHOD_LFD] = f"local estimate failed: numerical: {exc}"
+        cut = max((got[2] for got in inputs.values() if not isinstance(got, str)), default=0)
+        for method, got in inputs.items():
             for seed in seeds:
-                try:
-                    if evaluation == "holdout":
-                        split = int(0.8 * y_win.size)
-                        model = train_nar(y_win[:split], p, hidden_units, seed, train_config)
-                        lo = split - p
+                if isinstance(got, str):
+                    d_used, reason = math.nan, got
+                else:
+                    d_used = got[0]
+                    try:
+                        first, actual, fitted, score = _score_window(
+                            got[1][cut:], x_seg[cut:], p, hidden_units, seed, train_config,
+                            scale, evaluation)
+                    except InputError as exc:
+                        reason = str(exc)
                     else:
-                        model = train_nar(y_win, p, hidden_units, seed, train_config)
-                        lo = 0
-                    fitted_y, fitted_x = _fitted_with_levels(model, y_win, x_win)
-                    if scale == "levels":
-                        scored_actual, scored_fitted = x_win[p + lo :], fitted_x[lo:]
-                    else:
-                        scored_actual, scored_fitted = y_win[p + lo :], fitted_y[lo:]
-                    score = mape(scored_actual, scored_fitted)
-                    rows.append(
-                        ForecastRow(
-                            seg_label, method, d_used, score, seed,
-                            n_eval=scored_actual.size, start=a, stop=b,
-                            eval_start=a + cut + p + lo,
-                            actual=tuple(float(v) for v in scored_actual),
-                            fitted=tuple(float(v) for v in scored_fitted),
-                        )
-                    )
-                except InputError as exc:
-                    rows.append(
-                        ForecastRow(
-                            seg_label, method, d_used, math.nan, seed,
-                            n_eval=0, start=a, stop=b, skipped_reason=str(exc),
-                        )
-                    )
-        for method, reason, d_used in skip:
-            for seed in seeds:
-                rows.append(
-                    ForecastRow(
-                        seg_label, method, d_used, math.nan, seed,
-                        n_eval=0, start=a, stop=b, skipped_reason=reason,
-                    )
-                )
+                        rows.append(ForecastRow(
+                            seg_label, method, d_used, score, seed, n_eval=actual.size,
+                            start=a, stop=b, eval_start=a + cut + first,
+                            actual=tuple(actual.tolist()), fitted=tuple(fitted.tolist())))
+                        continue
+                rows.append(ForecastRow(seg_label, method, d_used, math.nan, seed, n_eval=0,
+                                        start=a, stop=b, skipped_reason=reason))
     if not any(r.skipped_reason is None for r in rows):
         raise InputError("no segment was long enough to train on")
     return ForecastReport(rows=tuple(rows), scale=scale)

@@ -193,6 +193,11 @@ def surrogate_to_dict(cmp_: SurrogateComparison, mf_config: dict) -> dict:
     return {**asdict(cmp_), "mf_config": mf_config}
 
 
+def surrogate_skipped_to_dict(kind: str, n: int, reason: str) -> dict:
+    """The surrogate entry of a test that could not run, and why."""
+    return {"kind": kind, "n": n, "skipped_reason": reason}
+
+
 def surrogate_rows(cmp_: SurrogateComparison) -> Iterator[tuple]:
     return enumerate(cmp_.surrogate_delta_alphas)
 

@@ -336,6 +336,45 @@ class TestAnalyze:
         assert flagged == [flat[0]["label"]]
         assert "numerical failure" not in capsys.readouterr().err
 
+    def test_flat_regime_skips_the_surrogate_test_not_the_run(self, tmp_path, capsys):
+        # The whole-series surrogate test runs MF-DFA over the flat regime
+        # too and fails there numerically. That once aborted the run with
+        # exit 3; now report.json names the failure, surrogate.csv is not
+        # written, and every other output is the same as without the test.
+        # Too few surrogates is still an input error, and the surrogate
+        # command, whose whole run is the test, still fails.
+        rng = np.random.default_rng(0)
+        r = np.concatenate([rng.normal(0.0, 0.01, 600), np.zeros(600),
+                            rng.normal(0.0, 0.01, 600)])
+        path = write_price_csv(tmp_path / "flat.csv",
+                               100.0 * np.exp(np.concatenate([[0.0], np.cumsum(r)])))
+        plain, tested = tmp_path / "plain", tmp_path / "tested"
+        assert main(["analyze", str(path), "--out", str(plain)]) == 0
+        plain_out = capsys.readouterr().out
+        assert main(["analyze", str(path), "--surrogates", "10", "--out", str(tested)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        entry = json.loads((tested / "report.json").read_text())["surrogate"]
+        reason = "numerical: window variance is exactly 0 at (s=23, gamma=112)"
+        assert entry["kind"] == "shuffle" and entry["n"] == 10
+        assert entry["skipped_reason"].startswith(reason)
+        assert set(entry) == {"kind", "n", "skipped_reason"}
+        assert out.startswith(plain_out)
+        assert out[len(plain_out):] == (
+            f"surrogate(shuffle, n=10): skipped, {entry['skipped_reason']}\n")
+        plain_files, tested_files = tree_digest(plain), tree_digest(tested)
+        assert "surrogate.csv" not in tested_files
+        for name in ("report.json", "manifest.json"):
+            del plain_files[name], tested_files[name]
+        assert tested_files == plain_files
+        assert main(["analyze", str(path), "--surrogates", "5", "--out",
+                     str(tmp_path / "few")]) == 2
+        assert main(["surrogate", str(path), "--n", "10", "--out", str(tmp_path / "s")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "input error: need at least 10 surrogates for a quantile, got 5",
+            "numerical failure: " + entry["skipped_reason"].removeprefix("numerical: "),
+        ]
+
     def test_flagged_regime_reports_no_hurst(self, tmp_path, capsys):
         # With this draw the detected flat regime (599..1200) starts with
         # one noisy fluctuation: its MF-DFA is flagged numerical, and a

@@ -4,6 +4,7 @@ pipeline for global vs per-segment fractional differencing.
 Oracle notes per test are tagged [TRIVIAL] / [DERIVED] as in conftest.py.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from smfdfa.forecast import (
     reconstruct,
     train_nar,
 )
-from smfdfa.longmemory import arfima_generate
+from smfdfa.longmemory import arfima_generate, frac_diff, gph_estimate
 from smfdfa.serialize import forecast_report_to_dict
 
 FAST_TRAIN = TrainConfig(max_iterations=60)
@@ -119,6 +120,74 @@ def reference_train_nar(x: np.ndarray, p: int, h: int, seed: int, config: TrainC
             break
     return (theta[: h * p].reshape(h, p), theta[h * p : h * p + h],
             theta[h * p + h : h * p + 2 * h], theta[-1:], np.array(trace))
+
+
+def reference_pipeline_compare(x, breaks, p, h, seeds, config, scale, methods, evaluation):
+    """Reference: the regime loop as first written, with one list of
+    scored jobs and one of skipped methods, three row construction sites,
+    and level forecasts reintegrated as fitted minus the differencing
+    history over the whole window before slicing. Input checks are left
+    out; pipeline_compare must return the same rows in the same order."""
+    edges = (0, *breaks, x.size)
+    if METHOD_FD in methods:
+        global_d = gph_estimate(x).d_hat
+        global_diff = frac_diff(x, global_d)
+    rows = []
+    for k, (a, b) in enumerate(zip(edges, edges[1:])):
+        seg_label = f"series::seg{k + 1}"
+        x_seg = x[a:b]
+        jobs, skip = [], []
+        if METHOD_FD in methods:
+            jobs.append((METHOD_FD, global_d, global_diff.values[a:b],
+                         max(global_diff.burn_in - a, 0)))
+        if METHOD_LFD in methods:
+            try:
+                local_d = gph_estimate(x_seg).d_hat
+                local_diff = frac_diff(x_seg, local_d)
+                jobs.append((METHOD_LFD, local_d, local_diff.values, local_diff.burn_in))
+            except InputError as exc:
+                skip.append((METHOD_LFD, f"local estimate failed: {exc}", math.nan))
+            except NumericalError as exc:
+                skip.append((METHOD_LFD, f"local estimate failed: numerical: {exc}", math.nan))
+        cut = max((burn for *_, burn in jobs), default=0)
+        for method, d_used, y_seg, _ in jobs:
+            y_win = y_seg[cut:]
+            x_win = x_seg[cut:]
+            for seed in seeds:
+                try:
+                    if evaluation == "holdout":
+                        split = int(0.8 * y_win.size)
+                        model = train_nar(y_win[:split], p, h, seed, config)
+                        lo = split - p
+                    else:
+                        model = train_nar(y_win, p, h, seed, config)
+                        lo = 0
+                    fitted_y = reconstruct(model, y_win).fitted
+                    fitted_x = fitted_y - (y_win[p:] - x_win[p:])
+                    if scale == "levels":
+                        scored_actual, scored_fitted = x_win[p + lo :], fitted_x[lo:]
+                    else:
+                        scored_actual, scored_fitted = y_win[p + lo :], fitted_y[lo:]
+                    score = mape(scored_actual, scored_fitted)
+                    rows.append(ForecastRow(
+                        seg_label, method, d_used, score, seed,
+                        n_eval=scored_actual.size, start=a, stop=b,
+                        eval_start=a + cut + p + lo,
+                        actual=tuple(float(v) for v in scored_actual),
+                        fitted=tuple(float(v) for v in scored_fitted),
+                    ))
+                except InputError as exc:
+                    rows.append(ForecastRow(
+                        seg_label, method, d_used, math.nan, seed,
+                        n_eval=0, start=a, stop=b, skipped_reason=str(exc),
+                    ))
+        for method, reason, d_used in skip:
+            for seed in seeds:
+                rows.append(ForecastRow(
+                    seg_label, method, d_used, math.nan, seed,
+                    n_eval=0, start=a, stop=b, skipped_reason=reason,
+                ))
+    return rows
 
 
 def bits(a) -> np.ndarray:
@@ -435,6 +504,12 @@ class TestPipelineCompare:
         )
         assert [r.segment_label for r in report.rows] == ["demo::seg1", "demo::seg2"]
         assert [(r.start, r.stop) for r in report.rows] == [(0, 512), (512, 1024)]
+        # an unlabelled series takes the same default as s_mfdfa's regimes
+        unlabelled = pipeline_compare(
+            make_series(longmemory_series, label=""), breaks=[512], p=3, hidden_units=6,
+            seeds=(0,), methods=(METHOD_FD,), train_config=FAST_TRAIN,
+        )
+        assert [r.segment_label for r in unlabelled.rows] == ["series::seg1", "series::seg2"]
 
     def test_break_validation(self, longmemory_series):
         with pytest.raises(InputError, match="strictly inside"):
@@ -516,6 +591,50 @@ class TestPipelineCompare:
         )
         assert [r.seed for r in report.rows] == [0, 1, 2]
         assert len({r.mape for r in report.rows}) > 1  # different nets, different fits
+
+    @pytest.mark.parametrize("evaluation", ["in-sample", "holdout"])
+    @pytest.mark.parametrize("scale", ["levels", "differenced"])
+    def test_methods_share_each_segments_scored_window(self, longmemory_series, scale,
+                                                        evaluation):
+        # [TRIVIAL] within a segment one cut (the widest burn-in) applies to
+        # every method, so every (method, seed) row scores the same
+        # observations; on the level scale they are the same actuals.
+        report = pipeline_compare(
+            longmemory_series, [512], p=2, hidden_units=3, seeds=(0, 1),
+            train_config=FAST_TRAIN, scale=scale, evaluation=evaluation,
+        )
+        assert all(r.skipped_reason is None for r in report.rows)
+        for start in (0, 512):
+            seg = [r for r in report.rows if r.start == start]
+            assert [(r.method, r.seed) for r in seg] == [
+                (METHOD_FD, 0), (METHOD_FD, 1), (METHOD_LFD, 0), (METHOD_LFD, 1)]
+            assert len({(r.eval_start, r.n_eval) for r in seg}) == 1
+            if scale == "levels":
+                assert len({r.actual for r in seg}) == 1
+
+    def test_rows_equal_reference_loop(self):
+        # [DERIVED] every field of every row, traces included, equals the
+        # reference loop's, in the same order, for each method set, both
+        # evaluations and both scales. The 50-sample tail segment gives
+        # both kinds of skipped row: a failed local estimate (LFD) and a
+        # window too short to train on (FD).
+        x = 100.0 + arfima_generate(0.25, 400, seed=3)
+        kinds = set()
+        for methods in [(METHOD_FD,), (METHOD_LFD,), (METHOD_FD, METHOD_LFD)]:
+            for evaluation in ("in-sample", "holdout"):
+                for scale in ("levels", "differenced"):
+                    args = ([350], 2, 3, (0, 1), FAST_TRAIN, scale, methods, evaluation)
+                    got = pipeline_compare(x, *args).rows
+                    want = reference_pipeline_compare(x, *args)
+                    assert len(got) == len(want) == 4 * len(methods)
+                    for g, w in zip(got, want):
+                        for f in dataclasses.fields(ForecastRow):
+                            gv, wv = getattr(g, f.name), getattr(w, f.name)
+                            # a skipped row's NaN mape and d_used match as NaN
+                            assert gv == wv or (gv != gv and wv != wv), f.name
+                    kinds.update(r.skipped_reason.split(" ")[0] if r.skipped_reason
+                                 else "scored" for r in got)
+        assert kinds == {"scored", "local", "need"}
 
 
 class TestForecastReport:
