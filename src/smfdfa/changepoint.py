@@ -230,7 +230,6 @@ def _dp_capped(x: np.ndarray, theta: float, ms: int, hmax: int) -> list[int]:
     penalized objective (ties to the smaller count)."""
     n = x.size
     s1, s2 = _prefix_sums(x)
-    hmax = max(min(hmax, n // ms - 1), 0)
     # cost[k][j]: best unpenalized cost of x[:j] split into k+1 segments
     cost = np.full((hmax + 1, n + 1), np.inf)
     back = np.zeros((hmax + 1, n + 1), dtype=int)

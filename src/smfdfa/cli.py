@@ -1,14 +1,16 @@
 """Command-line orchestration.
 
 Subcommands: analyze (full structured pipeline), changepoints, mfdfa
-(whole-series analysis), surrogate, forecast, synth. Each handler computes
-everything first and then hands its JSON documents and CSV tables to one
-writer, _emit, which creates --out, writes the documents, writes the tables
-unless --format json, and writes a manifest.json recording the command,
-input, fully resolved configuration, seed, format, package version and the
-sorted names of exactly the files it wrote. A run that fails before _emit
-therefore writes nothing; a write that fails inside --out is an input error
-naming the file, and no manifest.json follows it. Identical invocations
+(whole-series analysis), surrogate, forecast, synth. main is the one run
+path: it loads the --config file and then the input CSV, calls the
+subcommand's handler, which only computes, hands the result to one writer,
+_emit, and prints the handler's summary once _emit returns. _emit creates
+--out, writes the JSON documents, writes the CSV tables unless --format
+json, and writes a manifest.json recording the command, input, fully
+resolved configuration, seed, format, package version and the sorted names
+of exactly the files it wrote. A run that fails before _emit writes
+nothing; a write that fails inside --out is an input error naming the file,
+and neither manifest.json nor the summary follows it. Identical invocations
 produce byte-identical outputs. Exit codes: 0 success, 2 input or usage
 error, 3 numerical failure.
 """
@@ -26,7 +28,7 @@ import numpy as np
 from . import __version__
 from .changepoint import ChangePointConfig, detect_multiple
 from .errors import InputError, NumericalError
-from .forecast import DEFAULT_HIDDEN, DEFAULT_LAGS, pipeline_compare
+from .forecast import DEFAULT_HIDDEN, DEFAULT_LAGS, METHOD_FD, METHOD_LFD, pipeline_compare
 from .longmemory import arfima_generate, fgn_generate
 from .mfdfa import MIN_SPECTRUM_Q, MfdfaConfig, analyze_segment, generate_cascade, s_mfdfa
 from .serialize import (
@@ -68,6 +70,7 @@ CONFIG_KEYS = frozenset({
     "q_grid", "scale_grid", "detrend_order", "regression_range", "penalty",
     "max_breaks", "min_segment", "cp_method", "p", "hidden_units",
 })
+Run = tuple[dict, dict, dict, str]  # a handler's (config, docs, tables, summary)
 
 
 def _add_common(p: argparse.ArgumentParser, reads_input: bool = True):
@@ -165,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shift", type=float, default=3.0, help="step: mean shift")
     p.add_argument("--offset", type=float, default=0.0, help="constant added to the values")
     # synth has no input, reads no config file and always writes CSV
-    p.set_defaults(handler=cmd_synth, input=None, format="csv")
+    p.set_defaults(handler=cmd_synth, input=None, config=None, format="csv")
     return parser
 
 
@@ -250,6 +253,8 @@ def _cp_config(args, file_cfg: dict) -> ChangePointConfig:
 
 
 def _load_series(args):
+    if args.input is None:  # synth reads no input
+        return None
     cfg = CsvConfig(
         date_column=args.date_column or "date",
         value_column=args.value_column or "price",
@@ -262,9 +267,9 @@ def _emit(args, config: dict, docs: dict, tables: dict) -> None:
     """Write one run's outputs to --out: each JSON document of docs (file
     name -> object), each CSV table of tables (file name -> (header, rows))
     unless --format json, and manifest.json naming exactly those files.
-    Handlers call it once everything is computed, so a run that fails
-    before it writes nothing; a failed write is an input error naming the
-    file, and writes no manifest. Rows may be lazy, so a JSON-only run
+    main calls it once the handler has computed everything, so a run that
+    fails before it writes nothing; a failed write is an input error naming
+    the file, and writes no manifest. Rows may be lazy, so a JSON-only run
     builds none."""
     out = Path(args.out)
     try:
@@ -289,19 +294,20 @@ def _emit(args, config: dict, docs: dict, tables: dict) -> None:
         raise InputError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def _analysis_values(args, series) -> np.ndarray:
-    if args.transform == "values":
-        return series.values
-    return to_fluctuations(series)
+def _transformed(series, transform: str = "returns"):
+    """(values, timestamps) analysed for series: its raw values, or its
+    fluctuations, where fluctuation i is the return realized at
+    observation i + 1."""
+    if transform == "values":
+        return series.values, series.timestamps
+    return to_fluctuations(series), series.timestamps[1:]
 
 
-def cmd_analyze(args) -> int:
-    file_cfg = _load_config_file(args)
-    series = _load_series(args)
+def cmd_analyze(args, file_cfg: dict, series) -> Run:
     mf_cfg = _mf_config(args, file_cfg)
     cp_cfg = _cp_config(args, file_cfg)
 
-    flucts = to_fluctuations(series)
+    flucts, timestamps = _transformed(series)
     stats = describe(flucts)
     outliers = outlier_census(flucts)
     report = s_mfdfa(flucts, cp_cfg, mf_cfg, label=series.label)
@@ -335,55 +341,46 @@ def cmd_analyze(args) -> int:
         "spectra.csv": (SPECTRUM_HEADER,
                         (r for s in analyzed for r in spectrum_rows(s.label, s.spectrum))),
         "changepoints.csv": (CHANGEPOINT_HEADER,
-                             changepoint_rows(report.changepoints, series.timestamps[1:])),
+                             changepoint_rows(report.changepoints, timestamps)),
         "segments.csv": (SEGMENTS_HEADER, segment_rows(report)),
     }
     if comparison:
         tables["surrogate.csv"] = (SURROGATE_HEADER, surrogate_rows(comparison))
-    _emit(args, config, {"report.json": doc}, tables)
 
-    print(f"series {series.label}: n={series.values.size}, "
-          f"{report.changepoints.n_breaks} break(s) at offsets "
-          f"{[int(o) for o in report.changepoints.offsets]}")
-    print(f"{'segment':<24} {'start':>6} {'stop':>6} {'d_alpha':>8} {'d_hat':>8} {'hurst':>7}")
+    lines = [
+        f"series {series.label}: n={series.values.size}, "
+        f"{report.changepoints.n_breaks} break(s) at offsets "
+        f"{[int(o) for o in report.changepoints.offsets]}",
+        f"{'segment':<24} {'start':>6} {'stop':>6} {'d_alpha':>8} {'d_hat':>8} {'hurst':>7}",
+    ]
     for e in doc["segments"]:
         da, dh, hu = ("-" if e[k] is None else f"{e[k]:.3f}"
                       for k in ("delta_alpha", "d_hat", "hurst_dfa"))
-        print(f"{e['label']:<24} {e['start']:>6} {e['stop']:>6} {da:>8} {dh:>8} {hu:>7}")
+        lines.append(f"{e['label']:<24} {e['start']:>6} {e['stop']:>6} {da:>8} {dh:>8} {hu:>7}")
     if comparison:
-        print(f"surrogate({comparison.kind}, n={len(comparison.surrogate_delta_alphas)}): "
-              f"original delta_alpha={comparison.original_delta_alpha:.3f} "
-              f"quantile={comparison.quantile:.3f}")
+        lines.append(f"surrogate({comparison.kind}, n={len(comparison.surrogate_delta_alphas)}): "
+                     f"original delta_alpha={comparison.original_delta_alpha:.3f} "
+                     f"quantile={comparison.quantile:.3f}")
     elif surrogate_doc:
-        print(f"surrogate({args.surrogate_kind}, n={args.surrogates}): skipped, "
-              f"{surrogate_doc['skipped_reason']}")
-    return 0
+        lines.append(f"surrogate({args.surrogate_kind}, n={args.surrogates}): skipped, "
+                     f"{surrogate_doc['skipped_reason']}")
+    return config, {"report.json": doc}, tables, "\n".join(lines)
 
 
-def cmd_changepoints(args) -> int:
-    file_cfg = _load_config_file(args)
-    series = _load_series(args)
+def cmd_changepoints(args, file_cfg: dict, series) -> Run:
     cp_cfg = _cp_config(args, file_cfg)
-    if args.transform == "values":
-        values, timestamps = series.values, series.timestamps
-    else:
-        values = to_fluctuations(series)
-        # fluctuation i is the return realized at observation i + 1
-        timestamps = series.timestamps[1:]
+    values, timestamps = _transformed(series, args.transform)
     result = detect_multiple(values, cp_cfg)
-    _emit(args, asdict(result.config_used),
-          {"changepoints.json": changepoints_to_dict(result, timestamps)},
-          {"changepoints.csv": (CHANGEPOINT_HEADER, changepoint_rows(result, timestamps))})
-    print(f"{result.n_breaks} break(s); offsets {[int(o) for o in result.offsets]}; "
-          f"total cost {result.total_cost:.6g}")
-    return 0
+    return (asdict(result.config_used),
+            {"changepoints.json": changepoints_to_dict(result, timestamps)},
+            {"changepoints.csv": (CHANGEPOINT_HEADER, changepoint_rows(result, timestamps))},
+            f"{result.n_breaks} break(s); offsets {[int(o) for o in result.offsets]}; "
+            f"total cost {result.total_cost:.6g}")
 
 
-def cmd_mfdfa(args) -> int:
-    file_cfg = _load_config_file(args)
-    series = _load_series(args)
+def cmd_mfdfa(args, file_cfg: dict, series) -> Run:
     mf_cfg = _mf_config(args, file_cfg)
-    values = _analysis_values(args, series)
+    values, _ = _transformed(series, args.transform)
     surface, curve, spectrum = analyze_segment(values, mf_cfg)
     doc = {
         "series": series.label,
@@ -393,30 +390,25 @@ def cmd_mfdfa(args) -> int:
         "spectrum": spectrum_to_dict(spectrum),
         "config": asdict(mf_cfg),
     }
-    _emit(args, doc["config"], {"report.json": doc}, {
+    return doc["config"], {"report.json": doc}, {
         "surface.csv": (SURFACE_HEADER, surface_rows(series.label, surface)),
         "hurst.csv": (HURST_HEADER, hurst_rows(series.label, curve)),
         "spectrum.csv": (SPECTRUM_HEADER, spectrum_rows(series.label, spectrum)),
-    })
-    print(f"series {series.label}: n={values.size}, delta_alpha={spectrum.delta_alpha:.4f}, "
-          f"rho(min q)={curve.rho[0]:.4f}, rho(max q)={curve.rho[-1]:.4f}")
-    return 0
+    }, (f"series {series.label}: n={values.size}, delta_alpha={spectrum.delta_alpha:.4f}, "
+        f"rho(min q)={curve.rho[0]:.4f}, rho(max q)={curve.rho[-1]:.4f}")
 
 
-def cmd_surrogate(args) -> int:
-    file_cfg = _load_config_file(args)
-    series = _load_series(args)
+def cmd_surrogate(args, file_cfg: dict, series) -> Run:
     mf_cfg = _mf_config(args, file_cfg)
-    values = _analysis_values(args, series)
+    values, _ = _transformed(series, args.transform)
     comparison = surrogate_test(values, args.kind, args.n, mf_cfg, args.seed)
     doc = surrogate_to_dict(comparison, asdict(mf_cfg))
-    _emit(args, {"mfdfa": doc["mf_config"], "kind": args.kind, "n": args.n},
-          {"surrogate.json": doc},
-          {"surrogate.csv": (SURROGATE_HEADER, surrogate_rows(comparison))})
-    print(f"original delta_alpha={comparison.original_delta_alpha:.4f}, "
-          f"quantile={comparison.quantile:.3f} over {len(comparison.surrogate_delta_alphas)} "
-          f"surrogates ({comparison.n_failed} failed)")
-    return 0
+    return ({"mfdfa": doc["mf_config"], "kind": args.kind, "n": args.n},
+            {"surrogate.json": doc},
+            {"surrogate.csv": (SURROGATE_HEADER, surrogate_rows(comparison))},
+            f"original delta_alpha={comparison.original_delta_alpha:.4f}, "
+            f"quantile={comparison.quantile:.3f} over {len(comparison.surrogate_delta_alphas)} "
+            f"surrogates ({comparison.n_failed} failed)")
 
 
 def _parse_breaks(args, series, cp_cfg) -> list[int]:
@@ -424,7 +416,7 @@ def _parse_breaks(args, series, cp_cfg) -> list[int]:
     if spec_str == "none":
         return []
     if spec_str == "auto":
-        result = detect_multiple(to_fluctuations(series), cp_cfg)
+        result = detect_multiple(_transformed(series)[0], cp_cfg)
         # fluctuation offset f marks the first fluctuation of a new regime,
         # which is driven by the value at position f + 1
         return [f + 1 for f in result.offsets]
@@ -437,12 +429,11 @@ def _parse_breaks(args, series, cp_cfg) -> list[int]:
     raise InputError(f"--breaks must be 'auto', 'none' or 'manual:i,j,...', got {spec_str!r}")
 
 
-def cmd_forecast(args) -> int:
-    file_cfg = _load_config_file(args)
-    series = _load_series(args)
+def cmd_forecast(args, file_cfg: dict, series) -> Run:
     cp_cfg = _cp_config(args, file_cfg)
     breaks = _parse_breaks(args, series, cp_cfg)
-    methods = {"both": ("FD-NAR", "LFD-NAR"), "fd": ("FD-NAR",), "lfd": ("LFD-NAR",)}[args.method]
+    methods = {"both": (METHOD_FD, METHOD_LFD), "fd": (METHOD_FD,),
+               "lfd": (METHOD_LFD,)}[args.method]
     p = _pick(args.p, file_cfg, "p", DEFAULT_LAGS, int)
     hidden = _pick(args.hidden, file_cfg, "hidden_units", DEFAULT_HIDDEN, int)
     report = pipeline_compare(
@@ -456,18 +447,19 @@ def cmd_forecast(args) -> int:
     }
     doc = forecast_report_to_dict(report)
     doc["config"] = config_snapshot
-    _emit(args, config_snapshot, {"report.json": doc}, {
+    summary = "\n".join(
+        f"{method}: mean MAPE {value:.4f}% over "
+        f"{sum(1 for r in report.rows if r.method == method and not r.skipped_reason)} "
+        f"segment row(s)"
+        for method, value in sorted(report.aggregate().items())
+    )
+    return config_snapshot, {"report.json": doc}, {
         "forecast.csv": (FORECAST_HEADER, forecast_rows(report)),
         "fitted.csv": (FITTED_HEADER, fitted_rows(report)),
-    })
-    for method, value in sorted(report.aggregate().items()):
-        print(f"{method}: mean MAPE {value:.4f}% over "
-              f"{sum(1 for r in report.rows if r.method == method and not r.skipped_reason)} "
-              f"segment row(s)")
-    return 0
+    }, summary
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args, file_cfg: dict, series) -> Run:
     rng_seed = args.seed
     if args.kind == "cascade":
         values = generate_cascade(
@@ -495,10 +487,9 @@ def cmd_synth(args) -> int:
     values = values + args.offset
     params["offset"] = args.offset
     dates = SYNTH_START_DATE + np.arange(values.size)
-    _emit(args, params, {},
-          {"series.csv": (("date", "price"), ((str(d), float(v)) for d, v in zip(dates, values)))})
-    print(f"wrote {values.size} rows of kind {args.kind!r} to {Path(args.out) / 'series.csv'}")
-    return 0
+    return params, {}, {
+        "series.csv": (("date", "price"), ((str(d), float(v)) for d, v in zip(dates, values))),
+    }, f"wrote {values.size} rows of kind {args.kind!r} to {Path(args.out) / 'series.csv'}"
 
 
 def main(argv=None) -> int:
@@ -507,13 +498,18 @@ def main(argv=None) -> int:
     if args.seed < 0:  # NumPy's generators take only non-negative seeds
         parser.error(f"argument --seed: must be a non-negative integer, got {args.seed}")
     try:
-        return args.handler(args)
+        file_cfg = _load_config_file(args)
+        series = _load_series(args)
+        config, docs, tables, summary = args.handler(args, file_cfg, series)
+        _emit(args, config, docs, tables)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    print(summary)
+    return 0
 
 
 if __name__ == "__main__":

@@ -197,13 +197,27 @@ class TestErrorPaths:
             assert (out / "manifest.json").exists()
 
     def test_failed_write_inside_out_exits_2(self, price_csv, tmp_path, capsys):
-        # a write that fails after --out exists names its file, and no
-        # manifest claims the run complete
-        out = tmp_path / "o"
-        (out / "hurst.csv").mkdir(parents=True)
-        assert main(["mfdfa", str(price_csv), "--out", str(out)]) == 2
-        assert f"input error: cannot write {out / 'hurst.csv'}" in capsys.readouterr().err
-        assert not (out / "manifest.json").exists()
+        # a write that fails after --out exists names its file, prints no
+        # summary, and no manifest claims the run complete; each subcommand
+        # is blocked at the first file it writes, mfdfa also at a later one
+        cases = (
+            (["analyze", str(price_csv)], "report.json"),
+            (["changepoints", str(price_csv)], "changepoints.json"),
+            (["mfdfa", str(price_csv)], "report.json"),
+            (["mfdfa", str(price_csv)], "hurst.csv"),
+            (["surrogate", str(price_csv), "--n", "10"], "surrogate.json"),
+            (["forecast", str(price_csv), "--breaks", "none", "--method", "fd",
+              "--p", "2", "--hidden", "2"], "report.json"),
+            (["synth", "step", "--n", "100"], "series.csv"),
+        )
+        for i, (argv, blocked) in enumerate(cases):
+            out = tmp_path / f"o{i}"
+            (out / blocked).mkdir(parents=True)
+            assert main([*argv, "--out", str(out)]) == 2, argv
+            captured = capsys.readouterr()
+            assert f"input error: cannot write {out / blocked}" in captured.err, argv
+            assert captured.out == "", argv
+            assert not (out / "manifest.json").exists(), argv
 
     def test_failed_runs_leave_no_out_directory(self, price_csv, tmp_path):
         # handlers compute everything before the one writer runs, so a run
@@ -483,6 +497,33 @@ class TestChangepoints:
         rows = read_csv_rows(out / "changepoints.csv")
         assert set(rows[0]) == {"break_number", "first_index_of_new_regime",
                                 "offset", "timestamp"}
+
+    def test_fluctuation_breaks_agree_across_subcommands(self, tmp_path):
+        # [DERIVED] fluctuation i is the return realized at observation
+        # i + 1: analyze and changepoints (default --transform returns) date
+        # the same breaks alike, and forecast --breaks auto starts each new
+        # regime at value offset f + 1 for fluctuation offset f
+        rng = np.random.default_rng(3)
+        returns = np.concatenate([rng.normal(0.0, 0.005, 300), rng.normal(0.0, 0.04, 300)])
+        path = write_price_csv(tmp_path / "vol.csv", 100.0 * np.exp(np.cumsum(returns)))
+        cp_flags = ["--min-segment", "50"]
+        outs = {cmd: tmp_path / cmd for cmd in ("analyze", "changepoints", "forecast")}
+        assert main(["analyze", str(path), *cp_flags, "--out", str(outs["analyze"])]) == 0
+        assert main(["changepoints", str(path), *cp_flags,
+                     "--out", str(outs["changepoints"])]) == 0
+        assert main(["forecast", str(path), *cp_flags, "--breaks", "auto", "--method", "fd",
+                     "--p", "2", "--hidden", "2", "--out", str(outs["forecast"])]) == 0
+        csv_bytes = (outs["changepoints"] / "changepoints.csv").read_bytes()
+        assert (outs["analyze"] / "changepoints.csv").read_bytes() == csv_bytes
+        offsets = json.loads((outs["changepoints"] / "changepoints.json").read_text())[
+            "break_offsets"]
+        assert offsets  # the planted volatility step is found
+        forecast = json.loads((outs["forecast"] / "report.json").read_text())
+        assert forecast["config"]["breaks"] == [f + 1 for f in offsets]
+        # each break is dated by the observation that realizes its return
+        dates = [row["date"] for row in read_csv_rows(path)]
+        rows = read_csv_rows(outs["changepoints"] / "changepoints.csv")
+        assert [row["timestamp"] for row in rows] == [dates[f + 1] for f in offsets]
 
     def test_config_file_overrides_defaults(self, tmp_path, price_csv):
         cfg = tmp_path / "cfg.json"

@@ -90,6 +90,32 @@ def test_one_change_point_cost_kernel():
     assert subtracting == {"_segment_costs"}
 
 
+def test_one_cli_run_path():
+    # main alone loads the config file and the input, writes through _emit
+    # and prints the summary; handlers only compute, so a run that fails
+    # writes nothing and a failed write prints nothing
+    tree = ast.parse((SRC / "cli.py").read_text())
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+
+    def callers(name: str) -> list[str]:
+        return [
+            fn.name
+            for fn in functions
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == name
+        ]
+
+    for name in ("_emit", "_load_config_file", "_load_series"):
+        calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+                 and ast.unparse(n.func) == name]
+        assert len(calls) == 1 and callers(name) == ["main"], (name, callers(name))
+    for name in ("write_json", "write_csv"):
+        assert set(callers(name)) == {"_emit"}, name
+    handlers = [fn.name for fn in functions if fn.name.startswith("cmd_")]
+    assert len(handlers) == 6
+    assert not [fn for fn in callers("print") if fn in handlers]
+
+
 def test_all_lists_exactly_the_imported_names():
     # a name deleted from a module must leave both the import and __all__
     tree = ast.parse((SRC / "__init__.py").read_text())
