@@ -213,6 +213,16 @@ def _number(value):
     return value
 
 
+def _integer(value):
+    """A JSON number with an integral value, as an int: a fraction, a
+    boolean or a string is rejected, not truncated or parsed."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("expected an integer")
+    return value
+
+
 def _pick(flag_value, file_cfg: dict, key: str, default, convert=lambda v: v):
     if flag_value is not None:
         return flag_value
@@ -232,9 +242,9 @@ def _mf_config(args, file_cfg: dict) -> MfdfaConfig:
     needs a spectrum, so a q grid too small for one is an input error."""
     cfg = MfdfaConfig(
         q_grid=_grid(file_cfg, "q_grid", float, MfdfaConfig.q_grid),
-        scale_grid=_grid(file_cfg, "scale_grid", int),
+        scale_grid=_grid(file_cfg, "scale_grid", _integer),
         detrend_order=_pick(args.detrend_order, file_cfg, "detrend_order",
-                            MfdfaConfig.detrend_order, int),
+                            MfdfaConfig.detrend_order, _integer),
         regression_range=_grid(file_cfg, "regression_range", _number),
     )
     if len(cfg.q_grid) < MIN_SPECTRUM_Q:
@@ -245,9 +255,9 @@ def _mf_config(args, file_cfg: dict) -> MfdfaConfig:
 def _cp_config(args, file_cfg: dict) -> ChangePointConfig:
     return ChangePointConfig(
         penalty=_pick(args.penalty, file_cfg, "penalty", None, _number),
-        max_breaks=_pick(args.max_breaks, file_cfg, "max_breaks", None, int),
+        max_breaks=_pick(args.max_breaks, file_cfg, "max_breaks", None, _integer),
         min_segment=_pick(args.min_segment, file_cfg, "min_segment",
-                          ChangePointConfig.min_segment, int),
+                          ChangePointConfig.min_segment, _integer),
         method=_pick(args.cp_method, file_cfg, "cp_method", ChangePointConfig.method),
     )
 
@@ -434,8 +444,8 @@ def cmd_forecast(args, file_cfg: dict, series) -> Run:
     breaks = _parse_breaks(args, series, cp_cfg)
     methods = {"both": (METHOD_FD, METHOD_LFD), "fd": (METHOD_FD,),
                "lfd": (METHOD_LFD,)}[args.method]
-    p = _pick(args.p, file_cfg, "p", DEFAULT_LAGS, int)
-    hidden = _pick(args.hidden, file_cfg, "hidden_units", DEFAULT_HIDDEN, int)
+    p = _pick(args.p, file_cfg, "p", DEFAULT_LAGS, _integer)
+    hidden = _pick(args.hidden, file_cfg, "hidden_units", DEFAULT_HIDDEN, _integer)
     report = pipeline_compare(
         series, breaks, p=p, hidden_units=hidden, seeds=(args.seed,),
         scale=args.scale, methods=methods, evaluation=args.evaluation,

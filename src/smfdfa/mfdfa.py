@@ -71,6 +71,8 @@ class MfdfaConfig:
             raise InputError("detrend_order must be >= 1")
         if self.regression_range is not None and len(self.regression_range) != 2:
             raise InputError("regression_range must be a (lo, hi) pair")
+        if not all(map(math.isfinite, (*q, *(self.regression_range or ())))):
+            raise InputError("q_grid and regression_range must hold finite values")
         object.__setattr__(self, "q_grid", q)
         if self.scale_grid is not None:
             s = tuple(int(v) for v in self.scale_grid)
@@ -179,6 +181,18 @@ def _detrended_window_variances(profile: np.ndarray, s: int, order: int) -> np.n
     return np.add.reduce(fit, axis=1) / s
 
 
+def _power_sums(coef: np.ndarray, logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row maxima m of a = coef[:, None] * logs and row sums of exp(a - m), so
+    row i's log-sum-exp is m[i] + log(sums[i]). Rounding keeps the order of
+    products with one factor (a negative one reverses it), so m is the exact
+    row maximum; exp and the row sums run in one row's loop and pairwise order."""
+    m = coef * np.where(coef > 0, logs.max(initial=-np.inf), logs.min(initial=np.inf))
+    a = np.multiply.outer(coef, logs)
+    np.subtract(a, m[:, None], out=a)
+    np.exp(a, out=a)
+    return m, np.add.reduce(a, axis=1)
+
+
 def _phi_column(sig2: np.ndarray, q_grid: np.ndarray, s: int) -> np.ndarray:
     """Power means of window variances for one scale, computed in log space.
 
@@ -187,27 +201,22 @@ def _phi_column(sig2: np.ndarray, q_grid: np.ndarray, s: int) -> np.ndarray:
     """
     n_s = sig2.size
     zero = sig2 <= 0.0
-    neg_q = q_grid[q_grid <= 0]
-    if zero.any() and neg_q.size:
-        gamma = int(np.flatnonzero(zero)[0]) + 1
-        raise NumericalError(
-            f"window variance is exactly 0 at (s={s}, gamma={gamma}); "
-            f"moments q <= 0 are singular there"
-        )
+    for bad, what, why in (
+        (~np.isfinite(sig2), "overflows", "the input is too large in magnitude for MF-DFA"),
+        (zero & (q_grid <= 0).any(), "is exactly 0", "moments q <= 0 are singular there"),
+    ):
+        if bad.any():
+            gamma = int(np.flatnonzero(bad)[0]) + 1
+            raise NumericalError(f"window variance {what} at (s={s}, gamma={gamma}); {why}")
     log_sig2 = np.log(sig2[~zero])
-    phi = np.empty(q_grid.size)
-    for i, q in enumerate(q_grid):
+    m, sums = _power_sums(q_grid / 2.0, log_sig2)
+    phi = np.zeros(q_grid.size)
+    for i, (q, mi, si) in enumerate(zip(q_grid.tolist(), m.tolist(), sums.tolist())):
         if q == 0.0:
             # geometric mean of window deviations; zero anywhere kills it
             phi[i] = 0.0 if zero.any() else math.exp(float(np.sum(log_sig2)) / (2.0 * n_s))
-        else:
-            a = (q / 2.0) * log_sig2
-            m = float(np.max(a)) if a.size else -math.inf
-            if not math.isfinite(m):
-                phi[i] = 0.0
-                continue
-            lse = m + math.log(float(np.sum(np.exp(a - m))))
-            phi[i] = math.exp((lse - math.log(n_s)) / q)
+        elif math.isfinite(mi):  # else every window is flat, or q/2 * ln sig2 overflows
+            phi[i] = math.exp((mi + math.log(si) - math.log(n_s)) / q)
     return phi
 
 
@@ -237,21 +246,22 @@ def fluctuation_surface(
     average at q = 0.
 
     Raises InputError unless the segment is 1-d and finite, and
-    NumericalError when a window variance is exactly zero and nonpositive
-    moments are requested (negative moments of zero diverge); with only
-    q > 0 such windows contribute zero.
+    NumericalError when a window variance overflows, or is exactly zero and
+    nonpositive moments are requested (negative moments of zero diverge);
+    with only q > 0 such windows contribute zero.
     """
     values = finite_1d(segment)
     n = values.size
     scales = config.resolve_scales(n)
     q_grid = np.asarray(config.q_grid, dtype=float)
-    profile = np.cumsum(values - values.mean())
     phi = np.empty((q_grid.size, scales.size))
     n_windows = np.empty(scales.size, dtype=int)
-    for j, s in enumerate(scales):
-        sig2 = _detrended_window_variances(profile, int(s), config.detrend_order)
-        n_windows[j] = sig2.size
-        phi[:, j] = _phi_column(sig2, q_grid, int(s))
+    with np.errstate(over="ignore", invalid="ignore"):
+        profile = np.cumsum(values - values.mean())
+        for j, s in enumerate(scales):
+            sig2 = _detrended_window_variances(profile, int(s), config.detrend_order)
+            n_windows[j] = sig2.size
+            phi[:, j] = _phi_column(sig2, q_grid, int(s))
     _check_power_mean_monotone(phi, q_grid, scales)
     return FluctuationSurface(
         q_grid=q_grid,
@@ -264,19 +274,21 @@ def fluctuation_surface(
     )
 
 
-def _ols_loglog(log_s: np.ndarray, log_phi: np.ndarray):
-    """Slope, stderr and R^2 of an unweighted straight-line fit."""
+def _ols_loglog(log_s: np.ndarray, log_y: np.ndarray):
+    """Slopes, stderrs and R^2 of unweighted straight-line fits of each row
+    of the C-ordered block log_y against log_s. The dot products stay one
+    call per row: a 2-d product would sum in another order."""
     n = log_s.size
     sx = log_s - log_s.mean()
-    sy = log_phi - log_phi.mean()
+    sy = log_y - log_y.mean(axis=1, keepdims=True)
     ssx = float(np.dot(sx, sx))
-    slope = float(np.dot(sx, sy)) / ssx
-    resid = sy - slope * sx
-    ssr = float(np.dot(resid, resid))
-    sst = float(np.dot(sy, sy))
-    stderr = math.sqrt(max(ssr / (n - 2), 0.0) / ssx) if n > 2 else 0.0
-    r2 = 1.0 - ssr / sst if sst > 0 else 1.0
-    return slope, stderr, max(min(r2, 1.0), 0.0)
+    slope = np.array([float(np.dot(sx, row)) / ssx for row in sy])
+    resid = sy - slope[:, None] * sx
+    ssr = np.array([np.dot(row, row) for row in resid])
+    sst = np.array([np.dot(row, row) for row in sy])
+    stderr = np.sqrt(np.maximum(ssr / (n - 2), 0.0) / ssx) if n > 2 else np.zeros(slope.size)
+    r2 = 1.0 - np.divide(ssr, sst, out=np.zeros_like(ssr), where=sst > 0)
+    return slope, stderr, np.clip(r2, 0.0, 1.0)
 
 
 def generalized_hurst(surface: FluctuationSurface) -> HurstCurve:
@@ -290,24 +302,17 @@ def generalized_hurst(surface: FluctuationSurface) -> HurstCurve:
         raise InputError(
             f"regression needs >= 4 scales, got {int(mask.sum())} in range"
         )
-    log_s = np.log10(scales[mask].astype(float))
-    rho = np.empty(surface.q_grid.size)
-    err = np.empty_like(rho)
-    r2 = np.empty_like(rho)
-    for i in range(surface.q_grid.size):
-        phi_row = surface.phi[i, mask]
-        if np.any(phi_row <= 0):
-            raise NumericalError(
-                f"fluctuation function vanished at q={surface.q_grid[i]}; "
-                "cannot regress in log space"
-            )
-        rho[i], err[i], r2[i] = _ols_loglog(log_s, np.log10(phi_row))
-    return HurstCurve(
-        q_grid=surface.q_grid.copy(),
-        rho=rho,
-        stderr=err,
-        r_squared=r2,
-    )
+    # a boolean column mask gives an F-ordered copy, whose row means would
+    # sum in another order than a 1-d row's
+    phi = np.ascontiguousarray(surface.phi[:, mask])
+    vanished = np.any(phi <= 0, axis=1)
+    if vanished.any():
+        raise NumericalError(
+            f"fluctuation function vanished at q={surface.q_grid[int(np.argmax(vanished))]}; "
+            "cannot regress in log space"
+        )
+    rho, err, r2 = _ols_loglog(np.log10(scales[mask].astype(float)), np.log10(phi))
+    return HurstCurve(q_grid=surface.q_grid.copy(), rho=rho, stderr=err, r_squared=r2)
 
 
 def hurst_dfa(series: np.ndarray, config: MfdfaConfig | None = None) -> float:
@@ -387,15 +392,9 @@ def fa_partition(
         p = p[p > 0]
         if p.size == 0:
             raise NumericalError(f"all boxes empty at scale {int(s)}")
-        logp = np.log(p)
-        for i, qi in enumerate(q):
-            a = qi * logp
-            m = float(np.max(a))
-            z[i, j] = math.exp(m + math.log(float(np.sum(np.exp(a - m)))))
-    log_s = np.log10(scales.astype(float))
-    tau = np.empty(q.size)
-    for i in range(q.size):
-        tau[i], _, _ = _ols_loglog(log_s, np.log10(z[i]))
+        m, sums = _power_sums(q, np.log(p))
+        z[:, j] = [math.exp(mi + math.log(si)) for mi, si in zip(m.tolist(), sums.tolist())]
+    tau = _ols_loglog(np.log10(scales.astype(float)), np.log10(z))[0]
     return PartitionFunction(q_grid=q, scale_grid=scales, z=z, tau_fa=tau)
 
 

@@ -8,8 +8,10 @@ proves the module entry point works. Oracle notes are tagged [TRIVIAL] /
 import csv
 import hashlib
 import json
+import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +102,65 @@ class TestErrorPaths:
                          "--out", str(tmp_path / "o")])
             assert code == 2
             assert f"config key {key!r}" in capsys.readouterr().err
+
+    def test_non_finite_moments_and_bounds_exit_2(self, price_csv, tmp_path, capsys):
+        # a NaN q once made mfdfa exit 3 on an error meant for computation
+        # bugs and analyze exit 0 with every regime skipped; -Infinity
+        # exited 3 "vanished" (json.dumps writes NaN, Infinity, -Infinity)
+        for i, cfg in enumerate(({"q_grid": [-2, -1, 1, math.nan, 2, 3]},
+                                 {"q_grid": [-math.inf, -2, -1, 1, 2, 3]},
+                                 {"regression_range": [16, math.inf]})):
+            path = tmp_path / f"cfg{i}.json"
+            path.write_text(json.dumps(cfg))
+            for command in ("analyze", "mfdfa", "surrogate"):
+                out = tmp_path / f"{command}{i}"
+                assert main([command, str(price_csv), "--config", str(path),
+                             "--out", str(out)]) == 2, (cfg, command)
+                assert ("input error: q_grid and regression_range must hold finite values"
+                        in capsys.readouterr().err), (cfg, command)
+                assert not out.exists()
+
+    def test_integer_keys_reject_fractions_bools_and_strings(self, price_csv, tmp_path, capsys):
+        # int() once truncated "detrend_order": 1.5 to 1 and echoed 1
+        cases = (
+            ("detrend_order", 1.5, ["mfdfa"]),
+            ("detrend_order", True, ["mfdfa"]),
+            ("scale_grid", [16, 32.5, 64, 128], ["mfdfa"]),
+            ("min_segment", "64", ["changepoints"]),
+            ("max_breaks", 2.5, ["changepoints"]),
+            ("p", 3.5, ["forecast", "--breaks", "none"]),
+            ("hidden_units", False, ["forecast", "--breaks", "none"]),
+        )
+        for key, value, argv in cases:
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps({key: value}))
+            assert main([argv[0], str(price_csv), *argv[1:], "--config", str(path),
+                         "--out", str(tmp_path / "o")]) == 2, key
+            assert (f"input error: config key {key!r} has a bad value {value!r}: "
+                    "expected an integer" in capsys.readouterr().err), key
+            assert not (tmp_path / "o").exists()
+        # integral values, written as integers or not, keep their echo
+        path = tmp_path / "integral.json"
+        path.write_text(json.dumps({"detrend_order": 2.0, "scale_grid": [16, 32.0, 64, 128]}))
+        assert main(["mfdfa", str(price_csv), "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 0
+        text = (tmp_path / "o" / "manifest.json").read_text()
+        assert '"detrend_order": 2,' in text
+        assert json.loads(text)["config"]["scale_grid"] == [16, 32, 64, 128]
+
+    def test_overflowing_window_variance_exits_3(self, tmp_path, capsys):
+        # values near 1e155 once printed overflow RuntimeWarnings and exited
+        # 3 on "power-mean monotonicity violated", an error meant for bugs
+        path = write_price_csv(tmp_path / "huge.csv", np.where(np.arange(1000) % 2, 2e155, 1e155))
+        for argv in (["mfdfa"], ["surrogate", "--n", "10"]):
+            out = tmp_path / argv[0]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main([argv[0], str(path), "--transform", "values", *argv[1:],
+                             "--out", str(out)]) == 3, argv
+            assert ("numerical failure: window variance overflows at (s=16, gamma=1)"
+                    in capsys.readouterr().err), argv
+            assert not out.exists()
 
     def test_analyze_rejects_transform_flag(self, price_csv, tmp_path, capsys):
         # analyze always segments the fluctuation series, so a --transform

@@ -1,6 +1,8 @@
 """Multifractal fluctuation analysis: surfaces, spectra, cascade oracle."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from smfdfa import (
     scaling_and_spectrum,
     to_fluctuations,
 )
-from smfdfa.mfdfa import _detrended_window_variances, _detrending_operator
+from smfdfa.mfdfa import _detrended_window_variances, _detrending_operator, _phi_column
 from conftest import integrate_magnitudes, make_series
 
 
@@ -46,6 +48,81 @@ def reference_window_variances(profile: np.ndarray, s: int, order: int) -> np.nd
     coefs = windows @ pinv.T
     resid = windows - coefs @ design.T
     return np.mean(resid * resid, axis=1)
+
+
+def reference_phi_column(sig2: np.ndarray, q_grid: np.ndarray, s: int) -> np.ndarray:
+    """The power means as first written: one log-sum-exp per q, each with
+    its own np.max, np.exp and np.sum over the window variances."""
+    n_s = sig2.size
+    zero = sig2 <= 0.0
+    neg_q = q_grid[q_grid <= 0]
+    if zero.any() and neg_q.size:
+        gamma = int(np.flatnonzero(zero)[0]) + 1
+        raise NumericalError(
+            f"window variance is exactly 0 at (s={s}, gamma={gamma}); "
+            f"moments q <= 0 are singular there"
+        )
+    log_sig2 = np.log(sig2[~zero])
+    phi = np.empty(q_grid.size)
+    for i, q in enumerate(q_grid):
+        if q == 0.0:
+            phi[i] = 0.0 if zero.any() else math.exp(float(np.sum(log_sig2)) / (2.0 * n_s))
+        else:
+            a = (q / 2.0) * log_sig2
+            m = float(np.max(a)) if a.size else -math.inf
+            if not math.isfinite(m):
+                phi[i] = 0.0
+                continue
+            lse = m + math.log(float(np.sum(np.exp(a - m))))
+            phi[i] = math.exp((lse - math.log(n_s)) / q)
+    return phi
+
+
+def reference_ols_loglog(log_s: np.ndarray, log_phi: np.ndarray):
+    """One straight-line fit of a 1-d row, as first written."""
+    n = log_s.size
+    sx = log_s - log_s.mean()
+    sy = log_phi - log_phi.mean()
+    ssx = float(np.dot(sx, sx))
+    slope = float(np.dot(sx, sy)) / ssx
+    resid = sy - slope * sx
+    ssr = float(np.dot(resid, resid))
+    sst = float(np.dot(sy, sy))
+    stderr = math.sqrt(max(ssr / (n - 2), 0.0) / ssx) if n > 2 else 0.0
+    r2 = 1.0 - ssr / sst if sst > 0 else 1.0
+    return slope, stderr, max(min(r2, 1.0), 0.0)
+
+
+def reference_generalized_hurst(surface: FluctuationSurface) -> np.ndarray:
+    """(rho, stderr, r_squared) rows of generalized_hurst as first written:
+    one masked 1-d row and one fit per q."""
+    scales = surface.scale_grid
+    mask = np.ones(scales.size, dtype=bool)
+    if surface.regression_range is not None:
+        lo, hi = surface.regression_range
+        mask = (scales >= lo) & (scales <= hi)
+    log_s = np.log10(scales[mask].astype(float))
+    fits = [reference_ols_loglog(log_s, np.log10(surface.phi[i, mask]))
+            for i in range(surface.q_grid.size)]
+    return np.array(fits).T
+
+
+def reference_fa_partition(measure: np.ndarray, q_grid, scale_grid):
+    """z and tau_fa of fa_partition as first written, one q at a time."""
+    q = np.asarray(q_grid, dtype=float)
+    scales = np.asarray(scale_grid, dtype=int)
+    z = np.empty((q.size, scales.size))
+    for j, s in enumerate(scales):
+        nb = measure.size // int(s)
+        p = measure[: nb * int(s)].reshape(nb, int(s)).sum(axis=1)
+        logp = np.log(p[p > 0])
+        for i, qi in enumerate(q):
+            a = qi * logp
+            m = float(np.max(a))
+            z[i, j] = math.exp(m + math.log(float(np.sum(np.exp(a - m)))))
+    log_s = np.log10(scales.astype(float))
+    tau = np.array([reference_ols_loglog(log_s, np.log10(z[i]))[0] for i in range(q.size)])
+    return z, tau
 
 
 class TestScaleGrid:
@@ -74,6 +151,21 @@ class TestConfigValidation:
             MfdfaConfig(regression_range=(16,))
         with pytest.raises(InputError):
             MfdfaConfig(detrend_order=0)
+
+    @pytest.mark.parametrize("bad", [
+        {"q_grid": (-2.0, -1.0, 1.0, math.nan, 2.0, 3.0)},
+        {"q_grid": (-math.inf, -2.0, 2.0)},
+        {"q_grid": (1.0, math.inf)},
+        {"q_grid": (math.nan,)},
+        {"regression_range": (16, math.inf)},
+        {"regression_range": (math.nan, 64)},
+    ])
+    def test_rejects_non_finite_moments_and_bounds(self, bad):
+        # a NaN q passed the strictly-increasing check and surfaced as a
+        # monotonicity "bug"; the power-sum kernel picks each row maximum
+        # by the sign of q, which needs a finite q
+        with pytest.raises(InputError, match="must hold finite values"):
+            MfdfaConfig(**bad)
 
     def test_scale_must_leave_detrend_dof(self):
         # smallest scale must be >= m + 2
@@ -130,6 +222,18 @@ class TestFluctuationSurface:
         cfg = MfdfaConfig(q_grid=(-2.0, 2.0), scale_grid=(8, 16))
         with pytest.raises(NumericalError, match=r"s=8, gamma=1"):
             fluctuation_surface(np.full(128, 0.5), cfg)
+
+    def test_overflowing_window_variance_is_named(self):
+        # values near 1e155 square past the largest float while detrending:
+        # once overflow RuntimeWarnings and a "monotonicity violated" error
+        # meant for computation bugs
+        x = np.where(np.arange(1000) % 2, 2e155, 1e155)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for cfg in (MfdfaConfig(), MfdfaConfig(q_grid=(1.0, 2.0))):
+                with pytest.raises(NumericalError,
+                                   match=r"window variance overflows at \(s=16, gamma=1\)"):
+                    fluctuation_surface(x, cfg)
 
     def test_white_noise_scales_like_square_root(self):
         # [DERIVED] classic DFA result: i.i.d. input has slope 1/2; Monte
@@ -189,6 +293,101 @@ class TestDetrendingKernel:
         with pytest.raises(ValueError, match="read-only"):
             pinv_t[0, 0] = 1.0
         assert _detrending_operator(64, 2)[1] is pinv_t
+
+
+class TestPowerSumKernel:
+    @pytest.mark.parametrize(
+        "case", ["both signs", "one point", "zeros, q > 0", "all zero", "single window"]
+    )
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_power_means_bit_identical_to_reference(self, case, data):
+        # [TRIVIAL] every q's row maximum is q/2 times the largest or the
+        # smallest log variance, and exp and the pairwise row sums run on a
+        # C-ordered block in one row's loop: the arithmetic of one q at a time
+        n_s = 1 if case == "single window" else data.draw(st.integers(2, 400), label="windows")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        magnitude = data.draw(st.sampled_from([1e-200, 1e-12, 1.0, 1e12, 1e200]),
+                              label="magnitude")
+        spread = data.draw(st.floats(0.0, 8.0), label="spread")
+        rng = np.random.default_rng(seed)
+        sig2 = magnitude * np.exp(spread * rng.standard_normal(n_s))
+        positive = case in ("zeros, q > 0", "all zero")
+        if case == "zeros, q > 0":
+            sig2[rng.random(n_s) < data.draw(st.floats(0.05, 0.95), label="zero share")] = 0.0
+        elif case == "all zero":
+            sig2[:] = 0.0
+        moment = st.floats(0.05 if positive else -6.0, 6.0)
+        if case == "one point":
+            moment = st.sampled_from([-2.0, 0.0, 2.0]) | moment
+        size = 1 if case == "one point" else data.draw(st.integers(2, 25), label="moments")
+        q = np.unique(data.draw(st.lists(moment, min_size=size, max_size=size), label="q"))
+        if not positive and size > 1 and data.draw(st.booleans(), label="with q = 0"):
+            q = np.unique(np.append(q, 0.0))
+        got = _phi_column(sig2, q, 16)
+        assert got.tobytes() == reference_phi_column(sig2, q, 16).tobytes()
+
+    @pytest.mark.parametrize("masked", [False, True], ids=["all scales", "regression_range"])
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_surfaces_and_hurst_curves_bit_identical_to_reference(self, masked, data):
+        # [TRIVIAL] each surface column is the reference power means of its
+        # window variances, and the row regression is one fit per q; a
+        # regression_range mask copies phi in F order, whose row means would
+        # sum in another order unless the copy is made C-ordered first
+        n = data.draw(st.integers(256, 6000), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        x = {
+            "noise": lambda: rng.standard_normal(n),
+            "magnitudes": lambda: np.abs(rng.standard_normal(n)) * 1e-3,
+            "walk": lambda: np.cumsum(rng.standard_normal(n)),
+            "heavy tails": lambda: rng.standard_t(2, n),
+        }[data.draw(st.sampled_from(["noise", "magnitudes", "walk", "heavy tails"]),
+                    label="input")]()
+        cfg = data.draw(st.sampled_from([
+            MfdfaConfig(),
+            MfdfaConfig(q_grid=(2.0,)),
+            MfdfaConfig(q_grid=(-3.0, -1.0, 0.0, 1.5, 4.0), detrend_order=2),
+        ]), label="config")
+        scales = cfg.resolve_scales(n)
+        if masked:
+            lo = data.draw(st.integers(0, scales.size - 4), label="lo")
+            hi = data.draw(st.integers(lo + 3, scales.size - 1), label="hi")
+            cfg = replace(cfg, regression_range=(float(scales[lo]), float(scales[hi])))
+        surface = fluctuation_surface(x, cfg)
+        profile = np.cumsum(x - x.mean())
+        want = np.column_stack([
+            reference_phi_column(
+                _detrended_window_variances(profile, int(s), cfg.detrend_order),
+                surface.q_grid, int(s))
+            for s in scales
+        ])
+        assert surface.phi.tobytes() == want.tobytes()
+        curve = generalized_hurst(surface)
+        got = np.array([curve.rho, curve.stderr, curve.r_squared])
+        assert got.tobytes() == reference_generalized_hurst(surface).tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_partition_function_bit_identical_to_reference(self, data):
+        # [TRIVIAL] fa_partition runs the same power-sum kernel (coefficient
+        # q) and row regression as the surfaces
+        levels = data.draw(st.integers(5, 12), label="levels")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        if data.draw(st.booleans(), label="cascade"):
+            b1 = data.draw(st.floats(0.51, 0.95), label="b1")
+            measure = generate_cascade(b1, 1.0 - b1, levels, shuffle_seed=seed)
+        else:  # empty boxes at small scales
+            rng = np.random.default_rng(seed)
+            measure = rng.random(2**levels) * (rng.random(2**levels) < 0.4)
+            measure[0] = 1.0
+            measure /= measure.sum()
+        q = data.draw(st.lists(st.floats(-6.0, 6.0) | st.just(0.0), min_size=1, max_size=25),
+                      label="q")
+        pf = fa_partition(measure, q_grid=q)
+        z, tau = reference_fa_partition(measure, q, pf.scale_grid)
+        assert pf.z.tobytes() == z.tobytes()
+        assert pf.tau_fa.tobytes() == tau.tobytes()
 
 
 class TestGeneralizedHurst:

@@ -90,6 +90,27 @@ def test_one_change_point_cost_kernel():
     assert subtracting == {"_segment_costs"}
 
 
+def test_one_power_sum_kernel():
+    # the power means of the fluctuation surface and the partition sums of
+    # fa_partition exponentiate only in _power_sums, over every q at once,
+    # and both fit their exponents through the one row regression, so no
+    # per-q copy of either comes back
+    tree = ast.parse((SRC / "mfdfa.py").read_text())
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+
+    def callers(name: str) -> list[str]:
+        return sorted(
+            fn.name
+            for fn in functions
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == name
+        )
+
+    assert callers("np.exp") == ["_power_sums"]
+    assert callers("_power_sums") == ["_phi_column", "fa_partition"]
+    assert callers("_ols_loglog") == ["fa_partition", "generalized_hurst"]
+
+
 def test_one_cli_run_path():
     # main alone loads the config file and the input, writes through _emit
     # and prints the summary; handlers only compute, so a run that fails
