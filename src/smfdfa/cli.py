@@ -26,9 +26,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .changepoint import ChangePointConfig, detect_multiple
+from .changepoint import METHODS, ChangePointConfig, detect_multiple
 from .errors import InputError, NumericalError
-from .forecast import DEFAULT_HIDDEN, DEFAULT_LAGS, METHOD_FD, METHOD_LFD, pipeline_compare
+from .forecast import (
+    DEFAULT_HIDDEN,
+    DEFAULT_LAGS,
+    EVALUATIONS,
+    METHOD_FD,
+    METHOD_LFD,
+    SCALES,
+    pipeline_compare,
+)
 from .longmemory import arfima_generate, fgn_generate
 from .mfdfa import MIN_SPECTRUM_Q, MfdfaConfig, analyze_segment, generate_cascade, s_mfdfa
 from .serialize import (
@@ -61,7 +69,7 @@ from .serialize import (
     write_json,
 )
 from .series import CsvConfig, describe, load_csv, outlier_census, to_fluctuations
-from .surrogate import surrogate_test
+from .surrogate import KINDS, surrogate_test
 
 SYNTH_START_DATE = np.datetime64("2000-01-01")
 # every key a --config file may hold; one set for all subcommands, so that
@@ -100,7 +108,7 @@ def _add_cp_flags(p: argparse.ArgumentParser):
     p.add_argument("--penalty", type=float, default=None)
     p.add_argument("--min-segment", type=int, default=None)
     p.add_argument("--max-breaks", type=int, default=None)
-    p.add_argument("--cp-method", choices=("exact-dp", "binary-segmentation"), default=None)
+    p.add_argument("--cp-method", choices=METHODS, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detrend-order", type=int, default=None)
     _add_cp_flags(p)
     p.add_argument("--surrogates", type=int, default=0, help="surrogate count (0 disables)")
-    p.add_argument("--surrogate-kind", choices=("shuffle", "phase"), default="shuffle")
+    p.add_argument("--surrogate-kind", choices=KINDS, default="shuffle")
     p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("changepoints", help="change-point detection only")
@@ -134,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("surrogate", help="spectrum-width surrogate comparison")
     _add_common(p)
     _add_mf_flags(p)
-    p.add_argument("--kind", choices=("shuffle", "phase"), default="shuffle")
+    p.add_argument("--kind", choices=KINDS, default="shuffle")
     p.add_argument("--n", type=int, default=20, help="number of surrogates")
     p.set_defaults(handler=cmd_surrogate)
 
@@ -148,8 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--p", type=int, default=None, help="autoregressive lags")
     p.add_argument("--hidden", type=int, default=None, help="hidden units")
-    p.add_argument("--scale", choices=("levels", "differenced"), default="levels")
-    p.add_argument("--evaluation", choices=("in-sample", "holdout"), default="in-sample",
+    p.add_argument("--scale", choices=SCALES, default="levels")
+    p.add_argument("--evaluation", choices=EVALUATIONS, default="in-sample",
                    help="score the training window, or only a held-out final 20%%")
     p.set_defaults(handler=cmd_forecast)
 
@@ -207,8 +215,9 @@ def _checked(key: str, value, convert):
 
 
 def _number(value):
-    """A JSON number, kept as given so the config echo shows it unchanged."""
-    if not isinstance(value, (int, float)):
+    """A JSON number, kept as given so the config echo shows it unchanged;
+    a boolean or a string is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError("expected a number")
     return value
 
@@ -241,7 +250,7 @@ def _mf_config(args, file_cfg: dict) -> MfdfaConfig:
     """The MF-DFA settings of analyze, mfdfa and surrogate, each of which
     needs a spectrum, so a q grid too small for one is an input error."""
     cfg = MfdfaConfig(
-        q_grid=_grid(file_cfg, "q_grid", float, MfdfaConfig.q_grid),
+        q_grid=_grid(file_cfg, "q_grid", _number, MfdfaConfig.q_grid),
         scale_grid=_grid(file_cfg, "scale_grid", _integer),
         detrend_order=_pick(args.detrend_order, file_cfg, "detrend_order",
                             MfdfaConfig.detrend_order, _integer),

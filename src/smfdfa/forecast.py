@@ -27,6 +27,8 @@ DEFAULT_HIDDEN = 20
 METHOD_FD = "FD-NAR"
 METHOD_LFD = "LFD-NAR"
 MIN_TRAIN_MARGIN = 50
+SCALES = ("levels", "differenced")
+EVALUATIONS = ("in-sample", "holdout")
 
 
 @dataclass(frozen=True)
@@ -70,8 +72,7 @@ class NarModel:
         u = (np.atleast_2d(np.asarray(lags, dtype=float)) - self.mean) / self.scale
         if u.shape[1] != self.p:
             raise InputError(f"lag rows must have {self.p} columns, got {u.shape[1]}")
-        hidden = _sigmoid(u @ self.w_in.T + self.b_in)
-        z = hidden @ self.w_out + self.b_out
+        z = _forward(u, self.w_in, self.b_in, self.w_out, self.b_out)[1]
         return z * self.scale + self.mean
 
 
@@ -91,17 +92,20 @@ def _lag_matrix(values: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     return values[idx], values[p:]
 
 
-def _unpack(theta: np.ndarray, p: int, h: int):
-    w_in = theta[: h * p].reshape(h, p)
-    b_in = theta[h * p : h * p + h]
-    w_out = theta[h * p + h : h * p + 2 * h]
-    b_out = theta[-1]
-    return w_in, b_in, w_out, b_out
+def _n_params(p: int, h: int) -> int:
+    return h * (p + 2) + 1
 
 
-def _forward(theta: np.ndarray, u: np.ndarray, p: int, h: int):
-    """Hidden activations s (n, h) and network output (n,)."""
-    w_in, b_in, w_out, b_out = _unpack(theta, p, h)
+def _unpack(a: np.ndarray, p: int, h: int):
+    """Views of w_in (h, p), b_in, w_out and b_out (1,) in the _n_params-long
+    last axis of theta or of the Jacobian; writes through them reach a."""
+    hp = h * p
+    return (a[..., :hp].reshape(*a.shape[:-1], h, p), a[..., hp : hp + h],
+            a[..., hp + h : hp + 2 * h], a[..., hp + 2 * h :])
+
+
+def _forward(u: np.ndarray, w_in, b_in, w_out, b_out):
+    """Hidden activations s (n, h) and output (n,) for normalized lag rows u."""
     s = _sigmoid(u @ w_in.T + b_in)
     return s, s @ w_out + b_out
 
@@ -111,15 +115,12 @@ def _fill_jacobian(
 ):
     """Write the Jacobian of the output w.r.t. the flattened parameters
     into jac (n, n_params), given the hidden activations s at theta."""
-    w_out = _unpack(theta, p, h)[2]
-    g = s * (1.0 - s) * w_out  # (n, h): d out / d preactivation
-    n = u.shape[0]
-    # splitting the contiguous last axis of this column slice gives a view,
-    # so out= writes into jac (a copy would be filled and dropped silently)
-    np.multiply(g[:, :, None], u[:, None, :], out=jac[:, : h * p].reshape(n, h, p))
-    jac[:, h * p : h * p + h] = g
-    jac[:, h * p + h : h * p + 2 * h] = s
-    jac[:, -1] = 1.0
+    d_w_in, d_b_in, d_w_out, d_b_out = _unpack(jac, p, h)
+    g = s * (1.0 - s) * _unpack(theta, p, h)[2]  # (n, h): d out / d preactivation
+    np.multiply(g[:, :, None], u[:, None, :], out=d_w_in)
+    d_b_in[...] = g
+    d_w_out[...] = s
+    d_b_out[...] = 1.0
 
 
 def train_nar(
@@ -156,26 +157,26 @@ def train_nar(
     n_pairs = target.size
 
     rng = np.random.default_rng(seed)
-    n_params = hidden_units * (p + 2) + 1
-    theta = rng.normal(0.0, 1.0, n_params)
-    theta[: hidden_units * p] /= math.sqrt(p)
-    theta[hidden_units * (p + 1) :] *= 0.1
+    theta = rng.normal(0.0, 1.0, _n_params(p, hidden_units))
+    w_in, _, w_out, b_out = _unpack(theta, p, hidden_units)
+    w_in /= math.sqrt(p)
+    w_out *= 0.1
+    b_out *= 0.1
 
-    s, out = _forward(theta, u, p, hidden_units)
+    s, out = _forward(u, *_unpack(theta, p, hidden_units))
     resid = out - target
     loss = float(np.dot(resid, resid)) / n_pairs
     trace = [loss]
     damping = config.damping_init
-    eye = np.eye(n_params)
+    eye = np.eye(theta.size)
     # one Jacobian buffer for the whole run, refilled at the accepted
     # parameters; J'J and J'r are taken from it before any trial step, and
     # trial steps need only the forward pass
-    jac = np.empty((n_pairs, n_params))
-    for _ in range(config.max_iterations):
+    jac = np.empty((n_pairs, theta.size))
+    for _ in range(config.max_iterations):  # exit 1: the iteration cap
         _fill_jacobian(jac, theta, s, u, p, hidden_units)
         jtj = jac.T @ jac
         jtr = jac.T @ resid
-        accepted = False
         while damping <= config.damping_cap:
             try:
                 step = np.linalg.solve(jtj + damping * eye, -jtr)
@@ -183,27 +184,25 @@ def train_nar(
                 damping *= config.damping_factor
                 continue
             cand = theta + step
-            cand_s, cand_out = _forward(cand, u, p, hidden_units)
+            cand_s, cand_out = _forward(u, *_unpack(cand, p, hidden_units))
             cand_resid = cand_out - target
             cand_loss = float(np.dot(cand_resid, cand_resid)) / n_pairs
             if math.isfinite(cand_loss) and cand_loss <= loss:
-                improvement = loss - cand_loss
-                theta, s, resid = cand, cand_s, cand_resid
-                loss = cand_loss
-                trace.append(loss)
-                damping = max(damping / config.damping_factor, 1e-300)
-                accepted = True
                 break
             damping *= config.damping_factor
-        if not accepted:
+        else:  # exit 2: the damping cap, with no acceptable step
             err = NumericalError(
                 f"damping exceeded cap {config.damping_cap:g} without an acceptable step; "
                 f"last training loss {loss:.6g}"
             )
             err.last_loss = loss
             raise err
+        improvement = loss - cand_loss
+        theta, s, resid, loss = cand, cand_s, cand_resid, cand_loss
+        trace.append(loss)
+        damping = max(damping / config.damping_factor, 1e-300)
         if improvement <= config.min_relative_improvement * max(loss, 1e-300):
-            break
+            break  # exit 3: the tolerance
     w_in, b_in, w_out, b_out = _unpack(theta, p, hidden_units)
     return NarModel(
         p=p,
@@ -211,7 +210,7 @@ def train_nar(
         w_in=w_in,
         b_in=b_in,
         w_out=w_out,
-        b_out=float(b_out),
+        b_out=float(b_out[0]),
         mean=mean,
         scale=scale,
         seed=seed,
@@ -298,7 +297,8 @@ def _score_window(y_win: np.ndarray, x_win: np.ndarray, p: int, hidden_units: in
     split = int(0.8 * y_win.size) if holdout else y_win.size
     model = train_nar(y_win[:split], p, hidden_units, seed, train_config)
     first = split if holdout else p
-    fitted = reconstruct(model, y_win).fitted[first - p :]
+    # predict every lag row and slice: the product's bits depend on its row count
+    fitted = model.predict_next(_lag_matrix(y_win, p)[0])[first - p :]
     actual = y_win[first:]
     if scale == "levels":
         fitted = fitted - (actual - x_win[first:])
@@ -334,13 +334,12 @@ def pipeline_compare(
     the run. Every row that was not skipped carries its scored
     actual/fitted traces.
     """
-    x = series.values if isinstance(series, TimeSeries) else np.asarray(series, dtype=float)
+    x = series.values if isinstance(series, TimeSeries) else finite_1d(series)
     label_base = (series.label if isinstance(series, TimeSeries) else "") or "series"
     n = x.size
-    if scale not in ("levels", "differenced"):
-        raise InputError(f"scale must be 'levels' or 'differenced', got {scale!r}")
-    if evaluation not in ("in-sample", "holdout"):
-        raise InputError(f"evaluation must be 'in-sample' or 'holdout', got {evaluation!r}")
+    for name, value, valid in (("scale", scale, SCALES), ("evaluation", evaluation, EVALUATIONS)):
+        if value not in valid:
+            raise InputError(f"{name} must be {' or '.join(map(repr, valid))}, got {value!r}")
     bad = [m for m in methods if m not in (METHOD_FD, METHOD_LFD)]
     if bad:
         raise InputError(f"unknown method {bad[0]!r}")

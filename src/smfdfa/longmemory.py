@@ -80,12 +80,8 @@ def frac_diff_weights(d: float, k_max: int) -> np.ndarray:
 def _auto_truncation(d: float, n: int) -> int:
     """K = min(500, n // 4) unless the weight magnitude cutoff binds first."""
     k_cap = min(MAX_AUTO_TRUNCATION, max(n // 4, 1))
-    w = 1.0
-    for k in range(1, k_cap + 1):
-        w *= (k - 1 - d) / k
-        if abs(w) < WEIGHT_CUTOFF:
-            return k
-    return k_cap
+    small = np.flatnonzero(np.abs(frac_diff_weights(d, k_cap)[1:]) < WEIGHT_CUTOFF)
+    return int(small[0]) + 1 if small.size else k_cap
 
 
 @dataclass(frozen=True)

@@ -382,10 +382,12 @@ def fa_partition(
         max_pow = max(int(math.log2(n // 4)), 2)
         scale_grid = [2**k for k in range(2, max_pow + 1)]
     scales = np.asarray(scale_grid, dtype=int)
+    if np.unique(scales).size < 2:
+        raise InputError(f"tau(q) needs 2 distinct scales to fit a slope, got {scales.tolist()}")
     q = np.asarray(q_grid, dtype=float)
     z = np.empty((q.size, scales.size))
     for j, s in enumerate(scales):
-        nb = n // int(s)
+        nb = n // int(s) if s > 0 else 0
         if nb < 2:
             raise InputError(f"scale {int(s)} leaves fewer than 2 boxes")
         p = x[: nb * int(s)].reshape(nb, int(s)).sum(axis=1)

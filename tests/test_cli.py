@@ -148,6 +148,25 @@ class TestErrorPaths:
         assert '"detrend_order": 2,' in text
         assert json.loads(text)["config"]["scale_grid"] == [16, 32, 64, 128]
 
+    def test_number_keys_reject_bools_and_strings(self, price_csv, tmp_path, capsys):
+        # bool is a subclass of int: {"penalty": true} once ran with 0 breaks
+        # and echoed true, and q_grid items went through float(), so true
+        # and "1" ran as 1.0
+        cases = (
+            ("penalty", True, ["changepoints"]),
+            ("regression_range", [False, 100], ["mfdfa"]),
+            ("q_grid", [-2, -1, True, 2, 3], ["mfdfa"]),
+            ("q_grid", ["-2", "-1", "1", "2", "3"], ["analyze"]),
+        )
+        for key, value, argv in cases:
+            path = tmp_path / f"{key}.json"
+            path.write_text(json.dumps({key: value}))
+            assert main([argv[0], str(price_csv), *argv[1:], "--config", str(path),
+                         "--out", str(tmp_path / "o")]) == 2, (key, value)
+            assert (f"input error: config key {key!r} has a bad value {value!r}: "
+                    "expected a number" in capsys.readouterr().err), (key, value)
+            assert not (tmp_path / "o").exists()
+
     def test_overflowing_window_variance_exits_3(self, tmp_path, capsys):
         # values near 1e155 once printed overflow RuntimeWarnings and exited
         # 3 on "power-mean monotonicity violated", an error meant for bugs

@@ -21,7 +21,9 @@ from smfdfa.forecast import (
     ForecastReport,
     ForecastRow,
     TrainConfig,
+    _n_params,
     _sigmoid,
+    _unpack,
     mape,
     pipeline_compare,
     reconstruct,
@@ -355,6 +357,21 @@ class TestTrainNar:
         with pytest.raises(InputError, match="max_iterations"):
             TrainConfig(max_iterations=0)
 
+    def test_unpack_views_theta_and_jacobian_columns(self):
+        # [TRIVIAL] the init scales theta and _fill_jacobian writes the
+        # Jacobian through _unpack's pieces, so they must be views that
+        # tile the last axis in order
+        p, h = 3, 4
+        for a in (np.arange(_n_params(p, h), dtype=float), np.zeros((7, _n_params(p, h)))):
+            parts = _unpack(a, p, h)
+            assert [part.shape[a.ndim - 1:] for part in parts] == [(h, p), (h,), (h,), (1,)]
+            assert all(np.shares_memory(part, a) for part in parts)
+            flat = [part.reshape(*a.shape[:-1], -1) for part in parts]
+            np.testing.assert_array_equal(np.concatenate(flat, axis=-1), a)
+            for k, part in enumerate(parts):
+                part[...] = -k - 1.0
+            assert np.all(a < 0)
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(training_instances())
     def test_equals_reference_trainer(self, instance):
@@ -526,6 +543,55 @@ class TestPipelineCompare:
             pipeline_compare(longmemory_series, None, evaluation="cv")
         with pytest.raises(InputError, match="unknown method"):
             pipeline_compare(longmemory_series, None, methods=("AR",))
+
+    def test_array_input_checked_as_one_finite_series(self, longmemory_series):
+        # a 2-d array once failed as "no segment was long enough to train
+        # on", and a NaN aborted the run only when FD-NAR was requested
+        with pytest.raises(InputError, match=r"expected a 1-d array, got shape \(2, 512\)"):
+            pipeline_compare(longmemory_series.reshape(2, 512), None, methods=(METHOD_LFD,))
+        x = longmemory_series.copy()
+        x[700] = np.nan
+        for methods in [(METHOD_FD,), (METHOD_LFD,), (METHOD_FD, METHOD_LFD)]:
+            with pytest.raises(InputError, match="non-finite value at index 700"):
+                pipeline_compare(x, [512], methods=methods)
+
+    def test_holdout_scores_only_its_tail_for_zeros(self):
+        # [DERIVED] zeros in the training part of a window do not skip its
+        # holdout rows: segment 1's differenced values are 0 over the first
+        # 700 samples, but its scored tail holds none. Its rows were once
+        # skipped with "actual value is 0 at index 0", a MAPE over the whole
+        # window that was then thrown away. Segment 2's rows are unchanged.
+        x = np.concatenate([np.zeros(700), 100.0 + arfima_generate(0.3, 1300, seed=1)])
+        args = ([1000], 3, 4, (0,), TrainConfig(max_iterations=20), "levels",
+                (METHOD_FD, METHOD_LFD), "holdout")
+        got = pipeline_compare(x, *args).rows
+        want = reference_pipeline_compare(x, *args)
+        assert [r.start for r in got] == [0, 0, 1000, 1000]
+        for row in got[:2]:
+            assert row.skipped_reason is None and row.n_eval > 0
+            assert np.all(np.asarray(row.actual) != 0.0)
+            assert 0.0 < row.mape < 5.0
+        assert all("actual value is 0 at index 0" in r.skipped_reason for r in want[:2])
+        assert list(got[2:]) == want[2:]
+
+    def test_in_sample_levels_zero_named_at_first_zero_price(self):
+        # [DERIVED] a level row is skipped at its first zero price. Segment
+        # 1 holds 400 zero prices from 600, longer than either filter (K 87
+        # global, 69 local; cut 87), and is scored from 87 + p = 90, so the
+        # first zero price is at index 510. The row was once skipped at the
+        # first exact zero of the differenced values, K samples into the
+        # run: index 597 (FD-NAR) and 579 (LFD-NAR).
+        x = 100.0 + arfima_generate(0.3, 2000, seed=1)
+        x[600:1000] = 0.0
+        args = ([1200], 3, 4, (0,), TrainConfig(max_iterations=20), "levels",
+                (METHOD_FD, METHOD_LFD), "in-sample")
+        got = pipeline_compare(x, *args).rows
+        want = reference_pipeline_compare(x, *args)
+        assert [r.skipped_reason for r in got[:2]] == [
+            "actual value is 0 at index 510; percentage error undefined"] * 2
+        assert [r.skipped_reason for r in want[:2]] == [
+            f"actual value is 0 at index {i}; percentage error undefined" for i in (597, 579)]
+        assert list(got[2:]) == want[2:]
 
     def test_keep_fitted_attaches_scored_traces(self, longmemory_series):
         # [TRIVIAL] the traces a scored row carries must be exactly what

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from smfdfa import (
@@ -19,6 +19,20 @@ from smfdfa import (
     gph_estimate,
     hurst_dfa,
 )
+from smfdfa.longmemory import MAX_AUTO_TRUNCATION, WEIGHT_CUTOFF, _auto_truncation
+
+
+def reference_auto_truncation(d: float, n: int) -> int:
+    """K as first written: its own running product of the binomial weights,
+    rounded as w *= (k - 1 - d) / k, stopping at the first |w_k| below the
+    cutoff."""
+    k_cap = min(MAX_AUTO_TRUNCATION, max(n // 4, 1))
+    w = 1.0
+    for k in range(1, k_cap + 1):
+        w *= (k - 1 - d) / k
+        if abs(w) < WEIGHT_CUTOFF:
+            return k
+    return k_cap
 
 
 class TestWeights:
@@ -115,6 +129,16 @@ class TestFracDiff:
         # near-integer order: weights decay fast, the filter shortens
         out = frac_diff(rng.standard_normal(4000), 0.95)
         assert out.truncation < 500
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.floats(-1.5, 1.5), n=st.sampled_from([1, 7, 40, 400, 2000, 5000]))
+    @example(d=0.0, n=400)  # w_1 = -0.0: K = 1
+    @example(d=1.0, n=400)  # w_2 = 0 exactly: K = 2
+    @example(d=0.3, n=2000)  # the cap binds
+    def test_auto_truncation_equals_reference(self, d, n):
+        # [DERIVED] K read from frac_diff_weights' recurrence equals the
+        # running product's, whose rounding order differs
+        assert _auto_truncation(d, n) == reference_auto_truncation(d, n)
 
     def test_truncation_must_fit_series(self, rng):
         with pytest.raises(InputError, match="smaller than the series length"):

@@ -617,6 +617,17 @@ class TestFaPartition:
         with pytest.raises(InputError, match="sum to 1"):
             fa_partition(np.full(64, 1.0))
 
+    def test_single_or_zero_scale_rejected(self):
+        # one distinct scale leaves no slope to fit, and a zero scale no
+        # boxes; both once raised a bare ZeroDivisionError
+        with pytest.raises(InputError, match=r"2 distinct scales to fit a slope, got \[4\]"):
+            fa_partition(np.full(16, 1.0 / 16))  # default grid [4]
+        for grid in ([4], [4, 4]):
+            with pytest.raises(InputError, match="2 distinct scales to fit a slope"):
+                fa_partition(np.full(64, 1.0 / 64), scale_grid=grid)
+        with pytest.raises(InputError, match="scale 0 leaves fewer than 2 boxes"):
+            fa_partition(np.full(64, 1.0 / 64), scale_grid=[0, 4])
+
     def test_nan_cell_rejected(self):
         # a NaN total passed the sum-to-1 check and its box was then dropped
         m = np.full(256, 1.0 / 256)

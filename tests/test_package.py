@@ -111,6 +111,41 @@ def test_one_power_sum_kernel():
     assert callers("_ols_loglog") == ["fa_partition", "generalized_hurst"]
 
 
+def test_one_nar_network():
+    # forecast.py evaluates the network only in _forward and knows the
+    # parameter layout only in _unpack and _n_params (no other product
+    # involves p); _score_window scores its fitted values once, without
+    # reconstruct's whole-window MAPE
+    tree = ast.parse((SRC / "forecast.py").read_text())
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+    def callers(name: str) -> list[str]:
+        return sorted(
+            fn.name
+            for fn in functions
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == name
+        )
+
+    def names(node: ast.AST):
+        # the names a product's arithmetic reads, not those passed to a call
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif not isinstance(node, ast.Call):
+            for child in ast.iter_child_nodes(node):
+                yield from names(child)
+
+    multiplying_p = {
+        fn.name
+        for fn in functions
+        for node in ast.walk(fn)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and "p" in names(node)
+    }
+    assert callers("_sigmoid") == ["_forward"]
+    assert "_score_window" not in callers("reconstruct")
+    assert multiplying_p == {"_n_params", "_unpack"}
+
+
 def test_one_cli_run_path():
     # main alone loads the config file and the input, writes through _emit
     # and prints the summary; handlers only compute, so a run that fails
