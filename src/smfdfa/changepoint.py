@@ -8,7 +8,10 @@ cumulative sums of x and x**2 once (_prefix_sums), and _segment_costs turns
 them into the O(1) cost of any candidate segment, clamped at 0 against
 rounding. Without a cap on the number of breaks the exact DP drops
 candidate starts that can never win again (PELT pruning), which returns the
-same breaks as the unpruned recursion, bit for bit. It is quadratic in the
+same breaks as the unpruned recursion, bit for bit. It keeps its live
+starts as contiguous columns of position, best cost and prefix sums, so a
+step scores them in place with no gather, and it tests them for dominance
+once per min_segment steps, not at every step. It is quadratic in the
 series length in the worst case (no breaks) and near-linear when the
 regimes grow with the series. A faster dichotomous (binary segmentation)
 alternative splits greedily while the penalized objective keeps improving.
@@ -112,12 +115,19 @@ def _prefix_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([[0.0], np.cumsum(x)]), np.concatenate([[0.0], np.cumsum(x * x)])
 
 
-def _segment_costs(s1: np.ndarray, s2: np.ndarray, i, j):
+def _segment_costs(s1: np.ndarray, s2: np.ndarray, i, j, head=None, out=None):
     """O(1) cost of x[i:j] (0-based half-open) from the prefix sums of x,
-    vectorised over i or j; clamped at 0 against rounding."""
-    lens = np.subtract(j, i, dtype=float)
-    tot = s1[j] - s1[i]
-    return np.maximum((s2[j] - s2[i]) - tot * tot / lens, 0.0)
+    vectorised over i or j; clamped at 0 against rounding. A caller that
+    holds s1[i] and s2[i] already passes them as `head` (i may then be
+    float positions), and `out`, shaped like the result, receives the
+    costs in place of a new array."""
+    a1, a2 = (s1[i], s2[i]) if head is None else head
+    tot = s1[j] - a1
+    tot *= tot
+    tot /= np.subtract(j, i, dtype=float, out=out)
+    cost = np.subtract(s2[j], a2, out=out)
+    cost -= tot
+    return np.maximum(cost, 0.0, out=out)
 
 
 def _result_from_offsets(
@@ -180,10 +190,21 @@ def _dp_unbounded(x: np.ndarray, theta: float, ms: int) -> list[int]:
     the threshold are off by at most u (36 W + 11 theta) together. delta =
     64 eps (n + 1) (W + theta), eps = 2u, exceeds that sum at least 6-fold
     while n**2 u << 1, so a dropped start scores strictly above its
-    dominator at every later step. Surviving starts stay in ascending
-    order and are scored by the same expression, so best, prev, the
-    smallest-index tie rule and the breaks equal the unpruned recursion bit
-    for bit.
+    dominator at every later step.
+
+    The dominance test runs only on steps j that are multiples of ms, and
+    what it finds is dropped ms steps later, so the live starts are
+    compacted at most once per ms steps. This stays exact: checking on a
+    subset of steps drops a subset of the starts the every-step rule
+    drops, each under the same test, so a dropped start still scores
+    strictly above its dominator from its drop on, and a start at the
+    minimum is never dropped. The live starts are kept, in ascending
+    order, as the columns of `cols`: position (a float, exact below 2**53),
+    best, s1 and s2 at the start, each written once when the start joins.
+    Each step scores them through _segment_costs into a preallocated
+    buffer with no gather. Surviving starts are scored by the unpruned
+    recursion's expression, so best, prev, the smallest-index tie rule and
+    the breaks equal it bit for bit.
     """
     n = x.size
     s1, s2 = _prefix_sums(x)
@@ -192,33 +213,37 @@ def _dp_unbounded(x: np.ndarray, theta: float, ms: int) -> list[int]:
     best[0] = -theta  # cancels the per-segment theta of the first segment
     w = float(np.abs(x).max()) * float(np.abs(x).sum())
     delta = 64 * np.finfo(float).eps * (n + 1) * (w + theta)
-    alive = np.ones(n + 1, dtype=bool)
-    buf = np.zeros(n + 1, dtype=int)  # buf[:m]: admissible starts, ascending
-    m = 1  # start 0; starts 1..ms-1 have best == inf and never join
-    dominated: dict[int, np.ndarray] = {}  # t -> starts to drop when t joins
+    # cols[:, :m]: the admissible starts, ascending, as columns of their
+    # position, best, s1 and s2; start 0 first (s1[0] = s2[0] = 0), and
+    # starts 1..ms-1 have best == inf and never join
+    cols = np.zeros((4, n + 1))
+    cols[1, 0] = best[0]
+    m = 1
+    cand = np.empty(n + 1)
     for j in range(ms, n + 1):
         t = j - ms
         if t >= ms:
-            gone = dominated.pop(t, None)
-            if gone is not None:
-                alive[gone] = False
-                kept = buf[:m][alive[buf[:m]]]
-                m = kept.size
-                buf[:m] = kept
-            buf[m] = t
+            if j % ms == 0 and gone.any():  # drop what the check at step t found
+                keep = np.ones(m, dtype=bool)
+                keep[:gone.size] = ~gone
+                kept = cols[:, :m][:, keep]
+                m = kept.shape[1]
+                cols[:, :m] = kept
+            cols[:, m] = t, best[t], s1[t], s2[t]
             m += 1
-        starts = buf[:m]
-        cand = best[starts] + _segment_costs(s1, s2, starts, j) + theta
-        k = int(cand.argmin())  # smallest index wins ties
-        best[j] = cand[k]
-        prev[j] = int(starts[k])
-        gone = starts[cand > best[j] + theta + delta]
-        if gone.size:
-            dominated[j] = gone
+        pos, b, c1, c2 = cols[:, :m]
+        c = _segment_costs(s1, s2, pos, j, head=(c1, c2), out=cand[:m])
+        c += b
+        c += theta
+        k = int(c.argmin())  # smallest index wins ties
+        best[j] = c[k]
+        prev[j] = int(pos[k])
+        if j % ms == 0:  # dominated starts, over cols[:, :gone.size], dropped ms steps on
+            gone = c > best[j] + theta + delta
     cuts = []
     j = n
     while j > 0:
-        i = prev[j]
+        i = int(prev[j])
         if i > 0:
             cuts.append(i)
         j = i

@@ -369,7 +369,7 @@ def cmd_analyze(args, file_cfg: dict, series) -> Run:
     lines = [
         f"series {series.label}: n={series.values.size}, "
         f"{report.changepoints.n_breaks} break(s) at offsets "
-        f"{[int(o) for o in report.changepoints.offsets]}",
+        f"{list(report.changepoints.offsets)}",
         f"{'segment':<24} {'start':>6} {'stop':>6} {'d_alpha':>8} {'d_hat':>8} {'hurst':>7}",
     ]
     for e in doc["segments"]:
@@ -393,7 +393,7 @@ def cmd_changepoints(args, file_cfg: dict, series) -> Run:
     return (asdict(result.config_used),
             {"changepoints.json": changepoints_to_dict(result, timestamps)},
             {"changepoints.csv": (CHANGEPOINT_HEADER, changepoint_rows(result, timestamps))},
-            f"{result.n_breaks} break(s); offsets {[int(o) for o in result.offsets]}; "
+            f"{result.n_breaks} break(s); offsets {list(result.offsets)}; "
             f"total cost {result.total_cost:.6g}")
 
 

@@ -1,5 +1,6 @@
 """Penalized change-point detection: exactness against brute force."""
 
+import json
 import math
 from functools import partial
 
@@ -202,6 +203,25 @@ class TestDetectMultiple:
         got = detect_multiple(x, ChangePointConfig(penalty=theta, min_segment=ms))
         assert list(got.offsets) == dense_dp_offsets(x, theta, ms)
 
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_pruned_dp_equals_unpruned_recursion_at_benchmark_size(self, seed):
+        # [DERIVED] the benchmark's shape: |r| over four 1024-sample regimes
+        # of sigma 0.005, 0.02, 0.008 and 0.03. Under the default penalty
+        # about 500 starts stay live per step (up to about 1080), so the
+        # column compaction and the dominance check every min_segment steps
+        # act on hundreds of starts, which the small instances above never
+        # reach (measured). Penalty 0 packs breaks close to min_segment
+        # apart, where dropping a start at its check step instead of ms
+        # steps later loses the optimum on both seeds
+        gen = np.random.default_rng(seed)
+        x = np.abs(np.concatenate([gen.standard_normal(1024) * s
+                                   for s in (0.005, 0.02, 0.008, 0.03)]))
+        for theta in (default_penalty(x), 0.0):
+            for ms in (32, 37):
+                got = detect_multiple(x, ChangePointConfig(penalty=theta, min_segment=ms))
+                assert got.n_breaks >= 3
+                assert list(got.offsets) == dense_dp_offsets(x, theta, ms)
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(dp_instances())
     def test_binary_segmentation_never_beats_exact_dp(self, instance):
@@ -332,6 +352,20 @@ DETECTORS = [detect_single] + [
     partial(detect_multiple, config=ChangePointConfig(penalty=penalty, method=method))
     for penalty in (None, 1.0) for method in ("exact-dp", "binary-segmentation")
 ]
+
+
+class TestBreakTypes:
+    @pytest.mark.parametrize(
+        "detect", DETECTORS + [partial(detect_multiple, config=ChangePointConfig(max_breaks=3))]
+    )
+    def test_breaks_are_python_ints(self, detect, rng):
+        # the exact DP once returned NumPy integers, which json.dumps rejects
+        x = rng.standard_normal(300)
+        x[150:] += 4.0
+        r = detect(x)
+        assert r.n_breaks >= 1
+        assert all(type(h) is int for h in r.breaks + r.offsets)
+        assert json.loads(json.dumps([r.breaks, r.offsets])) == [list(r.breaks), list(r.offsets)]
 
 
 class TestInputValidation:
