@@ -6,15 +6,18 @@ search -- the exact dynamic program, binary segmentation and the single
 split -- minimizes that same cost through one kernel: each takes the
 cumulative sums of x and x**2 once (_prefix_sums), and _segment_costs turns
 them into the O(1) cost of any candidate segment, clamped at 0 against
-rounding. Without a cap on the number of breaks the exact DP drops
-candidate starts that can never win again (PELT pruning), which returns the
+rounding. The exact DP runs one recursion, _dp_columns, which drops
+candidate starts that can never win again (PELT pruning) and returns the
 same breaks as the unpruned recursion, bit for bit. It keeps its live
-starts as contiguous columns of position, best cost and prefix sums, so a
+starts as contiguous columns of position, prior cost and prefix sums, so a
 step scores them in place with no gather, and it tests them for dominance
-once per min_segment steps, not at every step. It is quadratic in the
-series length in the worst case (no breaks) and near-linear when the
-regimes grow with the series. A faster dichotomous (binary segmentation)
-alternative splits greedily while the penalized objective keeps improving.
+once per min_segment steps, not at every step. Without a cap on the number
+of breaks it runs once, over its own column; with max_breaks it runs once
+per break count, each layer reading the one before. It is quadratic in the
+series length in the worst case (no breaks, or the first capped layer) and
+near-linear when the regimes grow with the series. A faster dichotomous
+(binary segmentation) alternative splits greedily while the penalized
+objective keeps improving.
 
 Precision limit: the cost of a segment is a difference of sums that carry
 the series' level, so it loses the digits the level and the spread share.
@@ -171,26 +174,39 @@ def detect_single(
     return _result_from_offsets(x, [b], config, penalty=0.0)
 
 
-def _dp_unbounded(x: np.ndarray, theta: float, ms: int) -> list[int]:
-    """Penalized optimal partitioning: global minimizer of
-    sum(segment costs) + theta * n_breaks with all segments >= ms.
+def _dp_columns(s1, s2, prior, out, prev, theta: float, ms: int, delta: float) -> None:
+    """One layer of the exact change-point recursion, pruned: fills
+    out[j] = min over live starts t of prior[t] + cost(t, j) + theta, with
+    segments >= ms, and prev[j] = the minimizing t (the smallest on ties).
+    A step with no live start leaves out[j] = inf. The uncapped DP passes
+    its own column as prior (out is prior); the capped DP runs it once per
+    break count, each layer reading the one before.
 
-    Exact pruned DP (PELT; Killick, Fearnhead & Eckley, JASA 107:1590,
-    2012). Splitting a segment never raises its cost, so a start tau whose
-    candidate at step t exceeds best[t] + theta scores above start t at
-    every step s >= t + ms. Start t only becomes admissible at step t + ms,
-    so tau is dropped then, not at step t: with a minimum segment length,
-    pruning at step t would lose optima.
+    Start t joins at step t + ms if prior[t] is finite. Pruning (PELT;
+    Killick, Fearnhead & Eckley, JASA 107:1590, 2012): splitting a segment
+    never raises its cost, so a start i whose candidate at step j exceeds
+    prior[j] + theta scores above start j at every step s >= j + ms, as
+    prior[i] + c(i, s) + theta >= prior[i] + c(i, j) + c(j, s) + theta >
+    prior[j] + c(j, s) + theta. Start j only becomes admissible at step
+    j + ms, so i is dropped then, not at step j: with a minimum segment
+    length, pruning at step j would lose optima. When out is prior this is
+    the pruned optimal partitioning; with theta = 0 and out the layer after
+    prior it prunes the segment-neighbourhood recursion (Auger & Lawrence,
+    Bull. Math. Biol. 51:39, 1989) by the same argument. Its layers for 0
+    and 1 breaks prune nothing: the first has the one start 0, and the
+    second reads one segment, c(0, j) >= c(0, i) + c(i, j), so no candidate
+    exceeds prior[j] by more than rounding.
 
     The rounding margin `delta` makes the dropped set exact in floating
     point. With u = 2**-53 and W = max|x| * sum|x| (a bound on every
-    segment's sum(x**2) and sum(x)**2 / length), superadditivity holds
-    exactly for costs taken from the stored prefix sums; the clamp at 0
-    breaks it by at most 12 n u W, and the three candidates compared plus
-    the threshold are off by at most u (36 W + 11 theta) together. delta =
-    64 eps (n + 1) (W + theta), eps = 2u, exceeds that sum at least 6-fold
-    while n**2 u << 1, so a dropped start scores strictly above its
-    dominator at every later step.
+    segment's sum(x**2) and sum(x)**2 / length, and so on every sum of
+    segment costs, prior[j] included), superadditivity holds exactly for
+    costs taken from the stored prefix sums; the clamp at 0 breaks it by at
+    most 12 n u W, and the three candidates compared plus the threshold are
+    off by at most u (36 W + 11 theta) together. delta = 64 eps (n + 1)
+    (W + theta), eps = 2u, exceeds that sum at least 6-fold while
+    n**2 u << 1, so a dropped start scores strictly above its dominator at
+    every later step.
 
     The dominance test runs only on steps j that are multiples of ms, and
     what it finds is dropped ms steps later, so the live starts are
@@ -200,73 +216,82 @@ def _dp_unbounded(x: np.ndarray, theta: float, ms: int) -> list[int]:
     strictly above its dominator from its drop on, and a start at the
     minimum is never dropped. The live starts are kept, in ascending
     order, as the columns of `cols`: position (a float, exact below 2**53),
-    best, s1 and s2 at the start, each written once when the start joins.
+    prior, s1 and s2 at the start, each written once when the start joins.
     Each step scores them through _segment_costs into a preallocated
     buffer with no gather. Surviving starts are scored by the unpruned
-    recursion's expression, so best, prev, the smallest-index tie rule and
+    recursion's expression, so out, prev, the smallest-index tie rule and
     the breaks equal it bit for bit.
     """
-    n = x.size
-    s1, s2 = _prefix_sums(x)
-    best = np.full(n + 1, np.inf)
-    prev = np.zeros(n + 1, dtype=int)
-    best[0] = -theta  # cancels the per-segment theta of the first segment
-    w = float(np.abs(x).max()) * float(np.abs(x).sum())
-    delta = 64 * np.finfo(float).eps * (n + 1) * (w + theta)
-    # cols[:, :m]: the admissible starts, ascending, as columns of their
-    # position, best, s1 and s2; start 0 first (s1[0] = s2[0] = 0), and
-    # starts 1..ms-1 have best == inf and never join
-    cols = np.zeros((4, n + 1))
-    cols[1, 0] = best[0]
-    m = 1
+    n = out.size - 1
+    cols = np.empty((4, n + 1))
     cand = np.empty(n + 1)
+    gone = np.zeros(0, dtype=bool)  # dominated starts, over cols[:, :gone.size]
+    m = 0
     for j in range(ms, n + 1):
         t = j - ms
-        if t >= ms:
-            if j % ms == 0 and gone.any():  # drop what the check at step t found
-                keep = np.ones(m, dtype=bool)
-                keep[:gone.size] = ~gone
-                kept = cols[:, :m][:, keep]
-                m = kept.shape[1]
-                cols[:, :m] = kept
-            cols[:, m] = t, best[t], s1[t], s2[t]
+        if j % ms == 0 and gone.any():  # drop what the check at step t found
+            keep = np.ones(m, dtype=bool)
+            keep[:gone.size] = ~gone
+            kept = cols[:, :m][:, keep]
+            m = kept.shape[1]
+            cols[:, :m] = kept
+        if prior[t] < np.inf:
+            cols[:, m] = t, prior[t], s1[t], s2[t]
             m += 1
+        if m == 0:
+            continue
         pos, b, c1, c2 = cols[:, :m]
         c = _segment_costs(s1, s2, pos, j, head=(c1, c2), out=cand[:m])
         c += b
         c += theta
         k = int(c.argmin())  # smallest index wins ties
-        best[j] = c[k]
+        out[j] = c[k]
         prev[j] = int(pos[k])
-        if j % ms == 0:  # dominated starts, over cols[:, :gone.size], dropped ms steps on
-            gone = c > best[j] + theta + delta
+        if j % ms == 0:
+            gone = c > prior[j] + theta + delta
+
+
+def _delta(x: np.ndarray, theta: float) -> float:
+    """The rounding margin of _dp_columns for x under penalty theta."""
+    w = float(np.abs(x).max()) * float(np.abs(x).sum())
+    return 64 * np.finfo(float).eps * (x.size + 1) * (w + theta)
+
+
+def _dp_unbounded(x: np.ndarray, theta: float, ms: int) -> list[int]:
+    """Penalized optimal partitioning: global minimizer of
+    sum(segment costs) + theta * n_breaks with all segments >= ms, by the
+    pruned recursion of _dp_columns over its own column."""
+    n = x.size
+    s1, s2 = _prefix_sums(x)
+    best = np.full(n + 1, np.inf)
+    prev = np.zeros(n + 1, dtype=int)
+    best[0] = -theta  # cancels the per-segment theta of the first segment
+    _dp_columns(s1, s2, best, best, prev, theta, ms, _delta(x, theta))
     cuts = []
-    j = n
+    j = int(prev[n])
     while j > 0:
-        i = int(prev[j])
-        if i > 0:
-            cuts.append(i)
-        j = i
+        cuts.append(j)
+        j = int(prev[j])
     return sorted(cuts)
 
 
 def _dp_capped(x: np.ndarray, theta: float, ms: int, hmax: int) -> list[int]:
-    """Exact DP over break counts 0..hmax; picks the count minimizing the
-    penalized objective (ties to the smaller count)."""
+    """Exact DP over break counts 0..hmax (segment neighbourhood): layer k
+    holds the best unpenalized cost of every prefix split into k + 1
+    segments, filled by _dp_columns from layer k - 1 with no penalty and
+    pruned like the uncapped DP (the layers for 0 and 1 breaks prune
+    nothing, so this stays quadratic in n). Picks the count minimizing the penalized
+    objective (ties to the smaller count)."""
     n = x.size
     s1, s2 = _prefix_sums(x)
     # cost[k][j]: best unpenalized cost of x[:j] split into k+1 segments
     cost = np.full((hmax + 1, n + 1), np.inf)
     back = np.zeros((hmax + 1, n + 1), dtype=int)
-    cost[0, ms:] = _segment_costs(s1, s2, 0, np.arange(ms, n + 1))
-    for k in range(1, hmax + 1):
-        lo = (k + 1) * ms
-        for j in range(lo, n + 1):
-            i = np.arange(k * ms, j - ms + 1)
-            cand = cost[k - 1, i] + _segment_costs(s1, s2, i, j)
-            idx = int(np.argmin(cand))
-            cost[k, j] = cand[idx]
-            back[k, j] = int(i[idx])
+    prior = np.concatenate([[0.0], np.full(n, np.inf)])  # the empty prefix only
+    delta = _delta(x, 0.0)
+    for k in range(hmax + 1):
+        _dp_columns(s1, s2, prior, cost[k], back[k], 0.0, ms, delta)
+        prior = cost[k]
     totals = cost[:, n] + theta * np.arange(hmax + 1)
     k_best = int(np.argmin(totals))  # ties to fewer breaks
     cuts = []
@@ -282,7 +307,7 @@ def _binary_segmentation(x: np.ndarray, theta: float, ms: int, hmax: int | None)
     largest penalized improvement until none improves (or the cap binds)."""
     s1, s2 = _prefix_sums(x)
     cuts: list[int] = []
-    heap = []  # (-gain, split, lo, hi)
+    heap = []  # (-gain, counter, split, lo, hi); the counter breaks gain ties by push order
     counter = 0
 
     def push(lo: int, hi: int):

@@ -127,10 +127,11 @@ def frac_integrate(
 
 
 def arfima_generate(d: float, n: int, seed: int, sigma: float = 1.0) -> np.ndarray:
-    """ARFIMA(0, d, 0) sample path: (1 - B)^{-d}, truncated at
-    MAX_AUTO_TRUNCATION lags, applied to seeded Gaussian noise, with that
-    many leading samples dropped so every kept sample has a full filter
-    history. Requires |d| < 0.5 (stationary, invertible range).
+    """ARFIMA(0, d, 0) sample path: frac_integrate ((1 - B)^{-d}),
+    truncated at MAX_AUTO_TRUNCATION lags, applied to seeded Gaussian
+    noise, with that many leading samples dropped so every kept sample has
+    a full filter history. Requires |d| < 0.5 (stationary, invertible
+    range).
     """
     if not abs(d) < 0.5:
         raise InputError(f"need |d| < 0.5 for a stationary path, got d={d}")
@@ -139,11 +140,8 @@ def arfima_generate(d: float, n: int, seed: int, sigma: float = 1.0) -> np.ndarr
     if sigma <= 0:
         raise InputError(f"sigma must be positive, got {sigma}")
     burn_in = MAX_AUTO_TRUNCATION
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(n + burn_in) * sigma
-    w = frac_diff_weights(-d, burn_in)
-    path = np.convolve(noise, w)[: n + burn_in]
-    return path[burn_in:]
+    noise = np.random.default_rng(seed).standard_normal(n + burn_in) * sigma
+    return frac_integrate(noise, d, burn_in).values[burn_in:]
 
 
 def fgn_generate(n: int, hurst: float, seed: int, sigma: float = 1.0) -> np.ndarray:

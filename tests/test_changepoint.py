@@ -89,6 +89,53 @@ def dense_dp_offsets(x: np.ndarray, theta: float, ms: int) -> list[int]:
     return sorted(cuts)
 
 
+def dense_capped_layers(x: np.ndarray, ms: int, hmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: the unpruned segment-neighbourhood recursion, which scores
+    every admissible start of every break count at every step. cost[k, j]
+    is the best unpenalized cost of x[:j] split into k + 1 segments, and
+    back[k, j] the start of the last one (the smallest on ties)."""
+    n = x.size
+    s1 = np.concatenate([[0.0], np.cumsum(x)])
+    s2 = np.concatenate([[0.0], np.cumsum(x * x)])
+    cost = np.full((hmax + 1, n + 1), np.inf)
+    back = np.zeros((hmax + 1, n + 1), dtype=int)
+    for k in range(hmax + 1):
+        for j in range((k + 1) * ms, n + 1):
+            i = np.arange(k * ms, j - ms + 1) if k else np.zeros(1, dtype=int)
+            lens = (j - i).astype(float)
+            tot = s1[j] - s1[i]
+            seg = np.maximum((s2[j] - s2[i]) - tot * tot / lens, 0.0)
+            cand = (cost[k - 1, i] if k else 0.0) + seg
+            idx = int(np.argmin(cand))  # smallest index wins ties
+            cost[k, j] = cand[idx]
+            back[k, j] = int(i[idx])
+    return cost, back
+
+
+def dense_capped_offsets(x: np.ndarray, theta: float, ms: int, hmax: int,
+                         layers: tuple[np.ndarray, np.ndarray] | None = None) -> list[int]:
+    """Reference: the break count in 0..hmax minimizing the penalized total
+    over the unpruned layers (ties to fewer breaks), and its breaks. The
+    library's capped DP must return the same 0-based offsets. Layer k does
+    not depend on the cap, so `layers` from dense_capped_layers with any
+    cap >= hmax may be passed to save computing them again."""
+    cost, back = layers or dense_capped_layers(x, ms, hmax)
+    k_best = int(np.argmin(cost[:hmax + 1, x.size] + theta * np.arange(hmax + 1)))
+    cuts = []
+    j = x.size
+    for k in range(k_best, 0, -1):
+        j = int(back[k, j])
+        cuts.append(j)
+    return sorted(cuts)
+
+
+def penalized_total(x: np.ndarray, offsets, theta: float) -> float:
+    """sum(segment costs) + theta * breaks, composed as the library does."""
+    edges = (0, *offsets, x.size)
+    costs = sum(segment_cost(x[a:b]) for a, b in zip(edges, edges[1:]))
+    return float(costs + theta * len(offsets))
+
+
 @st.composite
 def dp_instances(draw):
     """(x, theta, min_segment) over the inputs where rounding and ties
@@ -151,7 +198,7 @@ class TestDetectSingle:
     def test_split_is_the_best_two_segment_split(self, instance):
         # [DERIVED] the scan scores splits with the DP's clamped kernel, so
         # the split it returns costs at most the brute-force best split
-        # plus the DP's rounding margin delta (see _dp_unbounded)
+        # plus the DP's rounding margin delta (see _dp_columns)
         x, _, ms = instance
         assume(x.size >= 2 * ms)
         b = detect_single(x, ChangePointConfig(min_segment=ms)).offsets[0]
@@ -223,11 +270,46 @@ class TestDetectMultiple:
                 assert list(got.offsets) == dense_dp_offsets(x, theta, ms)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(dp_instances(), st.data())
+    def test_capped_dp_equals_unpruned_layered_recursion(self, instance, data):
+        # [DERIVED] the capped DP prunes each break count's layer by the
+        # uncapped DP's rule with no penalty, so its breaks and total equal
+        # the unpruned layers', ties and rounding included
+        x, theta, ms = instance
+        hmax = data.draw(st.integers(0, min(8, x.size // ms - 1)), label="max_breaks")
+        got = detect_multiple(x, ChangePointConfig(penalty=theta, min_segment=ms, max_breaks=hmax))
+        want = dense_capped_offsets(x, theta, ms, hmax)
+        assert list(got.offsets) == want
+        assert got.total_cost == penalized_total(x, want, theta)
+
+    def test_capped_dp_equals_unpruned_layered_recursion_at_benchmark_size(self):
+        # [DERIVED] the benchmark's shape (see the uncapped case above) with
+        # a break cap at and above the three planted breaks. The layer for
+        # one break prunes nothing (about 2000 live starts per step, up to
+        # about 4000); the layers for 2, 3 and 4-8 breaks keep about 880,
+        # 450 and 240-350 (measured). Under the default penalty cap 8 does
+        # not bind (4 breaks); under penalty 0 both caps do, so the deepest
+        # layer decides the breaks
+        gen = np.random.default_rng(0)
+        x = np.abs(np.concatenate([gen.standard_normal(1024) * s
+                                   for s in (0.005, 0.02, 0.008, 0.03)]))
+        for ms in (32, 37):
+            layers = dense_capped_layers(x, ms, 8)
+            for theta in (default_penalty(x), 0.0):
+                for hmax in (3, 8):
+                    cfg = ChangePointConfig(penalty=theta, min_segment=ms, max_breaks=hmax)
+                    got = detect_multiple(x, cfg)
+                    want = dense_capped_offsets(x, theta, ms, hmax, layers)
+                    assert got.n_breaks >= 3
+                    assert list(got.offsets) == want
+                    assert got.total_cost == penalized_total(x, want, theta)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(dp_instances())
     def test_binary_segmentation_never_beats_exact_dp(self, instance):
         # [DERIVED] greedy splits are admissible placements, so their
         # penalized total cannot undercut the global optimum by more than
-        # the DP's rounding margin delta (see _dp_unbounded)
+        # the DP's rounding margin delta (see _dp_columns)
         x, theta, ms = instance
         exact = detect_multiple(x, ChangePointConfig(penalty=theta, min_segment=ms))
         greedy = detect_multiple(

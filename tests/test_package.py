@@ -90,6 +90,26 @@ def test_one_change_point_cost_kernel():
     assert subtracting == {"_segment_costs"}
 
 
+def test_one_exact_change_point_recursion():
+    # both exact searches, uncapped and capped, score candidates only
+    # through the pruned column kernel _dp_columns, so neither keeps a step
+    # loop of its own; the splitting searches score through _best_split
+    # and the penalized gain of binary segmentation
+    tree = ast.parse((SRC / "changepoint.py").read_text())
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+
+    def callers(name: str) -> set[str]:
+        return {
+            fn.name
+            for fn in functions
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == name
+        }
+
+    assert callers("_segment_costs") == {"_best_split", "_binary_segmentation", "_dp_columns"}
+    assert callers("_dp_columns") == {"_dp_capped", "_dp_unbounded"}
+
+
 def test_one_power_sum_kernel():
     # the power means of the fluctuation surface and the partition sums of
     # fa_partition exponentiate only in _power_sums, over every q at once,
