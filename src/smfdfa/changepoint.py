@@ -9,15 +9,18 @@ them into the O(1) cost of any candidate segment, clamped at 0 against
 rounding. The exact DP runs one recursion, _dp_columns, which drops
 candidate starts that can never win again (PELT pruning) and returns the
 same breaks as the unpruned recursion, bit for bit. It keeps its live
-starts as contiguous columns of position, prior cost and prefix sums, so a
-step scores them in place with no gather, and it tests them for dominance
-once per min_segment steps, not at every step. Without a cap on the number
-of breaks it runs once, over its own column; with max_breaks it runs once
-per break count, each layer reading the one before. It is quadratic in the
-series length in the worst case (no breaks, or the first capped layer) and
-near-linear when the regimes grow with the series. A faster dichotomous
-(binary segmentation) alternative splits greedily while the penalized
-objective keeps improving.
+starts as contiguous columns of position, prior cost and prefix sums, and
+it tests them for dominance once per min_segment steps, not at every step.
+Between two checks the live set only grows, so it scores those steps
+together: one contiguous (steps x live starts) block of at most
+BLOCK_CELLS cells, in a few NumPy calls in place of a dozen per step, with
+each start masked out on the rows before it joins. Without a cap on the
+number of breaks it runs once, over its own column; with max_breaks it
+runs once per break count, each layer reading the one before. It is
+quadratic in the series length in the worst case (no breaks, or the first
+capped layer) and near-linear when the regimes grow with the series. A
+faster dichotomous (binary segmentation) alternative splits greedily while
+the penalized objective keeps improving.
 
 Precision limit: the cost of a segment is a difference of sums that carry
 the series' level, so it loses the digits the level and the spread share.
@@ -52,6 +55,13 @@ class ChangePointConfig:
     method: str = "exact-dp"
 
     def __post_init__(self):
+        for name in ("min_segment", "max_breaks"):
+            value = getattr(self, name)
+            if value is None and name == "max_breaks":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InputError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a NumPy integer as an int
         if self.method not in METHODS:
             raise InputError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.penalty is not None and not self.penalty >= 0:
@@ -120,10 +130,11 @@ def _prefix_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _segment_costs(s1: np.ndarray, s2: np.ndarray, i, j, head=None, out=None):
     """O(1) cost of x[i:j] (0-based half-open) from the prefix sums of x,
-    vectorised over i or j; clamped at 0 against rounding. A caller that
-    holds s1[i] and s2[i] already passes them as `head` (i may then be
-    float positions), and `out`, shaped like the result, receives the
-    costs in place of a new array."""
+    vectorised over i or j, or broadcast over both: a column of ends j
+    against a row of starts i gives the (ends x starts) table; clamped at 0
+    against rounding. A caller that holds s1[i] and s2[i] already passes
+    them as `head` (i may then be float positions), and `out`, shaped like
+    the result, receives the costs in place of a new array."""
     a1, a2 = (s1[i], s2[i]) if head is None else head
     tot = s1[j] - a1
     tot *= tot
@@ -174,6 +185,11 @@ def detect_single(
     return _result_from_offsets(x, [b], config, penalty=0.0)
 
 
+# Most cells (steps x live starts) that one block of _dp_columns scores:
+# 2**16 doubles, 512 KiB, so a block and its one temporary stay in cache
+BLOCK_CELLS = 2**16
+
+
 def _dp_columns(s1, s2, prior, out, prev, theta: float, ms: int, delta: float) -> None:
     """One layer of the exact change-point recursion, pruned: fills
     out[j] = min over live starts t of prior[t] + cost(t, j) + theta, with
@@ -217,38 +233,59 @@ def _dp_columns(s1, s2, prior, out, prev, theta: float, ms: int, delta: float) -
     minimum is never dropped. The live starts are kept, in ascending
     order, as the columns of `cols`: position (a float, exact below 2**53),
     prior, s1 and s2 at the start, each written once when the start joins.
-    Each step scores them through _segment_costs into a preallocated
-    buffer with no gather. Surviving starts are scored by the unpruned
-    recursion's expression, so out, prev, the smallest-index tie rule and
-    the breaks equal it bit for bit.
+
+    The steps of one run [j0, j1), from a multiple of ms up to the next,
+    are scored together as one contiguous (steps x live starts) block
+    through _segment_costs, with no gather and no per-step NumPy calls. A
+    run whose block would exceed BLOCK_CELLS cells is split into shorter
+    blocks, so the memory stays bounded whatever n and ms. This is exact:
+    every start that joins inside the run has t = j - ms < j0, so its
+    prior[t] is final before the block is scored, in both the uncapped
+    and the capped DP. A start that joins inside the block scores inf on
+    the rows before its join; joined starts come last in the column order,
+    so the smallest index still wins ties. Compaction happens only at run
+    starts, and the dominance check reads row j0 after out[j0] is written.
+    Surviving starts are scored by the unpruned recursion's expression,
+    element by element, so out, prev, the smallest-index tie rule and the
+    breaks equal it bit for bit.
     """
     n = out.size - 1
     cols = np.empty((4, n + 1))
-    cand = np.empty(n + 1)
+    buf = np.empty(max(BLOCK_CELLS, n + 1))
     gone = np.zeros(0, dtype=bool)  # dominated starts, over cols[:, :gone.size]
     m = 0
-    for j in range(ms, n + 1):
-        t = j - ms
-        if j % ms == 0 and gone.any():  # drop what the check at step t found
+    j0 = ms
+    while j0 <= n:
+        if j0 % ms == 0 and gone.any():  # drop what the check at step j0 - ms found
             keep = np.ones(m, dtype=bool)
             keep[:gone.size] = ~gone
             kept = cols[:, :m][:, keep]
             m = kept.shape[1]
             cols[:, :m] = kept
-        if prior[t] < np.inf:
-            cols[:, m] = t, prior[t], s1[t], s2[t]
-            m += 1
-        if m == 0:
-            continue
-        pos, b, c1, c2 = cols[:, :m]
-        c = _segment_costs(s1, s2, pos, j, head=(c1, c2), out=cand[:m])
-        c += b
-        c += theta
-        k = int(c.argmin())  # smallest index wins ties
-        out[j] = c[k]
-        prev[j] = int(pos[k])
-        if j % ms == 0:
-            gone = c > prior[j] + theta + delta
+        # up to the next multiple of ms; at most ms starts join, so the
+        # block holds at most BLOCK_CELLS cells, or one row of n + 1
+        j1 = min(n + 1, (j0 // ms + 1) * ms, j0 + max(1, BLOCK_CELLS // (m + ms)))
+        rows = j1 - j0
+        joins = np.flatnonzero(prior[j0 - ms:j1 - ms] < np.inf)  # the row each start joins at
+        t = joins + (j0 - ms)
+        live = m + joins.size
+        cols[:, m:live] = t, prior[t], s1[t], s2[t]
+        first = 0 if m else (int(joins[0]) if joins.size else rows)  # first row with a live start
+        if first < rows:
+            pos, b, c1, c2 = cols[:, :live]
+            c = _segment_costs(s1, s2, pos, np.arange(j0, j1)[:, None], head=(c1, c2),
+                               out=buf[:rows * live].reshape(rows, live))
+            c += b
+            c += theta
+            c[:, m:][np.arange(rows)[:, None] < joins] = np.inf  # not joined yet
+            k = c.argmin(axis=1)  # smallest index wins ties
+            out[j0 + first:j1] = c[np.arange(first, rows), k[first:]]
+            prev[j0 + first:j1] = pos[k[first:]]
+            if j0 % ms == 0 and first == 0:
+                at_j0 = m + int(joins.size > 0 and joins[0] == 0)  # live at step j0
+                gone = c[0, :at_j0] > prior[j0] + theta + delta
+        m = live
+        j0 = j1
 
 
 def _delta(x: np.ndarray, theta: float) -> float:

@@ -2,7 +2,9 @@
 
 import json
 import math
+import tracemalloc
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from smfdfa import (
     detect_single,
     segment_cost,
 )
+from smfdfa import changepoint
 from smfdfa.serialize import changepoints_to_dict
 
 
@@ -137,13 +140,16 @@ def penalized_total(x: np.ndarray, offsets, theta: float) -> float:
 
 
 @st.composite
-def dp_instances(draw):
+def dp_instances(draw, min_segments=st.integers(2, 12), ragged=False):
     """(x, theta, min_segment) over the inputs where rounding and ties
     decide the optimum: Gaussian noise, piecewise-constant steps (exact
     zero costs when noiseless), small integers (many tied candidates) and
-    a 1e6 offset with 1e-3 noise (costs near the rounding floor)."""
-    ms = draw(st.integers(2, 12), label="min_segment")
+    a 1e6 offset with 1e-3 noise (costs near the rounding floor). With
+    `ragged`, the length is never a multiple of min_segment."""
+    ms = draw(min_segments, label="min_segment")
     n = draw(st.integers(ms, 400), label="n")
+    if ragged and n % ms == 0:
+        n += 1
     kind = draw(st.sampled_from(["gaussian", "steps", "integer", "offset"]), label="kind")
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
     if kind == "gaussian":
@@ -304,6 +310,57 @@ class TestDetectMultiple:
                     assert list(got.offsets) == want
                     assert got.total_cost == penalized_total(x, want, theta)
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(dp_instances(st.sampled_from([2, 3, 7, 37]), ragged=True), st.data())
+    def test_block_edges_match_unpruned_recursions(self, instance, data):
+        # [DERIVED] the DP scores the steps from one multiple of min_segment
+        # to the next as one block, split further by the cell cap. The
+        # length here is never a multiple of min_segment, so the last block
+        # is short; a capped layer k reads priors that are inf below
+        # k * min_segment, so its first starts join in the middle of a
+        # block; and caps of 1 and 97 cells split the runs into one-step
+        # and few-step blocks. Breaks and totals equal the unpruned
+        # recursions' either way
+        x, theta, ms = instance
+        hmax = data.draw(st.none() | st.integers(0, min(8, x.size // ms - 1)), label="max_breaks")
+        cells = data.draw(st.sampled_from([changepoint.BLOCK_CELLS, 97, 1]), label="cells")
+        if hmax is None:
+            want = dense_dp_offsets(x, theta, ms)
+        else:
+            want = dense_capped_offsets(x, theta, ms, hmax)
+        cfg = ChangePointConfig(penalty=theta, min_segment=ms, max_breaks=hmax)
+        with mock.patch.object(changepoint, "BLOCK_CELLS", cells):
+            got = detect_multiple(x, cfg)
+        assert list(got.offsets) == want
+        assert got.total_cost == penalized_total(x, want, theta)
+
+    def test_block_memory_is_bounded(self):
+        # [DERIVED] with penalty 0 the layer for one break prunes nothing,
+        # so its live starts grow to n. Each block holds at most
+        # BLOCK_CELLS cells, so the layer's peak is its per-start columns
+        # (four doubles and the one-byte dominance mask) plus the block,
+        # its one temporary, and NumPy's ufunc buffers, whatever n and
+        # min_segment; a block of min_segment full rows would take 49 MB
+        n, ms = 20480, 300
+        x = np.abs(np.random.default_rng(0).standard_normal(n))
+        s1, s2 = changepoint._prefix_sums(x)
+        delta = changepoint._delta(x, 0.0)
+        layers = np.full((2, n + 1), np.inf)
+        back = np.zeros((2, n + 1), dtype=int)
+        empty_prefix = np.concatenate([[0.0], np.full(n, np.inf)])
+        changepoint._dp_columns(s1, s2, empty_prefix, layers[0], back[0], 0.0, ms, delta)
+        tracemalloc.start()
+        try:
+            changepoint._dp_columns(s1, s2, layers[0], layers[1], back[1], 0.0, ms, delta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        columns = (4 * 8 + 1) * (n + 1)
+        assert peak < columns + 2 * 8 * changepoint.BLOCK_CELLS + 2 * 8 * np.getbufsize()
+        # the same layer as the capped search runs it
+        cfg = ChangePointConfig(penalty=0.0, min_segment=ms, max_breaks=1)
+        assert list(detect_multiple(x, cfg).offsets) == [int(back[1, n])]
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(dp_instances())
     def test_binary_segmentation_never_beats_exact_dp(self, instance):
@@ -422,6 +479,25 @@ class TestConfigValidation:
             ChangePointConfig(penalty=math.inf)
         with pytest.raises(InputError):
             ChangePointConfig(min_segment=1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("min_segment", 32.0), ("min_segment", 32.5), ("max_breaks", 2.0),
+        ("min_segment", True), ("max_breaks", np.False_), ("min_segment", "32"),
+    ])
+    def test_non_integer_settings_named(self, field, value):
+        # a float once reached the searches, which raised a bare TypeError
+        # (exact DP) or IndexError (binary segmentation, single split)
+        with pytest.raises(InputError, match=f"{field} must be an integer, got "):
+            ChangePointConfig(**{field: value})
+
+    def test_numpy_integer_settings_become_ints(self, rng):
+        cfg = ChangePointConfig(min_segment=np.int64(16), max_breaks=np.int32(2))
+        assert type(cfg.min_segment) is int and type(cfg.max_breaks) is int
+        x = rng.standard_normal(200)
+        x[100:] += 4.0
+        used = detect_multiple(x, cfg).config_used
+        assert (used.min_segment, used.max_breaks) == (16, 2)
+        assert type(used.min_segment) is int and type(used.max_breaks) is int
 
     def test_series_too_short_for_cap(self):
         with pytest.raises(InputError):

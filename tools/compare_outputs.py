@@ -1,0 +1,310 @@
+"""Run one committed list of smfdfa CLI jobs against two source trees and
+report, job by job, whether their outputs are byte-identical.
+
+Usage, from the root of a source checkout:
+
+    python3 tools/compare_outputs.py PARENT_TREE CHANGE_TREE [--jobs full|toy] [--work DIR]
+
+PARENT_TREE and CHANGE_TREE are source checkouts (each with a `src/smfdfa`).
+The inputs are written once, with perfbench's own generators (imported from
+this checkout, not copied), and both trees read the same files. Each tree
+runs every job in its own subprocess, which imports `smfdfa` from that tree
+only, through `smfdfa.cli.main` in a directory of its own, with one BLAS
+thread. A job's record is its output directory plus its stdout, stderr and
+exit code, with the tree's path replaced by `<tree>`.
+
+One line per job follows: `identical <job>`, or `DIFFERS <job>:` and what
+differs -- for JSON the key paths, for CSV the columns and the first
+differing row, otherwise the file names. The last line counts the jobs.
+The exit code is 0 when every job is identical and 1 otherwise.
+
+The full list is benchmark seeds 0-9 of all three perfbench workloads (7
+inputs each, as perfbench runs them) plus change-point, forecast,
+surrogate and subcommand jobs on analyze_regimes input seeds 0, 371 and
+400, on one forecast_memory_switch input and on a series with a flat
+regime, mostly in both --format values, and one rejected --config file.
+The toy list runs a few jobs on toy-size inputs in seconds; the
+self-tests use it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import csv
+import importlib.util
+import io
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import traceback
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+BENCH_SEEDS = range(10)
+INPUTS_PER_SEED = 7  # perfbench's INPUTS: seed s runs input seeds 7s .. 7s + 6
+FORMATS = ("csv", "json")
+# change-point settings run by analyze and changepoints on each custom input
+CP_SETTINGS = {
+    "ms2": ["--min-segment", "2"],
+    "ms7": ["--min-segment", "7"],
+    "ms37": ["--min-segment", "37"],
+    "ms300": ["--min-segment", "300"],
+    "mb0": ["--max-breaks", "0"],
+    "mb1": ["--max-breaks", "1"],
+    "mb3": ["--max-breaks", "3"],
+    "mb8": ["--max-breaks", "8"],
+    "pen0": ["--penalty", "0"],
+    "binseg": ["--cp-method", "binary-segmentation"],
+}
+CONFIG = {"min_segment": 64, "max_breaks": 3, "detrend_order": 2}
+SHOWN_PATHS = 5  # JSON key paths listed per differing file
+
+
+def _workloads():
+    """perfbench/workloads.py of this checkout, loaded by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def build_jobs(kind: str, inputs: Path) -> list[dict]:
+    """Write the inputs of the `kind` list under `inputs` and return its
+    jobs: {"name", "argv"}, argv without --out."""
+    workloads = _workloads()
+    toy = kind == "toy"
+
+    def prepare(workload: str, input_seed: int):
+        path = inputs / f"{workload}_{input_seed}.csv"
+        prepared = workloads.WORKLOADS[workload](input_seed, path, toy)
+        return str(path), prepared.argv
+
+    jobs = []
+
+    def add(name: str, argv: list[str]):
+        jobs.append({"name": name, "argv": argv})
+
+    config = inputs / "config.json"
+    config.write_text(json.dumps(CONFIG))
+    if toy:
+        path, argv = prepare("analyze_regimes", 0)
+        add("toy/analyze", [argv[0], path, *argv[1:]])
+        for fmt in FORMATS:
+            add(f"toy/changepoints/values/{fmt}",
+                ["changepoints", path, "--transform", "values", "--format", fmt])
+        add("toy/analyze/config/json",
+            ["analyze", path, "--config", str(config), "--format", "json"])
+        return jobs
+    for workload in ("analyze_regimes", "surrogate_cascade", "forecast_memory_switch"):
+        for seed in BENCH_SEEDS:
+            for k in range(INPUTS_PER_SEED):
+                input_seed = seed * INPUTS_PER_SEED + k
+                path, argv = prepare(workload, input_seed)
+                add(f"bench/{workload}/{input_seed}", [argv[0], path, *argv[1:]])
+    for input_seed in (0, 371, 400):
+        path, _ = prepare("analyze_regimes", input_seed)
+        for fmt in FORMATS:
+            tail = ["--format", fmt]
+            for label, flags in CP_SETTINGS.items():
+                add(f"analyze/{input_seed}/{label}/{fmt}", ["analyze", path, *flags, *tail])
+                add(f"changepoints/{input_seed}/{label}/{fmt}",
+                    ["changepoints", path, *flags, *tail])
+            for label, flags in (("default", []), ("mb3", ["--max-breaks", "3"]),
+                                 ("binseg", ["--cp-method", "binary-segmentation"])):
+                add(f"changepoints/{input_seed}/values/{label}/{fmt}",
+                    ["changepoints", path, "--transform", "values", *flags, *tail])
+            add(f"analyze/{input_seed}/config/{fmt}",
+                ["analyze", path, "--config", str(config), *tail])
+    path, _ = prepare("analyze_regimes", 0)
+    for fmt in FORMATS:
+        add(f"mfdfa/0/{fmt}", ["mfdfa", path, "--format", fmt])
+        add(f"surrogate/0/phase/{fmt}",
+            ["surrogate", path, "--kind", "phase", "--n", "10", "--seed", "3", "--format", fmt])
+        for kind in ("shuffle", "phase"):
+            add(f"analyze/0/surrogates/{kind}/{fmt}",
+                ["analyze", path, "--surrogates", "10", "--surrogate-kind", kind, "--format", fmt])
+    bad_config = inputs / "bad_config.json"
+    bad_config.write_text(json.dumps({"penalty": True}))
+    add("changepoints/0/bad_config", ["changepoints", path, "--config", str(bad_config)])
+    # a flat regime: 600 noisy returns, 600 zero returns, 600 noisy returns
+    flat = inputs / "flat.csv"
+    gen = np.random.default_rng(0)
+    r = np.concatenate([gen.normal(0, 0.01, 600), np.zeros(600), gen.normal(0, 0.01, 600)])
+    workloads.write_price_csv(flat, workloads.prices_from_returns(r))
+    for fmt in FORMATS:
+        add(f"analyze/flat/{fmt}", ["analyze", str(flat), "--format", fmt])
+        add(f"analyze/flat/surrogates/{fmt}",
+            ["analyze", str(flat), "--surrogates", "10", "--format", fmt])
+        add(f"forecast/flat/{fmt}", ["forecast", str(flat), "--breaks", "manual:600,1200",
+                                     "--method", "lfd", "--p", "2", "--hidden", "2",
+                                     "--format", fmt])
+    path, _ = prepare("forecast_memory_switch", 0)
+    for fmt in FORMATS:
+        add(f"forecast/0/auto/{fmt}", ["forecast", path, "--breaks", "auto", "--format", fmt])
+        add(f"forecast/0/auto/ms300/{fmt}",
+            ["forecast", path, "--breaks", "auto", "--min-segment", "300", "--method", "lfd",
+             "--format", fmt])
+    return jobs
+
+
+def _job_dir(job: dict) -> str:
+    """A job's directory name: flat, so no job's record holds another's."""
+    return job["name"].replace("/", "__")
+
+
+def run_tree(tree: Path, jobs_file: Path, dest: Path) -> None:
+    """Subprocess side: run every job with `smfdfa` imported from `tree`
+    (an absolute path)."""
+    sys.path.insert(0, str(tree / "src"))
+    import smfdfa.cli
+
+    here = Path(smfdfa.cli.__file__).resolve()
+    if not here.is_relative_to(tree.resolve()):
+        raise SystemExit(f"smfdfa imported from {here}, not from {tree}")
+    for job in json.loads(jobs_file.read_text()):
+        job_dir = dest / _job_dir(job)
+        job_dir.mkdir(parents=True)
+        os.chdir(job_dir)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                warnings.catch_warnings():
+            warnings.simplefilter("default")  # each job warns as in a fresh process
+            try:
+                code = str(smfdfa.cli.main([*job["argv"], "--out", "out"]))
+            except SystemExit as exc:
+                code = str(exc.code)
+            except Exception as exc:
+                traceback.print_exc(file=sys.stderr)
+                code = f"raised {type(exc).__name__}"
+        for name, text in (("stdout.txt", stdout.getvalue()), ("stderr.txt", stderr.getvalue()),
+                           ("exit.txt", code + "\n")):
+            (job_dir / name).write_text(text.replace(str(tree), "<tree>"))
+
+
+def _json_paths(a, b, path: str = "") -> list[str]:
+    """Key paths where two JSON documents differ (a type change counts)."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        out = []
+        for key in sorted(set(a) | set(b), key=str):
+            sub = f"{path}.{key}" if path else str(key)
+            if key not in a or key not in b:
+                out.append(f"{sub} (only in {'change' if key in b else 'parent'})")
+            else:
+                out += _json_paths(a[key], b[key], sub)
+        return out
+    if isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            return [f"{path or '<root>'} (length {len(a)} vs {len(b)})"]
+        return [p for k, (u, v) in enumerate(zip(a, b)) for p in _json_paths(u, v, f"{path}[{k}]")]
+    if type(a) is not type(b) or a != b:
+        return [path or "<root>"]
+    return []
+
+
+def _csv_diff(a: str, b: str) -> str:
+    """The columns whose cells differ and the first differing data row."""
+    ra, rb = list(csv.reader(io.StringIO(a))), list(csv.reader(io.StringIO(b)))
+    if not ra or not rb or ra[0] != rb[0]:
+        return "header"
+    if len(ra) != len(rb):
+        return f"rows {len(ra) - 1} vs {len(rb) - 1}"
+    header, first, columns = ra[0], None, []
+    for row, (u, v) in enumerate(zip(ra[1:], rb[1:]), start=1):
+        diff = [k for k in range(max(len(u), len(v)))
+                if k >= len(u) or k >= len(v) or u[k] != v[k]]
+        if diff and first is None:
+            first = row
+        columns += [header[k] if k < len(header) else f"#{k}" for k in diff
+                    if (header[k] if k < len(header) else f"#{k}") not in columns]
+    return f"columns {', '.join(columns)}; first at row {first}"
+
+
+def compare_job(parent: Path, change: Path) -> list[str]:
+    """What differs between one job's two records; empty when identical."""
+    files_a = {p.relative_to(parent) for p in parent.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(change) for p in change.rglob("*") if p.is_file()}
+    out = [f"{p} only in {'parent' if p in files_a else 'change'}"
+           for p in sorted(files_a ^ files_b)]
+    for rel in sorted(files_a & files_b):
+        a, b = (parent / rel).read_bytes(), (change / rel).read_bytes()
+        if a == b:
+            continue
+        if rel.suffix == ".json":
+            try:
+                paths = _json_paths(json.loads(a), json.loads(b))
+            except ValueError:
+                paths = []
+            shown = ", ".join(paths[:SHOWN_PATHS]) + (
+                f" (+{len(paths) - SHOWN_PATHS} more)" if len(paths) > SHOWN_PATHS else "")
+            out.append(f"{rel} at {shown or 'bytes'}")
+        elif rel.suffix == ".csv":
+            out.append(f"{rel}: {_csv_diff(a.decode(), b.decode())}")
+        else:
+            out.append(str(rel))
+    return out
+
+
+def _run_both(parent: Path, change: Path, jobs_file: Path, work: Path) -> None:
+    env = dict(os.environ, **{v: "1" for v in THREAD_VARS})
+    env.pop("PYTHONPATH", None)
+    procs = [
+        subprocess.Popen([sys.executable, str(Path(__file__).resolve()), "--run-tree", str(tree),
+                          "--jobs-file", str(jobs_file), "--dest", str(work / side)], env=env)
+        for side, tree in (("parent", parent), ("change", change))
+    ]
+    codes = [p.wait() for p in procs]
+    if any(codes):
+        raise SystemExit(f"a tree's runner failed (exit codes {codes})")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", nargs="?", type=Path)
+    parser.add_argument("change", nargs="?", type=Path)
+    parser.add_argument("--jobs", choices=("full", "toy"), default="full")
+    parser.add_argument("--work", type=Path, default=None,
+                        help="keep inputs and outputs here (default: a temporary directory)")
+    parser.add_argument("--run-tree", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--jobs-file", type=Path, help=argparse.SUPPRESS)
+    parser.add_argument("--dest", type=Path, help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.run_tree is not None:
+        run_tree(args.run_tree, args.jobs_file, args.dest)
+        return 0
+    if args.parent is None or args.change is None:
+        parser.error("PARENT_TREE and CHANGE_TREE are required")
+    for tree in (args.parent, args.change):
+        if not (tree / "src" / "smfdfa" / "cli.py").is_file():
+            parser.error(f"{tree} holds no src/smfdfa/cli.py")
+    work = (args.work or Path(tempfile.mkdtemp(prefix="compare_outputs_"))).resolve()
+    try:
+        (work / "inputs").mkdir(parents=True, exist_ok=True)
+        jobs = build_jobs(args.jobs, (work / "inputs").resolve())
+        jobs_file = work / "jobs.json"
+        jobs_file.write_text(json.dumps(jobs, indent=1))
+        _run_both(args.parent.resolve(), args.change.resolve(), jobs_file.resolve(), work)
+        differing = 0
+        for job in jobs:
+            diffs = compare_job(work / "parent" / _job_dir(job), work / "change" / _job_dir(job))
+            differing += bool(diffs)
+            print(f"DIFFERS {job['name']}: {'; '.join(diffs)}" if diffs
+                  else f"identical {job['name']}")
+        print(f"{len(jobs)} jobs: {len(jobs) - differing} identical, {differing} differ")
+        return 1 if differing else 0
+    finally:
+        if args.work is None:
+            shutil.rmtree(work, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
