@@ -7,20 +7,29 @@ split -- minimizes that same cost through one kernel: each takes the
 cumulative sums of x and x**2 once (_prefix_sums), and _segment_costs turns
 them into the O(1) cost of any candidate segment, clamped at 0 against
 rounding. The exact DP runs one recursion, _dp_columns, which drops
-candidate starts that can never win again (PELT pruning) and returns the
-same breaks as the unpruned recursion, bit for bit. It keeps its live
-starts as contiguous columns of position, prior cost and prefix sums, and
-it tests them for dominance once per min_segment steps, not at every step.
-Between two checks the live set only grows, so it scores those steps
-together: one contiguous (steps x live starts) block of at most
-BLOCK_CELLS cells, in a few NumPy calls in place of a dozen per step, with
-each start masked out on the rows before it joins. Without a cap on the
-number of breaks it runs once, over its own column; with max_breaks it
-runs once per break count, each layer reading the one before. It is
-quadratic in the series length in the worst case (no breaks, or the first
-capped layer) and near-linear when the regimes grow with the series. A
-faster dichotomous (binary segmentation) alternative splits greedily while
-the penalized objective keeps improving.
+candidate starts that can never win again and returns the same breaks as
+the unpruned recursion, bit for bit. It keeps its live starts as
+contiguous columns of position, prior cost and prefix sums, and it tests
+them once per min_segment steps, not at every step, by two exact rules.
+PELT pruning drops a start whose candidate already exceeds the newest
+start's prior. Functional pruning writes each candidate as the minimum
+over a segment mean mu of a quadratic h_t(mu), from start t's own prior
+and prefix sums, plus a term in mu that every start shares; it drops a
+start whose h_t lies above the lower envelope of the other starts up to
+the check, by a rounding margin, at every mu a segment mean can take
+(the range of x, widened by the prefix sums' rounding). That test runs
+only once the live set has grown since its last run. Between two checks
+the live set only grows, so the DP scores those steps together: one
+contiguous (steps x live starts) block of at most BLOCK_CELLS cells, in a
+few NumPy calls in place of a dozen per step, with each start masked out
+on the rows before it joins. Without a cap on the number of breaks it
+runs once, over its own column; with max_breaks it runs once per break
+count, each layer reading the one before. The envelope keeps a few
+hundred starts at most on the regime, noise and random-walk series
+measured (n = 20480), so the DP is near-linear there; it stays quadratic
+in the series length in the worst case, where the envelope keeps every
+start. A faster dichotomous (binary segmentation) alternative splits
+greedily while the penalized objective keeps improving.
 
 Precision limit: the cost of a segment is a difference of sums that carry
 the series' level, so it loses the digits the level and the spread share.
@@ -188,9 +197,81 @@ def detect_single(
 # Most cells (steps x live starts) that one block of _dp_columns scores:
 # 2**16 doubles, 512 KiB, so a block and its one temporary stay in cache
 BLOCK_CELLS = 2**16
+# Points of the uniform mu grid of the envelope test; as many segment means
+# of sampled live starts at most join them
+ENVELOPE_GRID = 32
 
 
-def _dp_columns(s1, s2, prior, out, prev, theta: float, ms: int, delta: float) -> None:
+def _quadratic(a, s, t, mu, out=None):
+    """a + mu (2 s - t mu): start t's function h_t(mu) from a = prior[t] -
+    s2[t] and s = s1[t], or the difference of two such functions from the
+    differences of a, s and t."""
+    h = np.multiply(t, mu, out=out)
+    np.subtract(s, h, out=h)
+    h += s
+    h *= mu
+    h += a
+    return h
+
+
+def _above_envelope(cols, k: int, lo: float, hi: float, margin: float, work) -> np.ndarray:
+    """Which of the first k starts in cols (columns of position, prior, s1
+    and s2) lie above the lower envelope of all of them by more than margin
+    at every mu in [lo, hi]; the last column is the start the others'
+    sampled segment means end at. Scores in chunks of at most BLOCK_CELLS
+    cells, the owner search in `work`. See _dp_columns for why it is exact."""
+    pos, b, c1, c2 = cols
+    # the grid: uniform over [lo, hi] plus the means of the segments from a
+    # sample of the candidates to the last start
+    step = -(-k // ENVELOPE_GRID)
+    means = (c1[-1] - c1[:k:step]) / (pos[-1] - pos[:k:step])
+    grid = np.sort(np.concatenate([np.linspace(lo, hi, ENVELOPE_GRID), np.clip(means, lo, hi)]))
+    # the owner of each grid point: the start lowest there
+    rows = max(1, BLOCK_CELLS // grid.size)
+    best = np.full(grid.size, np.inf)
+    owner = np.zeros(grid.size, dtype=int)
+    for i in range(0, pos.size, rows):
+        t = slice(i, i + rows)
+        out = work[:min(rows, pos.size - i) * grid.size].reshape(-1, grid.size)
+        h = _quadratic((b[t] - c2[t])[:, None], c1[t, None], pos[t, None], grid, out)
+        low = h.argmin(axis=0)
+        val = h[low, np.arange(grid.size)]
+        better = val < best
+        best[better] = val[better]
+        owner[better] = low[better] + i
+    # pieces: runs of grid points with one owner, cut where the functions
+    # of the two owners cross between their grid points (else midway)
+    cut = np.flatnonzero(owner[1:] != owner[:-1])
+    own = owner[np.concatenate([[0], cut + 1])]
+    ao, so, to = b[own] - c2[own], c1[own], pos[own]
+    ca, cb, cc = ao[:-1] - ao[1:], so[:-1] - so[1:], to[:-1] - to[1:]
+    root = np.sqrt(np.maximum(cb * cb + ca * cc, 0.0))  # of ca + mu (2 cb - cc mu) = 0
+    left, right = grid[cut], grid[cut + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r1, r2 = (cb - root) / cc, (cb + root) / cc
+    edge = np.where((left <= r1) & (r1 <= right), r1,
+                    np.where((left <= r2) & (r2 <= right), r2, (left + right) / 2))
+    edges = np.concatenate([[lo], edge, [hi]])
+    # candidate i goes if d = h_i - h_o exceeds margin on each piece, o its
+    # owner: d is quadratic in mu, so its least value on the piece is at an
+    # edge or at its stationary point clipped into the piece. At most seven
+    # (rows x pieces) arrays at once, so rows keep them under BLOCK_CELLS cells
+    gone = np.empty(k, dtype=bool)
+    rows = max(1, BLOCK_CELLS // (8 * own.size))
+    for i in range(0, k, rows):
+        t = slice(i, min(k, i + rows))
+        da = (b[t] - c2[t])[:, None] - ao
+        ds = c1[t, None] - so
+        dt = pos[t, None] - to
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vertex = np.clip(ds / dt, edges[:-1], edges[1:])
+        least = np.minimum(_quadratic(da, ds, dt, edges[:-1]), _quadratic(da, ds, dt, edges[1:]))
+        np.minimum(least, _quadratic(da, ds, dt, vertex), out=least)
+        gone[t] = (least > margin).all(axis=1)
+    return gone
+
+
+def _dp_columns(s1, s2, prior, out, prev, theta: float, ms: int, margins) -> None:
     """One layer of the exact change-point recursion, pruned: fills
     out[j] = min over live starts t of prior[t] + cost(t, j) + theta, with
     segments >= ms, and prev[j] = the minimizing t (the smallest on ties).
@@ -208,21 +289,56 @@ def _dp_columns(s1, s2, prior, out, prev, theta: float, ms: int, delta: float) -
     length, pruning at step j would lose optima. When out is prior this is
     the pruned optimal partitioning; with theta = 0 and out the layer after
     prior it prunes the segment-neighbourhood recursion (Auger & Lawrence,
-    Bull. Math. Biol. 51:39, 1989) by the same argument. Its layers for 0
-    and 1 breaks prune nothing: the first has the one start 0, and the
-    second reads one segment, c(0, j) >= c(0, i) + c(i, j), so no candidate
-    exceeds prior[j] by more than rounding.
+    Bull. Math. Biol. 51:39, 1989) by the same argument. PELT prunes
+    nothing in its layers for 0 and 1 breaks: the first has the one start
+    0, and the second reads one segment, c(0, j) >= c(0, i) + c(i, j), so
+    no candidate exceeds prior[j] by more than rounding. The envelope test
+    below prunes the second as it prunes the others.
 
-    The rounding margin `delta` makes the dropped set exact in floating
-    point. With u = 2**-53 and W = max|x| * sum|x| (a bound on every
-    segment's sum(x**2) and sum(x)**2 / length, and so on every sum of
-    segment costs, prior[j] included), superadditivity holds exactly for
-    costs taken from the stored prefix sums; the clamp at 0 breaks it by at
-    most 12 n u W, and the three candidates compared plus the threshold are
-    off by at most u (36 W + 11 theta) together. delta = 64 eps (n + 1)
-    (W + theta), eps = 2u, exceeds that sum at least 6-fold while
-    n**2 u << 1, so a dropped start scores strictly above its dominator at
-    every later step.
+    `margins` is (delta, margin, lo, hi) from _delta. The rounding margin
+    delta makes the dropped set exact in floating point. With u = 2**-53
+    and W = max|x| * sum|x| (a bound on every segment's sum(x**2) and
+    sum(x)**2 / length, and so on every sum of segment costs, prior[j]
+    included), superadditivity holds exactly for costs taken from the
+    stored prefix sums; the clamp at 0 breaks it by at most 12 n u W, and
+    the three candidates compared plus the threshold are off by at most
+    u (36 W + 11 theta) together. delta = 64 eps (n + 1) (W + theta),
+    eps = 2u, exceeds that sum at least 6-fold while n**2 u << 1, so a
+    dropped start scores strictly above its dominator at every later step.
+
+    Functional pruning (Maidstone, Hocking, Rigaill & Fearnhead, Stat.
+    Comput. 27:519, 2017; for the layers of the capped DP, Rigaill's pDPA,
+    J. SFdS 156(4), 2015) drops more at the same checks. The candidate of
+    start t at step s is min over mu of h_t(mu) + g_s(mu), with
+    h_t(mu) = prior[t] - s2[t] + mu (2 s1[t] - t mu) and the term every
+    start shares, g_s(mu) = theta + s2[s] - 2 mu s1[s] + s mu**2; the
+    minimizing mu is the mean of x[t:s]. So a start i whose h_i lies above
+    the lower envelope of a set T of starts, at every mu a segment mean can
+    take, scores above some start of T at every step where all of T are
+    admissible. At a check step j0, T is the live starts and start j0
+    itself, all <= j0 with a finite prior, so all admissible from step
+    j0 + ms on, when i is dropped with PELT's drops (_above_envelope). Any pieces that bound the envelope
+    from above serve: on a piece owned by start o, h_i - h_o is quadratic
+    in mu, and its least value on the piece lies at an edge or at its
+    stationary point clipped into the piece. The owners of a grid of mu
+    (ENVELOPE_GRID uniform points plus as many means of segments from
+    sampled live starts to j0) give the pieces, cut where the functions of
+    adjacent owners cross; pieces that follow the envelope's breakpoints
+    are what prune, but any are exact.
+
+    Rounding: the identity above holds exactly for the stored prefix sums.
+    A stored segment mean (s1[s] - s1[t]) / (s - t) is the mean of the
+    stored steps s1[k + 1] - s1[k], each within 2 gamma_n sum|x| of x[k]
+    (gamma_n = n u / (1 - n u)), so every mean lies in [lo, hi] =
+    [min x - eta, max x + eta], eta = 4 eps (n + 1) sum|x|, which exceeds
+    that 4-fold. Two computed candidates are off by less than delta / 5
+    together (the bound above), and d = h_i - h_o, computed at a point of
+    [lo, hi], by at most eps (16 M S + 2 n M**2 + 3 theta) + u |d|, with
+    M = max(|lo|, |hi|) and S = sum|x|. The margin delta + 64 eps (n + 1)
+    M (M + S) exceeds the two together at least 4-fold; the stationary
+    point, off by a few u, raises d there by at most n (4 u M)**2, far less.
+    So a start the test drops scores strictly above the owner of the piece
+    its segment mean falls in, at every step from its drop on.
 
     The dominance test runs only on steps j that are multiples of ms, and
     what it finds is dropped ms steps later, so the live starts are
@@ -230,9 +346,12 @@ def _dp_columns(s1, s2, prior, out, prev, theta: float, ms: int, delta: float) -
     subset of steps drops a subset of the starts the every-step rule
     drops, each under the same test, so a dropped start still scores
     strictly above its dominator from its drop on, and a start at the
-    minimum is never dropped. The live starts are kept, in ascending
-    order, as the columns of `cols`: position (a float, exact below 2**53),
-    prior, s1 and s2 at the start, each written once when the start joins.
+    minimum is never dropped. For the same reason the envelope test may
+    skip checks: it runs only where the live starts number at least
+    max(4 ms, twice what its last run left), so its cost is paid once the
+    live set has grown. The live starts are kept, in ascending order, as
+    the columns of `cols`: position (a float, exact below 2**53), prior,
+    s1 and s2 at the start, each written once when the start joins.
 
     The steps of one run [j0, j1), from a multiple of ms up to the next,
     are scored together as one contiguous (steps x live starts) block
@@ -249,11 +368,13 @@ def _dp_columns(s1, s2, prior, out, prev, theta: float, ms: int, delta: float) -
     element by element, so out, prev, the smallest-index tie rule and the
     breaks equal it bit for bit.
     """
+    delta, margin, lo, hi = margins
     n = out.size - 1
     cols = np.empty((4, n + 1))
-    buf = np.empty(max(BLOCK_CELLS, n + 1))
+    buf = np.empty(max(BLOCK_CELLS, n + 1, 2 * ENVELOPE_GRID))
     gone = np.zeros(0, dtype=bool)  # dominated starts, over cols[:, :gone.size]
     m = 0
+    survivors = 0  # live starts left by the last envelope test
     j0 = ms
     while j0 <= n:
         if j0 % ms == 0 and gone.any():  # drop what the check at step j0 - ms found
@@ -284,14 +405,24 @@ def _dp_columns(s1, s2, prior, out, prev, theta: float, ms: int, delta: float) -
             if j0 % ms == 0 and first == 0:
                 at_j0 = m + int(joins.size > 0 and joins[0] == 0)  # live at step j0
                 gone = c[0, :at_j0] > prior[j0] + theta + delta
+                if at_j0 >= max(4 * ms, 2 * survivors):
+                    cols[:, live] = j0, prior[j0], s1[j0], s2[j0]  # start j0 competes too
+                    gone |= _above_envelope(cols[:, :live + 1], at_j0, lo, hi, margin, buf)
+                    survivors = at_j0 - int(np.count_nonzero(gone))
         m = live
         j0 = j1
 
 
-def _delta(x: np.ndarray, theta: float) -> float:
-    """The rounding margin of _dp_columns for x under penalty theta."""
-    w = float(np.abs(x).max()) * float(np.abs(x).sum())
-    return 64 * np.finfo(float).eps * (x.size + 1) * (w + theta)
+def _delta(x: np.ndarray, theta: float) -> tuple[float, float, float, float]:
+    """The rounding margins of _dp_columns for x under penalty theta:
+    (delta, the envelope margin, lo, hi), [lo, hi] the mu range."""
+    eps = np.finfo(float).eps
+    total = float(np.abs(x).sum())
+    delta = 64 * eps * (x.size + 1) * (float(np.abs(x).max()) * total + theta)
+    eta = 4 * eps * (x.size + 1) * total
+    lo, hi = float(x.min()) - eta, float(x.max()) + eta
+    top = max(-lo, hi)
+    return delta, delta + 64 * eps * (x.size + 1) * top * (top + total), lo, hi
 
 
 def _dp_unbounded(x: np.ndarray, theta: float, ms: int) -> list[int]:
@@ -316,18 +447,18 @@ def _dp_capped(x: np.ndarray, theta: float, ms: int, hmax: int) -> list[int]:
     """Exact DP over break counts 0..hmax (segment neighbourhood): layer k
     holds the best unpenalized cost of every prefix split into k + 1
     segments, filled by _dp_columns from layer k - 1 with no penalty and
-    pruned like the uncapped DP (the layers for 0 and 1 breaks prune
-    nothing, so this stays quadratic in n). Picks the count minimizing the penalized
-    objective (ties to the smaller count)."""
+    pruned like the uncapped DP (in the layer for 1 break by the envelope
+    test alone). Picks the count minimizing the penalized objective (ties
+    to the smaller count)."""
     n = x.size
     s1, s2 = _prefix_sums(x)
     # cost[k][j]: best unpenalized cost of x[:j] split into k+1 segments
     cost = np.full((hmax + 1, n + 1), np.inf)
     back = np.zeros((hmax + 1, n + 1), dtype=int)
     prior = np.concatenate([[0.0], np.full(n, np.inf)])  # the empty prefix only
-    delta = _delta(x, 0.0)
+    margins = _delta(x, 0.0)
     for k in range(hmax + 1):
-        _dp_columns(s1, s2, prior, cost[k], back[k], 0.0, ms, delta)
+        _dp_columns(s1, s2, prior, cost[k], back[k], 0.0, ms, margins)
         prior = cost[k]
     totals = cost[:, n] + theta * np.arange(hmax + 1)
     k_best = int(np.argmin(totals))  # ties to fewer breaks

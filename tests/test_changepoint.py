@@ -63,10 +63,11 @@ def brute_force_best_cost(x: np.ndarray, theta: float, ms: int, hmax: int) -> fl
     return best
 
 
-def dense_dp_offsets(x: np.ndarray, theta: float, ms: int) -> list[int]:
+def dense_dp_table(x: np.ndarray, theta: float, ms: int) -> tuple[np.ndarray, np.ndarray]:
     """Reference: the unpruned optimal-partitioning recursion, which scores
-    every admissible start at every step. The library's pruned DP must
-    return the same 0-based offsets."""
+    every admissible start at every step. best[j] is the best penalized
+    cost of x[:j] (less one theta), and prev[j] the start of its last
+    segment (the smallest on ties)."""
     n = x.size
     s1 = np.concatenate([[0.0], np.cumsum(x)])
     s2 = np.concatenate([[0.0], np.cumsum(x * x)])
@@ -82,8 +83,15 @@ def dense_dp_offsets(x: np.ndarray, theta: float, ms: int) -> list[int]:
         k = int(np.argmin(cand))  # smallest index wins ties
         best[j] = cand[k]
         prev[j] = int(i[k])
+    return best, prev
+
+
+def dense_dp_offsets(x: np.ndarray, theta: float, ms: int) -> list[int]:
+    """Reference: the breaks of the unpruned recursion (dense_dp_table).
+    The library's pruned DP must return the same 0-based offsets."""
+    prev = dense_dp_table(x, theta, ms)[1]
     cuts = []
-    j = n
+    j = x.size
     while j > 0:
         i = prev[j]
         if i > 0:
@@ -164,6 +172,35 @@ def dp_instances(draw, min_segments=st.integers(2, 12), ragged=False):
         x = gen.integers(0, 3, n).astype(float)
     else:
         x = 1e6 + 1e-3 * gen.standard_normal(n)
+    penalty = draw(st.sampled_from(["zero", "default", "uniform"]), label="penalty")
+    if penalty == "zero":
+        theta = 0.0
+    elif penalty == "default":
+        theta = default_penalty(x)
+    else:  # uniform over [0, 3] times the default
+        theta = draw(st.floats(0.0, 3.0), label="scale") * default_penalty(x)
+    return x, theta, ms
+
+
+@st.composite
+def rounding_instances(draw):
+    """(x, theta, min_segment) where the envelope test's rounding margin and
+    mu range decide what it may drop: a 1e6 level with 1e-3 noise (costs
+    near the rounding floor), nonnegative values with exact zeros and a few
+    values 1e3 times the rest (n * max(x)**2 far above max(x) * sum(x)),
+    and all-equal values (a mu range of one value, widened only by the
+    prefix sums' rounding; every cost near 0, so ties decide)."""
+    ms = draw(st.integers(2, 12), label="min_segment")
+    n = draw(st.integers(ms, 400), label="n")
+    kind = draw(st.sampled_from(["level", "spikes", "equal"]), label="kind")
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    if kind == "level":
+        x = 1e6 + 1e-3 * gen.standard_normal(n)
+    elif kind == "spikes":
+        x = np.abs(gen.standard_normal(n)) * (gen.random(n) < 0.5)
+        x[gen.integers(0, n, size=gen.integers(1, 4))] *= 1e3
+    else:
+        x = np.full(n, draw(st.sampled_from([0.1, 7.0, 1e6 + 0.3, -2.5]), label="value"))
     penalty = draw(st.sampled_from(["zero", "default", "uniform"]), label="penalty")
     if penalty == "zero":
         theta = 0.0
@@ -333,6 +370,103 @@ class TestDetectMultiple:
             got = detect_multiple(x, cfg)
         assert list(got.offsets) == want
         assert got.total_cost == penalized_total(x, want, theta)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(rounding_instances(), st.data())
+    def test_envelope_margin_and_mu_range(self, instance, data):
+        # [DERIVED] the envelope test drops a start only where its function
+        # clears the others' envelope by the rounding margin at every mu a
+        # stored segment mean can take. On these inputs rounding decides
+        # many comparisons, so with no margin the breaks and totals leave
+        # the unpruned recursions' (measured); the widened range is checked
+        # directly below, since no input found here needs it
+        x, theta, ms = instance
+        hmax = data.draw(st.none() | st.integers(0, min(8, x.size // ms - 1)), label="max_breaks")
+        if hmax is None:
+            want = dense_dp_offsets(x, theta, ms)
+        else:
+            want = dense_capped_offsets(x, theta, ms, hmax)
+        got = detect_multiple(x, ChangePointConfig(penalty=theta, min_segment=ms, max_breaks=hmax))
+        assert list(got.offsets) == want
+        assert got.total_cost == penalized_total(x, want, theta)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(dp_instances(st.integers(2, 37)), st.data())
+    def test_tables_equal_unpruned_recursions(self, instance, data):
+        # [DERIVED] a dropped start never wins or ties again, so every cell
+        # of the cost table and every back-pointer equals the unpruned
+        # recursion's, off the optimal path too. Two faults leave the
+        # breaks of random inputs as they are but change these cells: a
+        # start dropped before min_segment steps have passed since its
+        # check, and a competitor of the envelope test that is not yet
+        # admissible when the drop takes effect
+        x, theta, ms = instance
+        hmax = data.draw(st.none() | st.integers(0, min(8, x.size // ms - 1)), label="max_breaks")
+        s1, s2 = changepoint._prefix_sums(x)
+        n = x.size
+        if hmax is None:
+            best = np.full(n + 1, np.inf)
+            prev = np.zeros(n + 1, dtype=int)
+            best[0] = -theta
+            changepoint._dp_columns(s1, s2, best, best, prev, theta, ms,
+                                    changepoint._delta(x, theta))
+            want_best, want_prev = dense_dp_table(x, theta, ms)
+            np.testing.assert_array_equal(best, want_best)
+            np.testing.assert_array_equal(prev, want_prev)
+            return
+        cost = np.full((hmax + 1, n + 1), np.inf)
+        back = np.zeros((hmax + 1, n + 1), dtype=int)
+        prior = np.concatenate([[0.0], np.full(n, np.inf)])
+        for k in range(hmax + 1):
+            changepoint._dp_columns(s1, s2, prior, cost[k], back[k], 0.0, ms,
+                                    changepoint._delta(x, 0.0))
+            prior = cost[k]
+        want_cost, want_back = dense_capped_layers(x, ms, hmax)
+        np.testing.assert_array_equal(cost, want_cost)
+        np.testing.assert_array_equal(back, want_back)
+
+    @pytest.mark.parametrize("kind", ["equal", "level", "spikes"])
+    def test_every_stored_segment_mean_lies_in_the_mu_range(self, kind):
+        # [DERIVED] the envelope test covers [lo, hi] only, so every mean
+        # (s1[j] - s1[i]) / (j - i) taken from the stored prefix sums must
+        # lie in it. Summing rounds, so on 400 copies of 0.1 79971 of the
+        # 80200 means fall outside [min x, max x] = [0.1, 0.1] (measured):
+        # the range must be widened
+        gen = np.random.default_rng(0)
+        if kind == "equal":
+            x = np.full(400, 0.1)
+        elif kind == "level":
+            x = 1e6 + 1e-3 * gen.standard_normal(400)
+        else:
+            x = np.abs(gen.standard_normal(400)) * (gen.random(400) < 0.5)
+            x[[5, 200]] *= 1e3
+        s1 = changepoint._prefix_sums(x)[0]
+        i, j = np.triu_indices(x.size + 1, 1)
+        means = (s1[j] - s1[i]) / (j - i)
+        _, _, lo, hi = changepoint._delta(x, 0.0)
+        assert lo <= means.min() and means.max() <= hi
+        if kind == "equal":
+            assert np.count_nonzero(means != 0.1) > 10**4
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_envelope_test_prunes(self, seed):
+        # [DERIVED] on the benchmark's shape (see the uncapped case above)
+        # PELT alone keeps up to about 1080 live starts uncapped and about
+        # 4030 in the capped layer for one break, which it cannot prune.
+        # The envelope test keeps the widest block at 189-327 starts
+        # (measured), so a silent fall-back to PELT alone fails here
+        gen = np.random.default_rng(seed)
+        x = np.abs(np.concatenate([gen.standard_normal(1024) * s
+                                   for s in (0.005, 0.02, 0.008, 0.03)]))
+        for ms in (32, 37):
+            for hmax in (None, 3):
+                cfg = ChangePointConfig(min_segment=ms, max_breaks=hmax)
+                with mock.patch.object(changepoint, "_segment_costs",
+                                       wraps=changepoint._segment_costs) as kernel:
+                    got = detect_multiple(x, cfg)
+                widths = [call.args[2].size for call in kernel.call_args_list]
+                assert got.n_breaks >= 3
+                assert max(widths) < 400, (ms, hmax, max(widths))
 
     def test_block_memory_is_bounded(self):
         # [DERIVED] with penalty 0 the layer for one break prunes nothing,

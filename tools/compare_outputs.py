@@ -22,7 +22,10 @@ The full list is benchmark seeds 0-9 of all three perfbench workloads (7
 inputs each, as perfbench runs them) plus change-point, forecast,
 surrogate and subcommand jobs on analyze_regimes input seeds 0, 371 and
 400, on one forecast_memory_switch input and on a series with a flat
-regime, mostly in both --format values, and one rejected --config file.
+regime, mostly in both --format values, and one rejected --config file. It
+also runs analyze, changepoints --max-breaks 3 and changepoints
+--max-breaks 8 --penalty 0 on a 20480-return series of four 5120-sample
+volatility regimes, in both --format values.
 The toy list runs a few jobs on toy-size inputs in seconds; the
 self-tests use it.
 """
@@ -65,6 +68,15 @@ CP_SETTINGS = {
     "binseg": ["--cp-method", "binary-segmentation"],
 }
 CONFIG = {"min_segment": 64, "max_breaks": 3, "detrend_order": 2}
+# change-point jobs on a 20480-return series of four 5120-sample regimes
+# (analyze_regimes' sigmas), where the DP prunes thousands of starts
+LONG_REGIME = 5120
+LONG_SIGMAS = (0.005, 0.02, 0.008, 0.03)
+LONG_JOBS = {
+    "analyze": ["analyze"],
+    "changepoints/mb3": ["changepoints", "--max-breaks", "3"],
+    "changepoints/mb8/pen0": ["changepoints", "--max-breaks", "8", "--penalty", "0"],
+}
 SHOWN_PATHS = 5  # JSON key paths listed per differing file
 
 
@@ -148,6 +160,12 @@ def build_jobs(kind: str, inputs: Path) -> list[dict]:
         add(f"forecast/flat/{fmt}", ["forecast", str(flat), "--breaks", "manual:600,1200",
                                      "--method", "lfd", "--p", "2", "--hidden", "2",
                                      "--format", fmt])
+    long = inputs / "long.csv"
+    r = workloads.regime_returns(np.random.default_rng(0), LONG_SIGMAS, LONG_REGIME)
+    workloads.write_price_csv(long, workloads.prices_from_returns(r))
+    for fmt in FORMATS:
+        for label, (command, *flags) in LONG_JOBS.items():
+            add(f"long/{label}/{fmt}", [command, str(long), *flags, "--format", fmt])
     path, _ = prepare("forecast_memory_switch", 0)
     for fmt in FORMATS:
         add(f"forecast/0/auto/{fmt}", ["forecast", path, "--breaks", "auto", "--format", fmt])
