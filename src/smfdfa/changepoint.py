@@ -24,7 +24,8 @@ contiguous (steps x live starts) block of at most BLOCK_CELLS cells, in a
 few NumPy calls in place of a dozen per step, with each start masked out
 on the rows before it joins. Without a cap on the number of breaks it
 runs once, over its own column; with max_breaks it runs once per break
-count, each layer reading the one before. The envelope keeps a few
+count below the cap, each layer reading the one before, and the last
+layer is scored at the whole series alone. The envelope keeps a few
 hundred starts at most on the regime, noise and random-walk series
 measured (n = 20480), so the DP is near-linear there; it stays quadratic
 in the series length in the worst case, where the envelope keeps every
@@ -448,8 +449,10 @@ def _dp_capped(x: np.ndarray, theta: float, ms: int, hmax: int) -> list[int]:
     holds the best unpenalized cost of every prefix split into k + 1
     segments, filled by _dp_columns from layer k - 1 with no penalty and
     pruned like the uncapped DP (in the layer for 1 break by the envelope
-    test alone). Picks the count minimizing the penalized objective (ties
-    to the smaller count)."""
+    test alone). Of the last layer only the whole series is read, so its
+    one cell is scored over every admissible start, with _dp_columns'
+    expression and tie rule. Picks the count minimizing the penalized
+    objective (ties to the smaller count)."""
     n = x.size
     s1, s2 = _prefix_sums(x)
     # cost[k][j]: best unpenalized cost of x[:j] split into k+1 segments
@@ -457,9 +460,16 @@ def _dp_capped(x: np.ndarray, theta: float, ms: int, hmax: int) -> list[int]:
     back = np.zeros((hmax + 1, n + 1), dtype=int)
     prior = np.concatenate([[0.0], np.full(n, np.inf)])  # the empty prefix only
     margins = _delta(x, 0.0)
-    for k in range(hmax + 1):
+    for k in range(hmax):
         _dp_columns(s1, s2, prior, cost[k], back[k], 0.0, ms, margins)
         prior = cost[k]
+    starts = np.flatnonzero(prior[:n - ms + 1] < np.inf)
+    if starts.size:
+        c = _segment_costs(s1, s2, starts, n)
+        c += prior[starts]
+        c += 0.0  # the layer's penalty, as _dp_columns adds it
+        best = int(np.argmin(c))  # smallest start wins ties
+        cost[hmax, n], back[hmax, n] = c[best], starts[best]
     totals = cost[:, n] + theta * np.arange(hmax + 1)
     k_best = int(np.argmin(totals))  # ties to fewer breaks
     cuts = []

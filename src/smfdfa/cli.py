@@ -45,6 +45,7 @@ from .serialize import (
     FORECAST_HEADER,
     HURST_HEADER,
     SEGMENTS_HEADER,
+    SERIES_HEADER,
     SPECTRUM_HEADER,
     SURFACE_HEADER,
     SURROGATE_HEADER,
@@ -57,6 +58,7 @@ from .serialize import (
     hurst_to_dict,
     segment_entries,
     segment_rows,
+    series_rows,
     spectrum_rows,
     spectrum_to_dict,
     stats_to_dict,
@@ -507,7 +509,7 @@ def cmd_synth(args, file_cfg: dict, series) -> Run:
     params["offset"] = args.offset
     dates = SYNTH_START_DATE + np.arange(values.size)
     return params, {}, {
-        "series.csv": (("date", "price"), ((str(d), float(v)) for d, v in zip(dates, values))),
+        "series.csv": (SERIES_HEADER, series_rows(dates, values)),
     }, f"wrote {values.size} rows of kind {args.kind!r} to {Path(args.out) / 'series.csv'}"
 
 

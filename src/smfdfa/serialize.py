@@ -17,7 +17,8 @@ import csv
 import json
 import math
 from dataclasses import asdict
-from operator import itemgetter
+from itertools import count, repeat
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -28,16 +29,6 @@ from .forecast import ForecastReport
 from .mfdfa import FluctuationSurface, HurstCurve, SingularitySpectrum, StructuredReport
 from .series import DescriptiveStats, OutlierCensus
 from .surrogate import SurrogateComparison
-
-
-def _cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float) and math.isnan(v):
-        return ""
-    if isinstance(v, (np.floating, np.integer)):
-        v = v.item()
-    return str(v)
 
 
 def clean(obj):
@@ -61,41 +52,61 @@ def write_json(path: str | Path, obj) -> None:
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a header and rows whose cells are strings, numbers, booleans or
+    None. csv.writer writes None as an empty field and a float by its
+    shortest round-trip repr; the row builders give NaN as None, since
+    csv.writer would write it as "nan"."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        writer.writerows(rows)
 
 
-# The *_rows builders are generators: a --format json run builds no CSV rows.
+# The *_rows builders are generators, so a --format json run builds no CSV
+# rows. They build each numeric column whole, as Python scalars.
+
+
+def _floats(values) -> list:
+    """A column of floats (None allowed) as Python floats, with NaN and None
+    as None: an empty CSV field."""
+    x = np.asarray(values, dtype=float)
+    out = x.tolist()
+    for i in np.flatnonzero(np.isnan(x)).tolist():
+        out[i] = None
+    return out
+
+
+def _with_floats(rows: Iterable[Sequence], columns: Sequence[int]) -> Iterator[tuple]:
+    """rows with the cells of the given columns passed through _floats."""
+    table = [list(column) for column in zip(*rows)]
+    for k in columns if table else ():
+        table[k] = _floats(table[k])
+    return zip(*table)
 
 
 def surface_rows(label: str, surface: FluctuationSurface) -> Iterator[tuple]:
     """Long format: one row per (q, s) cell."""
-    for i, q in enumerate(surface.q_grid):
-        for j, s in enumerate(surface.scale_grid):
-            yield (label, float(q), int(s), float(surface.phi[i, j]), int(surface.n_windows[j]))
+    n_q, n_s = surface.phi.shape
+    yield from zip(repeat(label), _floats(np.repeat(surface.q_grid, n_s)),
+                   np.tile(surface.scale_grid, n_q).astype(int).tolist(),
+                   _floats(surface.phi.ravel()),
+                   np.tile(surface.n_windows, n_q).astype(int).tolist())
 
 
 SURFACE_HEADER = ("segment", "q", "s", "phi", "n_windows")
 
 
 def hurst_rows(label: str, curve: HurstCurve) -> Iterator[tuple]:
-    return (
-        (label, float(q), float(r), float(e), float(r2))
-        for q, r, e, r2 in zip(curve.q_grid, curve.rho, curve.stderr, curve.r_squared)
-    )
+    yield from zip(repeat(label), *map(_floats, (curve.q_grid, curve.rho, curve.stderr,
+                                                 curve.r_squared)))
 
 
 HURST_HEADER = ("segment", "q", "rho", "stderr", "r_squared")
 
 
 def spectrum_rows(label: str, spec: SingularitySpectrum) -> Iterator[tuple]:
-    return (
-        (label, float(q), float(t), float(a), float(f))
-        for q, t, a, f in zip(spec.q_grid, spec.tau, spec.alpha, spec.f_alpha)
-    )
+    yield from zip(repeat(label), *map(_floats, (spec.q_grid, spec.tau, spec.alpha,
+                                                 spec.f_alpha)))
 
 
 SPECTRUM_HEADER = ("segment", "q", "tau", "alpha", "f_alpha")
@@ -182,7 +193,8 @@ def segment_entries(report: StructuredReport) -> list[dict]:
 
 
 def segment_rows(report: StructuredReport) -> Iterator[tuple]:
-    return map(itemgetter(*SEGMENTS_HEADER), segment_entries(report))
+    yield from _with_floats(map(itemgetter(*SEGMENTS_HEADER), segment_entries(report)),
+                            (3, 4, 5))
 
 
 SEGMENTS_HEADER = ("label", "start", "stop", "delta_alpha", "d_hat", "hurst_dfa",
@@ -199,7 +211,7 @@ def surrogate_skipped_to_dict(kind: str, n: int, reason: str) -> dict:
 
 
 def surrogate_rows(cmp_: SurrogateComparison) -> Iterator[tuple]:
-    return enumerate(cmp_.surrogate_delta_alphas)
+    yield from zip(count(), _floats(cmp_.surrogate_delta_alphas))
 
 
 SURROGATE_HEADER = ("index", "delta_alpha")
@@ -210,21 +222,20 @@ FORECAST_HEADER = (
 )
 
 
+_forecast_fields = attrgetter("segment_label", "method", "d_used", "mape", "seed", "n_eval",
+                              "start", "stop", "skipped_reason")
+
+
 def forecast_rows(report: ForecastReport) -> Iterator[tuple]:
-    return (
-        (r.segment_label, r.method, r.d_used, r.mape, r.seed, r.n_eval, r.start, r.stop,
-         r.skipped_reason)
-        for r in report.rows
-    )
+    yield from _with_floats(map(_forecast_fields, report.rows), (2, 3))
 
 
 def fitted_rows(report: ForecastReport) -> Iterator[tuple]:
     """One row per scored observation of every row that was not skipped."""
-    return (
-        (r.segment_label, r.method, r.seed, r.eval_start + i, a_i, f_i)
-        for r in report.rows if r.fitted is not None
-        for i, (a_i, f_i) in enumerate(zip(r.actual, r.fitted))
-    )
+    for r in report.rows:
+        if r.fitted is not None:
+            yield from zip(repeat(r.segment_label), repeat(r.method), repeat(r.seed),
+                           count(r.eval_start), _floats(r.actual), _floats(r.fitted))
 
 
 FITTED_HEADER = ("segment", "method", "seed", "index", "actual", "fitted")
@@ -233,6 +244,14 @@ FITTED_HEADER = ("segment", "method", "seed", "index", "actual", "fitted")
 def forecast_report_to_dict(report: ForecastReport) -> dict:
     return {
         "scale": report.scale,
-        "rows": [dict(zip(FORECAST_HEADER, row)) for row in forecast_rows(report)],
+        "rows": [dict(zip(FORECAST_HEADER, _forecast_fields(r))) for r in report.rows],
         "aggregate": report.aggregate(),
     }
+
+
+def series_rows(timestamps: np.ndarray, values: np.ndarray) -> Iterator[tuple]:
+    """A dated price series as the loader reads it: ISO dates, one value each."""
+    yield from zip(np.asarray(timestamps).astype(str).tolist(), _floats(values))
+
+
+SERIES_HEADER = ("date", "price")

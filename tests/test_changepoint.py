@@ -347,6 +347,21 @@ class TestDetectMultiple:
                     assert list(got.offsets) == want
                     assert got.total_cost == penalized_total(x, want, theta)
 
+    @pytest.mark.parametrize("hmax", [0, 1, 3, 8])
+    def test_capped_dp_fills_no_layer_past_the_last_read(self, hmax):
+        # [TRIVIAL] of the layer for hmax breaks only the whole series'
+        # cell is read, so the column kernel fills the hmax layers below it
+        # and that one cell is scored on its own; the breaks stay the
+        # unpruned layers'
+        gen = np.random.default_rng(3)
+        x = np.abs(np.concatenate([gen.standard_normal(160) * s for s in (0.005, 0.02, 0.008)]))
+        cfg = ChangePointConfig(penalty=0.0, min_segment=16, max_breaks=hmax)
+        with mock.patch.object(changepoint, "_dp_columns", wraps=changepoint._dp_columns) as dp:
+            got = detect_multiple(x, cfg)
+        assert dp.call_count == hmax
+        assert list(got.offsets) == dense_capped_offsets(x, 0.0, 16, hmax)
+        assert got.n_breaks == hmax
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(dp_instances(st.sampled_from([2, 3, 7, 37]), ragged=True), st.data())
     def test_block_edges_match_unpruned_recursions(self, instance, data):
@@ -454,7 +469,9 @@ class TestDetectMultiple:
         # PELT alone keeps up to about 1080 live starts uncapped and about
         # 4030 in the capped layer for one break, which it cannot prune.
         # The envelope test keeps the widest block at 189-327 starts
-        # (measured), so a silent fall-back to PELT alone fails here
+        # (measured), so a silent fall-back to PELT alone fails here. The
+        # blocks are the kernel calls that write into the block buffer; the
+        # capped DP's one scored cell of its last layer is not one
         gen = np.random.default_rng(seed)
         x = np.abs(np.concatenate([gen.standard_normal(1024) * s
                                    for s in (0.005, 0.02, 0.008, 0.03)]))
@@ -464,7 +481,9 @@ class TestDetectMultiple:
                 with mock.patch.object(changepoint, "_segment_costs",
                                        wraps=changepoint._segment_costs) as kernel:
                     got = detect_multiple(x, cfg)
-                widths = [call.args[2].size for call in kernel.call_args_list]
+                widths = [call.args[2].size for call in kernel.call_args_list
+                          if call.kwargs.get("out") is not None]
+                assert len(widths) >= x.size // ms  # a block per check at least
                 assert got.n_breaks >= 3
                 assert max(widths) < 400, (ms, hmax, max(widths))
 

@@ -245,6 +245,16 @@ class TestErrorPaths:
                 in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
+    def test_field_over_the_csv_limit_exits_2(self, price_csv, tmp_path, capsys):
+        # a price field over csv.field_size_limit() is an input error naming
+        # the file and the line, not a csv.Error traceback
+        bad = tmp_path / "long.csv"
+        bad.write_text(price_csv.read_text() + "2010-01-01," + "9" * 200000 + "\n")
+        assert main(["analyze", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert (f"input error: {bad} line 602: field larger than field limit (131072)"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     def test_non_utf8_config_exits_2(self, price_csv, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_bytes(b'{"cp_method": "\xff"}')

@@ -94,7 +94,8 @@ def test_one_exact_change_point_recursion():
     # both exact searches, uncapped and capped, score candidates only
     # through the pruned column kernel _dp_columns, so neither keeps a step
     # loop of its own; the splitting searches score through _best_split
-    # and the penalized gain of binary segmentation
+    # and the penalized gain of binary segmentation. The capped DP scores
+    # its last layer's one cell itself: one call, outside any loop
     tree = ast.parse((SRC / "changepoint.py").read_text())
     functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
 
@@ -106,8 +107,16 @@ def test_one_exact_change_point_recursion():
             if isinstance(node, ast.Call) and ast.unparse(node.func) == name
         }
 
-    assert callers("_segment_costs") == {"_best_split", "_binary_segmentation", "_dp_columns"}
+    assert callers("_segment_costs") == {"_best_split", "_binary_segmentation", "_dp_columns",
+                                         "_dp_capped"}
     assert callers("_dp_columns") == {"_dp_capped", "_dp_unbounded"}
+    capped = next(fn for fn in functions if fn.name == "_dp_capped")
+    in_loops = [node for loop in ast.walk(capped) if isinstance(loop, (ast.For, ast.While))
+                for node in ast.walk(loop) if isinstance(node, ast.Call)
+                and ast.unparse(node.func) == "_segment_costs"]
+    calls = [node for node in ast.walk(capped) if isinstance(node, ast.Call)
+             and ast.unparse(node.func) == "_segment_costs"]
+    assert len(calls) == 1 and not in_loops
 
 
 def test_one_power_sum_kernel():

@@ -4,7 +4,9 @@ import csv
 import datetime as dt
 import io
 import math
+import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from smfdfa import (
     outlier_census,
     to_fluctuations,
 )
+from smfdfa import series as series_module
 from conftest import make_series, write_price_csv
 
 
@@ -85,6 +88,60 @@ class TestLoadCsv:
         series = load_csv(p)
         np.testing.assert_array_equal(series.values, [4.0, 2.0])
         assert series.timestamps.dtype == np.dtype("datetime64[D]")
+
+    def test_field_over_the_csv_limit_is_an_input_error(self, tmp_path):
+        # csv.reader refuses a field longer than csv.field_size_limit()
+        # (131072 characters by default); that names the file and the line
+        # instead of escaping as a csv.Error
+        p = tmp_path / "long.csv"
+        p.write_text("date,price\n2000-01-01,1\n2000-01-02," + "9" * 200000 + "\n")
+        with pytest.raises(InputError,
+                           match=r"long.csv line 3: field larger than field limit \(131072\)"):
+            load_csv(p)
+
+    def test_bad_row_of_a_late_chunk_named_by_its_line(self, tmp_path):
+        # [TRIVIAL] more than three chunks, with blank lines and quoted
+        # two-line fields in the earlier ones, and a bad value in the last:
+        # the error names the bad row's own line, counted here by hand
+        chunk = series_module.LOAD_CHUNK_ROWS
+        lines = ["date,price,note"]
+        day = dt.date(1900, 1, 1)
+        for k in range(3 * chunk + 100):
+            if k % 97 == 0:
+                lines.append("")
+            note = '"two\nlines"' if k % 89 == 0 else "x"
+            value = "oops" if k == 3 * chunk + 60 else repr(1.0 + k / 7)
+            lines.append(f"{day + dt.timedelta(days=k)},{value},{note}")
+            if value == "oops":
+                bad_line = sum(line.count("\n") + 1 for line in lines)
+        p = tmp_path / "long.csv"
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputError, match=f"line {bad_line}: bad value 'oops'$"):
+            load_csv(p)
+        assert load_outcome(load_csv, p, CsvConfig()) == load_outcome(reference_load_csv, p,
+                                                                       CsvConfig())
+        assert bad_line > 3 * chunk + 3 * chunk // 89 + 3 * chunk // 97
+
+    @pytest.mark.parametrize("bad_row_first", [True, False])
+    def test_bad_row_and_bad_byte_in_one_chunk(self, tmp_path, bad_row_first):
+        # a bad row and a byte that is not UTF-8, in one chunk but in
+        # different 8 KiB blocks of the decoder: whichever comes first in
+        # the file is reported, as a row-at-a-time read reports it. The
+        # chunk's read fails at the byte, so its rows before the byte are
+        # checked again
+        rows = [f"{dt.date(1900, 1, 1) + dt.timedelta(days=k)},{1.0 + k / 7!r}\n"
+                for k in range(series_module.LOAD_CHUNK_ROWS)]
+        bad_row, bad_byte = (100, 800) if bad_row_first else (800, 100)
+        rows[bad_row] = rows[bad_row].replace(",", ",x")
+        data = [row.encode() for row in rows]
+        data[bad_byte] = data[bad_byte].replace(b",", b",\xff")
+        assert sum(map(len, data[:max(bad_row, bad_byte)])) > 2 * 8192
+        p = tmp_path / "mixed.csv"
+        p.write_bytes(b"date,price\n" + b"".join(data))
+        message = (f"line {bad_row + 2}: bad value 'x" if bad_row_first
+                   else "not UTF-8 text (invalid start byte)")
+        with pytest.raises(InputError, match=re.escape(message)):
+            load_csv(p)
 
 
 def reference_load_csv(path, config=CsvConfig()):
@@ -204,6 +261,22 @@ class TestLoadCsvMatchesDictReader:
         path.write_text(text, newline="")
         assert load_outcome(load_csv, path, config) == load_outcome(reference_load_csv, path,
                                                                      config)
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(csv_documents(), st.integers(1, 3))
+    @example(("date,price,note\n1990-01-01,1,\"two\nlines\"\n\n1990-01-02,2,x\n\n"
+              "1990-01-03,3\n1990-01-04,x,y\n", CsvConfig()), 2)
+    def test_same_arrays_and_messages_in_small_chunks(self, tmp_path_factory, document, chunk):
+        # [DERIVED] the same documents read 1-3 rows per chunk, so that bad,
+        # blank, short and multi-line rows fall in later chunks: a chunk that
+        # fails is checked again from its own first line
+        text, config = document
+        path = tmp_path_factory.getbasetemp() / "prices.csv"
+        path.write_text(text, newline="")
+        with mock.patch.object(series_module, "LOAD_CHUNK_ROWS", chunk):
+            got = load_outcome(load_csv, path, config)
+        assert got == load_outcome(reference_load_csv, path, config)
 
 class TestTimeSeries:
     def test_non_finite_value_rejected_with_position(self):

@@ -25,7 +25,12 @@ surrogate and subcommand jobs on analyze_regimes input seeds 0, 371 and
 regime, mostly in both --format values, and one rejected --config file. It
 also runs analyze, changepoints --max-breaks 3 and changepoints
 --max-breaks 8 --penalty 0 on a 20480-return series of four 5120-sample
-volatility regimes, in both --format values.
+volatility regimes, in both --format values; analyze on analyze_regimes
+input 0 rewritten in other CSV dialects (quoted fields, CRLF line ends,
+blank lines, short and extra columns, a repeated header name, another date
+format or column names), under a file name CSV must quote, and with a bad
+row or a non-UTF-8 byte late in the file; every synth kind; and forecast
+with --scale differenced and with --evaluation holdout.
 The toy list runs a few jobs on toy-size inputs in seconds; the
 self-tests use it.
 """
@@ -78,6 +83,74 @@ LONG_JOBS = {
     "changepoints/mb8/pen0": ["changepoints", "--max-breaks", "8", "--penalty", "0"],
 }
 SHOWN_PATHS = 5  # JSON key paths listed per differing file
+SYNTH_JOBS = {
+    "cascade": ["cascade", "--levels", "12"],
+    "cascade/shuffle": ["cascade", "--shuffle", "--b1", "0.6", "--b2", "0.4", "--seed", "3"],
+    "fgn": ["fgn", "--n", "2000", "--hurst", "0.3", "--seed", "1"],
+    "arfima": ["arfima", "--n", "3000", "--d", "0.4", "--offset", "100", "--seed", "2"],
+    "step": ["step", "--n", "1000", "--break-at", "300", "--shift", "2", "--seed", "4"],
+    "step/nan": ["step", "--n", "100", "--sigma", "nan"],
+}
+
+
+def _io_jobs(source: Path, inputs: Path) -> dict[str, list[str]]:
+    """Jobs on the prices of `source` (a date,price CSV) written again in
+    other CSV dialects, under a name CSV must quote, and with a bad row or
+    byte late in the file (past the loader's first chunks)."""
+    dates, values = zip(*(line.split(",") for line in source.read_text().splitlines()[1:]))
+    late = len(dates) - 200
+
+    def write(name: str, header: str, rows, newline: str = "\n") -> str:
+        path = inputs / name
+        path.write_bytes((newline.join([header, *rows]) + newline).encode())
+        return str(path)
+
+    def us_date(iso: str) -> str:
+        year, month, day = iso.split("-")
+        return f"{month}/{day}/{year}"
+
+    plain = [f"{d},{v}" for d, v in zip(dates, values)]
+    blank = [row + "\n" * (k % 500 == 0) for k, row in enumerate(plain)]
+    noted = [f'{d},{v},"note\n{k}"' if k % 300 == 0 else f"{d},{v},{k}"
+             for k, (d, v) in enumerate(zip(dates, values))]
+    ragged = [f"{d},{v}" if k % 3 == 0 else f"{d},{v},n{k}" if k % 3 == 1 else f"{d},{v},n,extra"
+              for k, (d, v) in enumerate(zip(dates, values))]
+    bad_value = [f"{d},oops" if k == late else row
+                 for k, (d, row) in enumerate(zip(dates, blank))]
+    jobs = {
+        "quoted": ["analyze", write("quoted.csv", '"date","price"',
+                                    [f'"{d}","{v}"' for d, v in zip(dates, values)])],
+        "crlf": ["analyze", write("crlf.csv", "date,price", plain, "\r\n")],
+        "blank": ["analyze", write("blank.csv", "date,price", blank)],
+        "ragged": ["analyze", write("ragged.csv", "date,price,note", ragged)],
+        "multiline": ["analyze", write("multiline.csv", "date,price,note", noted)],
+        "repeated": ["analyze", write("repeated.csv", "price,date,price",
+                                      [f"x,{d},{v}" for d, v in zip(dates, values)])],
+        "date_format": ["analyze", write("us_dates.csv", "date,price",
+                                         [f"{us_date(d)},{v}" for d, v in zip(dates, values)]),
+                        "--date-format", "%m/%d/%Y"],
+        "value_column": ["analyze", write("columns.csv", "day,close",
+                                          plain), "--date-column", "day",
+                         "--value-column", "close"],
+        "late_bad_value": ["analyze", write("late_bad_value.csv", "date,price", bad_value)],
+        "late_bad_value/multiline": ["analyze", write(
+            "late_bad_multiline.csv", "date,price,note",
+            [f"{d},oops,x" if k == late else row
+             for k, (d, row) in enumerate(zip(dates, noted))])],
+    }
+    quoted_label = write('a,b"c.csv', "date,price", plain)
+    jobs["label/analyze"] = ["analyze", quoted_label]
+    jobs["label/mfdfa"] = ["mfdfa", quoted_label]
+    lines = [b"date,price", *(row.encode() for row in plain)]
+    for name, bad_row in (("late_bad_byte", None), ("bad_value_then_byte", late - 700)):
+        rows = list(lines)
+        rows[late + 1] = rows[late + 1].replace(b",", b",\xff")
+        if bad_row is not None:
+            rows[bad_row + 1] = rows[bad_row + 1].split(b",")[0] + b",x"
+        path = inputs / f"{name}.csv"
+        path.write_bytes(b"\n".join(rows) + b"\n")
+        jobs[name] = ["analyze", str(path)]
+    return jobs
 
 
 def _workloads():
@@ -166,12 +239,19 @@ def build_jobs(kind: str, inputs: Path) -> list[dict]:
     for fmt in FORMATS:
         for label, (command, *flags) in LONG_JOBS.items():
             add(f"long/{label}/{fmt}", [command, str(long), *flags, "--format", fmt])
-    path, _ = prepare("forecast_memory_switch", 0)
+    path, argv = prepare("forecast_memory_switch", 0)
     for fmt in FORMATS:
         add(f"forecast/0/auto/{fmt}", ["forecast", path, "--breaks", "auto", "--format", fmt])
         add(f"forecast/0/auto/ms300/{fmt}",
             ["forecast", path, "--breaks", "auto", "--min-segment", "300", "--method", "lfd",
              "--format", fmt])
+    add("forecast/0/differenced", [argv[0], path, *argv[1:], "--scale", "differenced"])
+    add("forecast/0/holdout", [argv[0], path, *argv[1:], "--evaluation", "holdout"])
+    path, _ = prepare("analyze_regimes", 0)
+    for name, job_argv in _io_jobs(Path(path), inputs).items():
+        add(f"io/{name}", job_argv)
+    for name, flags in SYNTH_JOBS.items():
+        add(f"synth/{name}", ["synth", *flags])
     return jobs
 
 
