@@ -251,7 +251,7 @@ def forecast_report_to_dict(report: ForecastReport) -> dict:
 
 def series_rows(timestamps: np.ndarray, values: np.ndarray) -> Iterator[tuple]:
     """A dated price series as the loader reads it: ISO dates, one value each."""
-    yield from zip(np.asarray(timestamps).astype(str).tolist(), _floats(values))
+    yield from zip(timestamps.astype(str).tolist(), _floats(values))
 
 
 SERIES_HEADER = ("date", "price")

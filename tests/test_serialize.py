@@ -7,7 +7,6 @@ from operator import itemgetter
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

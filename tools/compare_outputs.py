@@ -129,9 +129,8 @@ def _io_jobs(source: Path, inputs: Path) -> dict[str, list[str]]:
         "date_format": ["analyze", write("us_dates.csv", "date,price",
                                          [f"{us_date(d)},{v}" for d, v in zip(dates, values)]),
                         "--date-format", "%m/%d/%Y"],
-        "value_column": ["analyze", write("columns.csv", "day,close",
-                                          plain), "--date-column", "day",
-                         "--value-column", "close"],
+        "value_column": ["analyze", write("columns.csv", "day,close", plain),
+                         "--date-column", "day", "--value-column", "close"],
         "late_bad_value": ["analyze", write("late_bad_value.csv", "date,price", bad_value)],
         "late_bad_value/multiline": ["analyze", write(
             "late_bad_multiline.csv", "date,price,note",
