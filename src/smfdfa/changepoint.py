@@ -1,12 +1,12 @@
 """Penalized multiple change-point detection.
 
 Breaks are located by minimizing the sum of within-segment squared
-deviations about each segment mean plus a fixed penalty per break. Every
-search -- the exact dynamic program, binary segmentation and the single
-split -- minimizes that same cost through one kernel: each takes the
-cumulative sums of x and x**2 once (_prefix_sums), and _segment_costs turns
-them into the O(1) cost of any candidate segment, clamped at 0 against
-rounding. The exact DP runs one recursion, _dp_columns, which drops
+deviations about each segment mean plus a fixed penalty per break. Both
+searches -- the exact dynamic program and the single split -- minimize
+that same cost through one kernel: each takes the cumulative sums of x
+and x**2 once (_prefix_sums), and _segment_costs turns them into the O(1)
+cost of any candidate segment, clamped at 0 against rounding. The exact
+DP runs one recursion, _dp_columns, which drops
 candidate starts that can never win again and returns the same breaks as
 the unpruned recursion, bit for bit. It keeps its live starts as
 contiguous columns of position, prior cost and prefix sums, and it tests
@@ -29,13 +29,12 @@ layer is scored at the whole series alone. The envelope keeps a few
 hundred starts at most on the regime, noise and random-walk series
 measured (n = 20480), so the DP is near-linear there; it stays quadratic
 in the series length in the worst case, where the envelope keeps every
-start. A faster dichotomous (binary segmentation) alternative splits
-greedily while the penalized objective keeps improving.
+start. It is the one search for more than one break.
 
 Precision limit: the cost of a segment is a difference of sums that carry
 the series' level, so it loses the digits the level and the spread share.
 On pure noise 1e6 + 1e-3 * N(0, 1) (400 samples, min_segment 8, default
-penalty) even the exact DP puts breaks in 197 of 400 inputs (seeds 0-399).
+penalty) the exact DP puts breaks in 197 of 400 inputs (seeds 0-399).
 
 Index convention: a break h is the first sample of the new regime and is
 reported 1-based, so a result with breaks (h,) splits x into x[1..h-1] and
@@ -45,7 +44,6 @@ breaks as 0-based array positions for slicing.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -54,15 +52,12 @@ import numpy as np
 
 from .errors import InputError, finite_1d
 
-METHODS = ("exact-dp", "binary-segmentation")
-
 
 @dataclass(frozen=True)
 class ChangePointConfig:
     penalty: float | None = None  # None: 2 * sigma2_hat * log N, sigma2 from first differences
     max_breaks: int | None = None
     min_segment: int = 32
-    method: str = "exact-dp"
 
     def __post_init__(self):
         for name in ("min_segment", "max_breaks"):
@@ -72,8 +67,6 @@ class ChangePointConfig:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise InputError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))  # a NumPy integer as an int
-        if self.method not in METHODS:
-            raise InputError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if self.penalty is not None and not self.penalty >= 0:
             raise InputError("penalty must be nonnegative")
         if self.penalty == math.inf:
@@ -480,45 +473,14 @@ def _dp_capped(x: np.ndarray, theta: float, ms: int, hmax: int) -> list[int]:
     return sorted(cuts)
 
 
-def _binary_segmentation(x: np.ndarray, theta: float, ms: int, hmax: int | None) -> list[int]:
-    """Greedy dichotomous splitting: repeatedly take the split with the
-    largest penalized improvement until none improves (or the cap binds)."""
-    s1, s2 = _prefix_sums(x)
-    cuts: list[int] = []
-    heap = []  # (-gain, counter, split, lo, hi); the counter breaks gain ties by push order
-    counter = 0
-
-    def push(lo: int, hi: int):
-        nonlocal counter
-        if hi - lo < 2 * ms:
-            return
-        b, split_cost = _best_split(s1, s2, lo, hi, ms)
-        gain = float(_segment_costs(s1, s2, lo, hi)) - split_cost - theta
-        if gain > 0:
-            heapq.heappush(heap, (-gain, counter, b, lo, hi))
-            counter += 1
-
-    push(0, x.size)
-    while heap:
-        if hmax is not None and len(cuts) >= hmax:
-            break
-        _, _, b, lo, hi = heapq.heappop(heap)
-        cuts.append(b)
-        push(lo, b)
-        push(b, hi)
-    return sorted(cuts)
-
-
 def detect_multiple(
     values: Sequence[float] | np.ndarray, config: ChangePointConfig = ChangePointConfig()
 ) -> ChangePointResult:
     """Detect an unknown number of breaks under a per-break penalty.
 
-    With method "exact-dp" the returned break set is the global minimizer of
-    sum(segment costs) + penalty * H over all admissible placements (H free
-    unless max_breaks caps it). "binary-segmentation" applies the single
-    change-point scan recursively, accepting a split only while it lowers
-    the penalized objective.
+    The returned break set is the global minimizer of sum(segment costs) +
+    penalty * H over all admissible placements, found by the exact DP: H
+    is free (_dp_unbounded) unless max_breaks caps it (_dp_capped).
     """
     x = _cost_input(values)
     ms = config.min_segment
@@ -529,9 +491,7 @@ def detect_multiple(
     if x.size < ms:
         raise InputError(f"series of length {x.size} shorter than min_segment {ms}")
     theta = config.penalty if config.penalty is not None else default_penalty(x)
-    if config.method == "binary-segmentation":
-        cuts = _binary_segmentation(x, theta, ms, config.max_breaks)
-    elif config.max_breaks is not None:
+    if config.max_breaks is not None:
         cuts = _dp_capped(x, theta, ms, config.max_breaks)
     else:
         cuts = _dp_unbounded(x, theta, ms)

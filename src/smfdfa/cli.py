@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .changepoint import METHODS, ChangePointConfig, detect_multiple
+from .changepoint import ChangePointConfig, detect_multiple
 from .errors import InputError, NumericalError
 from .forecast import (
     DEFAULT_HIDDEN,
@@ -78,7 +78,7 @@ SYNTH_START_DATE = np.datetime64("2000-01-01")
 # one file serves every command
 CONFIG_KEYS = frozenset({
     "q_grid", "scale_grid", "detrend_order", "regression_range", "penalty",
-    "max_breaks", "min_segment", "cp_method", "p", "hidden_units",
+    "max_breaks", "min_segment", "p", "hidden_units",
 })
 Run = tuple[dict, dict, dict, str]  # a handler's (config, docs, tables, summary)
 
@@ -110,7 +110,6 @@ def _add_cp_flags(p: argparse.ArgumentParser):
     p.add_argument("--penalty", type=float, default=None)
     p.add_argument("--min-segment", type=int, default=None)
     p.add_argument("--max-breaks", type=int, default=None)
-    p.add_argument("--cp-method", choices=METHODS, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,7 +233,7 @@ def _integer(value):
     return value
 
 
-def _pick(flag_value, file_cfg: dict, key: str, default, convert=lambda v: v):
+def _pick(flag_value, file_cfg: dict, key: str, default, convert):
     if flag_value is not None:
         return flag_value
     if file_cfg.get(key) is not None:
@@ -269,7 +268,6 @@ def _cp_config(args, file_cfg: dict) -> ChangePointConfig:
         max_breaks=_pick(args.max_breaks, file_cfg, "max_breaks", None, _integer),
         min_segment=_pick(args.min_segment, file_cfg, "min_segment",
                           ChangePointConfig.min_segment, _integer),
-        method=_pick(args.cp_method, file_cfg, "cp_method", ChangePointConfig.method),
     )
 
 
@@ -481,18 +479,19 @@ def cmd_forecast(args, file_cfg: dict, series) -> Run:
 
 
 def cmd_synth(args, file_cfg: dict, series) -> Run:
-    rng_seed = args.seed
+    if bad := [f"--{k}" for k in ("sigma", "shift", "offset") if not np.isfinite(vars(args)[k])]:
+        raise InputError(f"{' and '.join(bad)} must be finite")  # else series.csv fails to load
     if args.kind == "cascade":
         values = generate_cascade(
-            args.b1, args.b2, args.levels, shuffle_seed=rng_seed if args.shuffle else None
+            args.b1, args.b2, args.levels, shuffle_seed=args.seed if args.shuffle else None
         )
         params = {"kind": "cascade", "b1": args.b1, "b2": args.b2, "levels": args.levels,
                   "shuffle": bool(args.shuffle)}
     elif args.kind == "fgn":
-        values = fgn_generate(args.n, args.hurst, rng_seed, sigma=args.sigma)
+        values = fgn_generate(args.n, args.hurst, args.seed, sigma=args.sigma)
         params = {"kind": "fgn", "hurst": args.hurst, "n": args.n, "sigma": args.sigma}
     elif args.kind == "arfima":
-        values = arfima_generate(args.d, args.n, rng_seed, sigma=args.sigma)
+        values = arfima_generate(args.d, args.n, args.seed, sigma=args.sigma)
         params = {"kind": "arfima", "d": args.d, "n": args.n, "sigma": args.sigma}
     else:
         if args.n < 4:
@@ -500,7 +499,7 @@ def cmd_synth(args, file_cfg: dict, series) -> Run:
         at = args.break_at if args.break_at is not None else args.n // 2
         if not 1 <= at < args.n:
             raise InputError(f"--break-at must lie in [1, {args.n - 1}], got {at}")
-        rng = np.random.default_rng(rng_seed)
+        rng = np.random.default_rng(args.seed)
         values = rng.standard_normal(args.n) * args.sigma
         values[at:] += args.shift
         params = {"kind": "step", "n": args.n, "break_at": at, "shift": args.shift,

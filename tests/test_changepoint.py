@@ -514,36 +514,22 @@ class TestDetectMultiple:
         cfg = ChangePointConfig(penalty=0.0, min_segment=ms, max_breaks=1)
         assert list(detect_multiple(x, cfg).offsets) == [int(back[1, n])]
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(dp_instances())
-    def test_binary_segmentation_never_beats_exact_dp(self, instance):
-        # [DERIVED] greedy splits are admissible placements, so their
-        # penalized total cannot undercut the global optimum by more than
-        # the DP's rounding margin delta (see _dp_columns)
-        x, theta, ms = instance
-        exact = detect_multiple(x, ChangePointConfig(penalty=theta, min_segment=ms))
-        greedy = detect_multiple(
-            x, ChangePointConfig(penalty=theta, min_segment=ms, method="binary-segmentation")
-        )
-        edges = (0, *greedy.offsets, x.size)
-        assert min(b - a for a, b in zip(edges, edges[1:])) >= ms
-        assert all(b2 > b1 for b1, b2 in zip(greedy.breaks, greedy.breaks[1:]))
-        w = float(np.abs(x).max()) * float(np.abs(x).sum())
-        delta = 64 * np.finfo(float).eps * (x.size + 1) * (w + theta)
-        assert greedy.total_cost >= exact.total_cost - delta
-
-    def test_binary_segmentation_on_noise_near_the_rounding_floor(self):
-        # [DERIVED] on pure noise at a 1e6 level the split costs sit near
-        # the rounding floor. Without the kernel's clamp at 0 they go
-        # negative, and binary segmentation puts 332 breaks on these 20
-        # inputs; the exact DP puts 33, the clamped scan 31 (measured)
-        counts = {"exact-dp": 0, "binary-segmentation": 0}
+    def test_noise_near_the_rounding_floor(self):
+        # [DERIVED] on pure noise at a 1e6 level the segment costs sit near
+        # the rounding floor, and the kernel's clamp at 0 keeps them from
+        # going negative. Measured on these 20 inputs: the exact DP puts 33
+        # breaks, and the best split's cost is never negative; without the
+        # clamp the DP puts 105, and 9 best splits cost less than 0
+        breaks = 0
         for seed in range(20):
             x = 1e6 + 1e-3 * np.random.default_rng(seed).standard_normal(400)
-            for method in counts:
-                cfg = ChangePointConfig(min_segment=8, method=method)
-                counts[method] += detect_multiple(x, cfg).n_breaks
-        assert counts["binary-segmentation"] <= 2 * counts["exact-dp"]
+            cfg = ChangePointConfig(min_segment=8)
+            breaks += detect_multiple(x, cfg).n_breaks
+            s1, s2 = changepoint._prefix_sums(x)
+            split, cost = changepoint._best_split(s1, s2, 0, x.size, 8)
+            assert cost >= 0.0
+            assert detect_single(x, cfg).offsets == (split,)
+        assert breaks <= 50
 
     def test_three_sigma_step_localized(self):
         # [DERIVED] classic detectability regime: unit noise, 3 sigma shift
@@ -588,15 +574,6 @@ class TestDetectMultiple:
         assert r.n_breaks == 0
         assert math.isclose(r.total_cost, segment_cost(x), rel_tol=1e-12)
 
-    def test_binary_segmentation_agrees_on_well_separated_steps(self, rng):
-        x = rng.standard_normal(600)
-        x[200:400] += 6.0
-        exact = detect_multiple(x, ChangePointConfig(min_segment=32))
-        greedy = detect_multiple(
-            x, ChangePointConfig(min_segment=32, method="binary-segmentation")
-        )
-        assert exact.offsets == greedy.offsets
-
     def test_result_round_trips_to_dict(self, rng):
         x = rng.standard_normal(100)
         x[50:] += 5.0
@@ -625,8 +602,6 @@ class TestDefaultPenalty:
 class TestConfigValidation:
     def test_bad_values_rejected(self):
         with pytest.raises(InputError):
-            ChangePointConfig(method="genetic")
-        with pytest.raises(InputError):
             ChangePointConfig(penalty=-1.0)
         with pytest.raises(InputError):
             ChangePointConfig(penalty=math.inf)
@@ -639,7 +614,7 @@ class TestConfigValidation:
     ])
     def test_non_integer_settings_named(self, field, value):
         # a float once reached the searches, which raised a bare TypeError
-        # (exact DP) or IndexError (binary segmentation, single split)
+        # (exact DP) or IndexError (single split)
         with pytest.raises(InputError, match=f"{field} must be an integer, got "):
             ChangePointConfig(**{field: value})
 
@@ -657,18 +632,16 @@ class TestConfigValidation:
             detect_multiple(np.zeros(50), ChangePointConfig(max_breaks=2, min_segment=32))
 
 
-# detect_single, and detect_multiple by each method under the default
+# detect_single, and detect_multiple uncapped and capped under the default
 # penalty and an explicit one
 DETECTORS = [detect_single] + [
-    partial(detect_multiple, config=ChangePointConfig(penalty=penalty, method=method))
-    for penalty in (None, 1.0) for method in ("exact-dp", "binary-segmentation")
+    partial(detect_multiple, config=ChangePointConfig(penalty=penalty, max_breaks=max_breaks))
+    for penalty in (None, 1.0) for max_breaks in (None, 3)
 ]
 
 
 class TestBreakTypes:
-    @pytest.mark.parametrize(
-        "detect", DETECTORS + [partial(detect_multiple, config=ChangePointConfig(max_breaks=3))]
-    )
+    @pytest.mark.parametrize("detect", DETECTORS)
     def test_breaks_are_python_ints(self, detect, rng):
         # the exact DP once returned NumPy integers, which json.dumps rejects
         x = rng.standard_normal(300)
@@ -714,15 +687,15 @@ class TestInputValidation:
         with pytest.raises(InputError, match="values as large as 2e\\+160 overflow"):
             public(np.where(np.arange(200) % 2, 2e160, 1e160))
 
-    @pytest.mark.parametrize("method", ["exact-dp", "binary-segmentation"])
-    def test_large_values_within_bound_scale_exactly(self, method):
+    @pytest.mark.parametrize("max_breaks", [None, 3], ids=["exact-dp", "capped-dp"])
+    def test_large_values_within_bound_scale_exactly(self, max_breaks):
         # [TRIVIAL] scaling by a power of two is exact in floating point, so
         # a series scaled up to ~1e148 (length * max|x| ~ 2e150, inside the
         # bound) has the breaks, and the scaled costs, of the original
         gen = np.random.default_rng(4)
         x = np.concatenate([gen.normal(0, 1, 100), gen.normal(3, 1, 100)])
         big = x * 2.0**490
-        small_r = detect_multiple(x, ChangePointConfig(method=method))
-        big_r = detect_multiple(big, ChangePointConfig(method=method))
+        small_r = detect_multiple(x, ChangePointConfig(max_breaks=max_breaks))
+        big_r = detect_multiple(big, ChangePointConfig(max_breaks=max_breaks))
         assert big_r.breaks == small_r.breaks and big_r.n_breaks >= 1
         assert big_r.total_cost == small_r.total_cost * 2.0**980

@@ -74,6 +74,17 @@ class TestErrorPaths:
         assert code == 2
         assert "--break-at" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--sigma", "nan"), ("--shift", "inf"),
+                                             ("--offset", "-inf")])
+    def test_non_finite_synth_value_exits_2(self, flag, value, tmp_path, capsys):
+        # a NaN --sigma once exited 0 with every price empty, a file that
+        # load_csv then rejected
+        code = main(["synth", "step", "--n", "100", f"{flag}={value}",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"input error: {flag} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_forecast_break_outside_series_exits_2(self, price_csv, tmp_path, capsys):
         code = main(["forecast", str(price_csv), "--breaks", "manual:900",
                      "--out", str(tmp_path / "o")])
@@ -93,9 +104,11 @@ class TestErrorPaths:
         assert "config file not found" in capsys.readouterr().err
         # malformed values and unknown keys are input errors naming their
         # key, not tracebacks or silently ignored settings (there is one
-        # change-point cost, so "statistic" is not a key)
+        # change-point cost and one search, so "statistic" and "cp_method"
+        # are not keys)
         for key, value in (("q_grid", ["a", 1]), ("min_segment", "x"), ("penalty", "high"),
-                           ("qgrid", [1, 2, 3]), ("statistic", "mean-only")):
+                           ("qgrid", [1, 2, 3]), ("statistic", "mean-only"),
+                           ("cp_method", "exact-dp")):
             cfg = tmp_path / f"{key}.json"
             cfg.write_text(json.dumps({key: value}))
             code = main(["analyze", str(price_csv), "--config", str(cfg),
@@ -257,7 +270,7 @@ class TestErrorPaths:
 
     def test_non_utf8_config_exits_2(self, price_csv, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
-        cfg.write_bytes(b'{"cp_method": "\xff"}')
+        cfg.write_bytes(b'{"penalty": "\xff"}')
         code = main(["mfdfa", str(price_csv), "--config", str(cfg),
                      "--out", str(tmp_path / "o")])
         assert code == 2
@@ -320,13 +333,17 @@ class TestErrorPaths:
             # an infinite penalty is rejected, not run to a null total cost
             (["changepoints", str(price_csv), "--penalty", "inf"], 2),
             (["changepoints", str(price_csv), "--penalty", "inf", "--max-breaks", "2"], 2),
-            (["changepoints", str(price_csv), "--penalty", "inf",
-              "--cp-method", "binary-segmentation"], 2),
             (["mfdfa", str(flat), "--transform", "values"], 3),  # zero window variance
+            # there is one change-point search, so no flag selects another
+            (["changepoints", str(price_csv), "--cp-method", "binary-segmentation"], 2),
         )
         for argv, expected in cases:
             out = tmp_path / "o"
-            assert main([*argv, "--out", str(out)]) == expected, argv
+            try:
+                code = main([*argv, "--out", str(out)])
+            except SystemExit as exc:  # a usage error
+                code = exc.code
+            assert code == expected, argv
             assert not out.exists(), argv
 
 

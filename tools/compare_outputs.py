@@ -22,7 +22,11 @@ The full list is benchmark seeds 0-9 of all three perfbench workloads (7
 inputs each, as perfbench runs them) plus change-point, forecast,
 surrogate and subcommand jobs on analyze_regimes input seeds 0, 371 and
 400, on one forecast_memory_switch input and on a series with a flat
-regime, mostly in both --format values, and one rejected --config file. It
+regime, mostly in both --format values, and two rejected --config files,
+one with a bad value and one naming the retired `cp_method` key. The 18
+`binseg` jobs still pass `--cp-method binary-segmentation`: binary
+segmentation is retired, so they exit 2 on a tree without it, and a tree
+that still has it reads as an exit-code difference under the same label. It
 also runs analyze, changepoints --max-breaks 3 and changepoints
 --max-breaks 8 --penalty 0 on a 20480-return series of four 5120-sample
 volatility regimes, in both --format values; analyze on analyze_regimes
@@ -30,7 +34,8 @@ input 0 rewritten in other CSV dialects (quoted fields, CRLF line ends,
 blank lines, short and extra columns, a repeated header name, another date
 format or column names), under a file name CSV must quote, and with a bad
 row or a non-UTF-8 byte late in the file; every synth kind; and forecast
-with --scale differenced and with --evaluation holdout.
+with --scale differenced and with --evaluation holdout. The `synth/step/nan`
+job exits 2, since synth rejects a non-finite --sigma.
 The toy list runs a few jobs on toy-size inputs in seconds; the
 self-tests use it.
 """
@@ -217,9 +222,10 @@ def build_jobs(kind: str, inputs: Path) -> list[dict]:
         for kind in ("shuffle", "phase"):
             add(f"analyze/0/surrogates/{kind}/{fmt}",
                 ["analyze", path, "--surrogates", "10", "--surrogate-kind", kind, "--format", fmt])
-    bad_config = inputs / "bad_config.json"
-    bad_config.write_text(json.dumps({"penalty": True}))
-    add("changepoints/0/bad_config", ["changepoints", path, "--config", str(bad_config)])
+    for label, bad in (("bad_config", {"penalty": True}), ("cp_method", {"cp_method": "exact-dp"})):
+        bad_config = inputs / f"{label}.json"
+        bad_config.write_text(json.dumps(bad))
+        add(f"changepoints/0/{label}", ["changepoints", path, "--config", str(bad_config)])
     # a flat regime: 600 noisy returns, 600 zero returns, 600 noisy returns
     flat = inputs / "flat.csv"
     gen = np.random.default_rng(0)
