@@ -506,6 +506,9 @@ def cmd_synth(args, file_cfg: dict, series) -> Run:
                   "sigma": args.sigma}
     values = values + args.offset
     params["offset"] = args.offset
+    if not np.isfinite(values).all():  # finite flags whose series overflows
+        flags = [f"--{k}" for k in ("sigma", "shift", "offset") if k in params]
+        raise InputError(f"the {args.kind} series overflows; lower {' or '.join(flags)}")
     dates = SYNTH_START_DATE + np.arange(values.size)
     return params, {}, {
         "series.csv": (SERIES_HEADER, series_rows(dates, values)),

@@ -8,6 +8,8 @@ memory parameter for the whole series (FD-NAR), and per-segment local
 differencing with one parameter per regime (LFD-NAR). Both reconstruct
 one-step-ahead values with teacher forcing and are scored by mean
 absolute percentage error, by default on the reintegrated level scale.
+Every network the pipelines train stops early on a validation block cut
+from the end of its training part.
 """
 
 from __future__ import annotations
@@ -29,6 +31,16 @@ METHOD_LFD = "LFD-NAR"
 MIN_TRAIN_MARGIN = 50
 SCALES = ("levels", "differenced")
 EVALUATIONS = ("in-sample", "holdout")
+# the pipelines' window split: the training part is the whole window
+# (in-sample) or its first HOLDOUT_SPLIT (holdout); a block of
+# VALIDATION_SHARE of the window, cut from the end of the training part, is
+# the early-stopping block, and training stops after MAX_FAIL accepted
+# steps in a row that do not lower the block's loss. 0.15 and 6 are the
+# defaults of MATLAB's divideblock and trainlm, whose damping schedule
+# TrainConfig has
+HOLDOUT_SPLIT = 0.8
+VALIDATION_SHARE = 0.15
+MAX_FAIL = 6
 
 
 @dataclass(frozen=True)
@@ -53,7 +65,11 @@ class NarModel:
     """Trained lag-vector to next-value network with its normalization.
 
     Weights act in normalized space: u and the target are (value - mean)
-    / scale. loss_trace holds the training MSE after every accepted step.
+    / scale. loss_trace holds the training MSE after every accepted step
+    (index 0 is the initial network), stop_reason says which rule ended
+    training ("cap", "validation" or "tolerance"), and best_step is the
+    loss_trace index of the weights kept: the last step, or with a
+    validation block the step whose validation loss was lowest.
     """
 
     p: int
@@ -66,6 +82,8 @@ class NarModel:
     scale: float
     seed: int
     loss_trace: tuple[float, ...] = field(repr=False, default=())
+    stop_reason: str = "cap"
+    best_step: int = 0
 
     def predict_next(self, lags: np.ndarray) -> np.ndarray:
         """One-step prediction from rows of p most-recent-last lag values."""
@@ -129,14 +147,23 @@ def train_nar(
     hidden_units: int = DEFAULT_HIDDEN,
     seed: int = 0,
     config: TrainConfig = TrainConfig(),
+    n_validation: int = 0,
 ) -> NarModel:
-    """Fit the network to all (lag vector, next value) pairs of the series.
+    """Fit the network to the (lag vector, next value) pairs of the series.
 
-    Inputs and targets share one standardization (series mean and standard
+    The last n_validation pairs form a validation block and are not
+    trained on; the network is fitted to the values before the block, and
+    inputs and targets share their standardization (mean and standard
     deviation). Training is full-batch Levenberg-Marquardt: solve
     (J'J + damping I) step = -J'r, accept only steps that reduce the sum
     of squares, multiply the damping by the schedule factor on rejection
-    and divide on acceptance. Deterministic given the seed.
+    and divide on acceptance. It stops at the iteration cap, when a step
+    improves the loss by less than the relative tolerance, or, with a
+    validation block, after MAX_FAIL accepted steps in a row whose block
+    sum of squares is not below the lowest so far (the initial network is
+    step 0); the parameters of that lowest step are returned. Without a
+    block the last step's parameters are returned. Deterministic given the
+    seed.
 
     Raises NumericalError carrying .last_loss when the damping exceeds its
     cap without finding an acceptable step.
@@ -148,13 +175,24 @@ def train_nar(
         raise InputError(
             f"need at least {p + MIN_TRAIN_MARGIN} samples to train with p={p}, got {x.size}"
         )
-    mean = float(x.mean())
-    scale = float(x.std())
+    n_fit = x.size - n_validation
+    if n_validation < 0 or (n_validation and n_fit - p < p + 1):
+        raise InputError(
+            f"n_validation must be 0 or lie in [1, {x.size - p - (p + 1)}] to leave at least "
+            f"p + 1 = {p + 1} training pairs, got {n_validation}"
+        )
+    mean = float(x[:n_fit].mean())
+    scale = float(x[:n_fit].std())
     if scale < 1e-12:
         scale = 1.0
     z = (x - mean) / scale
-    u, target = _lag_matrix(z, p)
+    u, target = _lag_matrix(z[:n_fit], p)
     n_pairs = target.size
+    u_val, target_val = _lag_matrix(z[n_fit - p :], p)
+
+    def validation_sse(theta):
+        r = _forward(u_val, *_unpack(theta, p, hidden_units))[1] - target_val
+        return float(np.dot(r, r))
 
     rng = np.random.default_rng(seed)
     theta = rng.normal(0.0, 1.0, _n_params(p, hidden_units))
@@ -167,13 +205,16 @@ def train_nar(
     resid = out - target
     loss = float(np.dot(resid, resid)) / n_pairs
     trace = [loss]
+    best_theta, best_step, fails = theta, 0, 0
+    if n_validation:
+        best_val = validation_sse(theta)
     damping = config.damping_init
     eye = np.eye(theta.size)
     # one Jacobian buffer for the whole run, refilled at the accepted
     # parameters; J'J and J'r are taken from it before any trial step, and
     # trial steps need only the forward pass
     jac = np.empty((n_pairs, theta.size))
-    for _ in range(config.max_iterations):  # exit 1: the iteration cap
+    for _ in range(config.max_iterations):
         _fill_jacobian(jac, theta, s, u, p, hidden_units)
         jtj = jac.T @ jac
         jtr = jac.T @ resid
@@ -201,9 +242,23 @@ def train_nar(
         theta, s, resid, loss = cand, cand_s, cand_resid, cand_loss
         trace.append(loss)
         damping = max(damping / config.damping_factor, 1e-300)
+        if n_validation:
+            val = validation_sse(theta)
+            if val < best_val:
+                best_theta, best_step, best_val, fails = theta, len(trace) - 1, val, 0
+            else:
+                fails += 1
         if improvement <= config.min_relative_improvement * max(loss, 1e-300):
-            break  # exit 3: the tolerance
-    w_in, b_in, w_out, b_out = _unpack(theta, p, hidden_units)
+            stop_reason = "tolerance"  # exit 3
+            break
+        if fails == MAX_FAIL:
+            stop_reason = "validation"  # exit 4
+            break
+    else:
+        stop_reason = "cap"  # exit 1: the iteration cap
+    if not n_validation:
+        best_theta, best_step = theta, len(trace) - 1
+    w_in, b_in, w_out, b_out = _unpack(best_theta, p, hidden_units)
     return NarModel(
         p=p,
         hidden_units=hidden_units,
@@ -215,6 +270,8 @@ def train_nar(
         scale=scale,
         seed=seed,
         loss_trace=tuple(trace),
+        stop_reason=stop_reason,
+        best_step=best_step,
     )
 
 
@@ -263,6 +320,11 @@ class ForecastRow:
     start: int
     stop: int
     skipped_reason: str | None = None
+    # the training's NarModel.stop_reason, accepted steps and best_step,
+    # None on a skipped row
+    stop_reason: str | None = None
+    iterations: int | None = None
+    best_step: int | None = None
     # the scored traces, None on a skipped row; eval_start is the absolute
     # index of the first scored observation
     eval_start: int | None = None
@@ -289,13 +351,18 @@ def _score_window(y_win: np.ndarray, x_win: np.ndarray, p: int, hidden_units: in
                   train_config: TrainConfig, scale: str, evaluation: str):
     """Train one network on a usable window of differenced values y_win
     (levels x_win) and score its one-step fits: the window index of the
-    first scored sample, the scored actual and fitted values, and their
-    MAPE. With teacher forcing the differencing history y_t - x_t is known
-    exactly from true values, so a level forecast is fitted y_t minus it.
+    first scored sample, the scored actual and fitted values, their MAPE,
+    and the trained model. The training part is the whole window
+    (in-sample) or its first HOLDOUT_SPLIT (holdout); its last
+    VALIDATION_SHARE of the window, capped to leave p + 1 training pairs,
+    is the early-stopping block. With teacher forcing the differencing
+    history y_t - x_t is known exactly from true values, so a level
+    forecast is fitted y_t minus it.
     """
     holdout = evaluation == "holdout"
-    split = int(0.8 * y_win.size) if holdout else y_win.size
-    model = train_nar(y_win[:split], p, hidden_units, seed, train_config)
+    split = int(HOLDOUT_SPLIT * y_win.size) if holdout else y_win.size
+    n_val = max(min(int(VALIDATION_SHARE * y_win.size), split - p - (p + 1)), 0)
+    model = train_nar(y_win[:split], p, hidden_units, seed, train_config, n_validation=n_val)
     first = split if holdout else p
     # predict every lag row and slice: the product's bits depend on its row count
     fitted = model.predict_next(_lag_matrix(y_win, p)[0])[first - p :]
@@ -303,7 +370,7 @@ def _score_window(y_win: np.ndarray, x_win: np.ndarray, p: int, hidden_units: in
     if scale == "levels":
         fitted = fitted - (actual - x_win[first:])
         actual = x_win[first:]
-    return first, actual, fitted, mape(actual, fitted)
+    return first, actual, fitted, mape(actual, fitted), model
 
 
 def pipeline_compare(
@@ -328,8 +395,9 @@ def pipeline_compare(
     every method so their rows stay comparable. Scoring is MAPE per
     (segment, method, seed) row, on reintegrated levels by default or on
     the differenced values with scale="differenced". evaluation="in-sample"
-    trains and scores on the whole usable window; evaluation="holdout"
-    trains on the first 80% and scores on the remaining 20% only. Segments
+    scores the whole usable window and trains on its first 85%, stopping
+    early on the last 15%; evaluation="holdout" trains on the first 65%,
+    stops early on the next 15% and scores the last 20% only. Segments
     too short to estimate or train produce flagged rows instead of failing
     the run. Every row that was not skipped carries its scored
     actual/fitted traces.
@@ -386,7 +454,7 @@ def pipeline_compare(
                 else:
                     d_used = got[0]
                     try:
-                        first, actual, fitted, score = _score_window(
+                        first, actual, fitted, score, model = _score_window(
                             got[1][cut:], x_seg[cut:], p, hidden_units, seed, train_config,
                             scale, evaluation)
                     except InputError as exc:
@@ -394,7 +462,9 @@ def pipeline_compare(
                     else:
                         rows.append(ForecastRow(
                             seg_label, method, d_used, score, seed, n_eval=actual.size,
-                            start=a, stop=b, eval_start=a + cut + first,
+                            start=a, stop=b, stop_reason=model.stop_reason,
+                            iterations=len(model.loss_trace) - 1, best_step=model.best_step,
+                            eval_start=a + cut + first,
                             actual=tuple(actual.tolist()), fitted=tuple(fitted.tolist())))
                         continue
                 rows.append(ForecastRow(seg_label, method, d_used, math.nan, seed, n_eval=0,

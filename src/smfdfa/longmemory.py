@@ -158,6 +158,8 @@ def fgn_generate(n: int, hurst: float, seed: int, sigma: float = 1.0) -> np.ndar
         raise InputError(f"n must be >= 2, got {n}")
     if sigma <= 0:
         raise InputError(f"sigma must be positive, got {sigma}")
+    if not math.isfinite(sigma * sigma):
+        raise InputError(f"sigma squared overflows, got {sigma}")
     k = np.arange(n + 1, dtype=float)
     gamma = 0.5 * sigma**2 * (
         np.abs(k + 1) ** (2 * hurst) - 2 * np.abs(k) ** (2 * hurst) + np.abs(k - 1) ** (2 * hurst)

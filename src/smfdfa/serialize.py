@@ -219,11 +219,13 @@ SURROGATE_HEADER = ("index", "delta_alpha")
 
 FORECAST_HEADER = (
     "segment", "method", "d_used", "mape", "seed", "n_eval", "start", "stop", "skipped_reason",
+    "stop_reason", "iterations", "best_step",
 )
 
 
 _forecast_fields = attrgetter("segment_label", "method", "d_used", "mape", "seed", "n_eval",
-                              "start", "stop", "skipped_reason")
+                              "start", "stop", "skipped_reason", "stop_reason", "iterations",
+                              "best_step")
 
 
 def forecast_rows(report: ForecastReport) -> Iterator[tuple]:

@@ -85,6 +85,23 @@ class TestErrorPaths:
         assert f"input error: {flag} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("kind, flags, named", [
+        ("fgn", ["--n", "64", "--sigma", "1e308", "--offset", "1e308"],
+         "sigma squared overflows, got 1e+308"),
+        ("step", ["--n", "100", "--shift", "1e308", "--offset", "1e308"],
+         "the step series overflows; lower --sigma or --shift or --offset"),
+        ("arfima", ["--n", "100", "--sigma", "1e308"],
+         "the arfima series overflows; lower --sigma or --offset"),
+    ])
+    def test_overflowing_synth_series_exits_2(self, kind, flags, named, tmp_path, capsys):
+        # finite flags whose series overflows: fgn once raised an
+        # OverflowError traceback (exit 1), step and arfima exited 0 with
+        # inf prices that load_csv then rejected
+        code = main(["synth", kind, *flags, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"input error: {named}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_forecast_break_outside_series_exits_2(self, price_csv, tmp_path, capsys):
         code = main(["forecast", str(price_csv), "--breaks", "manual:900",
                      "--out", str(tmp_path / "o")])

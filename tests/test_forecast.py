@@ -16,12 +16,16 @@ from hypothesis.extra import numpy as hnp
 from conftest import make_series
 from smfdfa.errors import InputError, NumericalError
 from smfdfa.forecast import (
+    EVALUATIONS,
+    MAX_FAIL,
     METHOD_FD,
     METHOD_LFD,
+    VALIDATION_SHARE,
     ForecastReport,
     ForecastRow,
     TrainConfig,
     _n_params,
+    _score_window,
     _sigmoid,
     _unpack,
     mape,
@@ -54,24 +58,37 @@ def masked_sigmoid(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def reference_train_nar(x: np.ndarray, p: int, h: int, seed: int, config: TrainConfig):
+def reference_train_nar(x: np.ndarray, p: int, h: int, seed: int, config: TrainConfig,
+                        n_validation: int = 0):
     """Reference: the straightforward Levenberg-Marquardt loop, which builds
-    a fresh Jacobian with every trial step and uses masked_sigmoid. The
-    library's trainer must give the same weights and loss trace bit for
-    bit. Returns (w_in, b_in, w_out, b_out, loss_trace)."""
-    mean = float(x.mean())
-    scale = float(x.std())
+    a fresh Jacobian with every trial step and uses masked_sigmoid. With
+    n_validation > 0 it trains on x[:-n_validation] (its own mean and
+    scale), scores the last n_validation lag pairs of x after every
+    accepted step, stops after MAX_FAIL steps in a row that do not lower
+    that sum of squares, and keeps the lowest one's parameters. The
+    library's trainer must give the same weights, loss trace, stop reason
+    and kept step bit for bit. Returns (w_in, b_in, w_out, b_out,
+    loss_trace, stop_reason, best_step)."""
+    fit = x[: x.size - n_validation]
+    mean = float(fit.mean())
+    scale = float(fit.std())
     if scale < 1e-12:
         scale = 1.0
-    z = (x - mean) / scale
+    z = (fit - mean) / scale
     idx = np.arange(p, z.size)[:, None] + np.arange(-p, 0)[None, :]
     u, target = z[idx], z[p:]
     n = target.size
+    z_val = (x[x.size - n_validation - p :] - mean) / scale
+    idx_val = np.arange(p, z_val.size)[:, None] + np.arange(-p, 0)[None, :]
+    u_val, target_val = z_val[idx_val], z_val[p:]
 
     def forward_jacobian(theta):
         w_in, b_in = theta[: h * p].reshape(h, p), theta[h * p : h * p + h]
         w_out, b_out = theta[h * p + h : h * p + 2 * h], theta[-1]
         s = masked_sigmoid(u @ w_in.T + b_in)
+        if u_val.size:
+            r = masked_sigmoid(u_val @ w_in.T + b_in) @ w_out + b_out - target_val
+            val_losses.append(float(np.dot(r, r)))
         g = s * (1.0 - s) * w_out
         jac = np.empty((n, theta.size))
         jac[:, : h * p] = (g[:, :, None] * u[:, None, :]).reshape(n, h * p)
@@ -85,10 +102,14 @@ def reference_train_nar(x: np.ndarray, p: int, h: int, seed: int, config: TrainC
     theta = rng.normal(0.0, 1.0, n_params)
     theta[: h * p] /= math.sqrt(p)
     theta[h * (p + 1) :] *= 0.1
+    val_losses = []  # one per forward_jacobian call, trial steps included
     out, jac = forward_jacobian(theta)
     resid = out - target
     loss = float(np.dot(resid, resid)) / n
     trace = [loss]
+    kept = [theta]  # the parameters of every accepted step, the initial ones first
+    val_trace = val_losses[-1:]  # the validation loss of every accepted step
+    stop_reason = "cap"
     damping = config.damping_init
     eye = np.eye(n_params)
     for _ in range(config.max_iterations):
@@ -110,6 +131,8 @@ def reference_train_nar(x: np.ndarray, p: int, h: int, seed: int, config: TrainC
                 theta, jac, resid = cand, cand_jac, cand_resid
                 loss = cand_loss
                 trace.append(loss)
+                kept.append(theta)
+                val_trace += val_losses[-1:]
                 damping = max(damping / config.damping_factor, 1e-300)
                 accepted = True
                 break
@@ -119,17 +142,29 @@ def reference_train_nar(x: np.ndarray, p: int, h: int, seed: int, config: TrainC
             err.last_loss = loss
             raise err
         if improvement <= config.min_relative_improvement * max(loss, 1e-300):
+            stop_reason = "tolerance"
             break
+        # none of the last MAX_FAIL accepted steps went below every
+        # validation loss before them
+        if len(val_trace) > MAX_FAIL and not any(
+                v < min(val_trace[:-MAX_FAIL]) for v in val_trace[-MAX_FAIL:]):
+            stop_reason = "validation"
+            break
+    # the first lowest validation loss, or the last step without a block
+    best = val_trace.index(min(val_trace)) if val_trace else len(trace) - 1
+    theta = kept[best]
     return (theta[: h * p].reshape(h, p), theta[h * p : h * p + h],
-            theta[h * p + h : h * p + 2 * h], theta[-1:], np.array(trace))
+            theta[h * p + h : h * p + 2 * h], theta[-1:], np.array(trace), stop_reason, best)
 
 
 def reference_pipeline_compare(x, breaks, p, h, seeds, config, scale, methods, evaluation):
     """Reference: the regime loop as first written, with one list of
     scored jobs and one of skipped methods, three row construction sites,
     and level forecasts reintegrated as fitted minus the differencing
-    history over the whole window before slicing. Input checks are left
-    out; pipeline_compare must return the same rows in the same order."""
+    history over the whole window before slicing. Each network stops early
+    on the last VALIDATION_SHARE of the window, cut from the end of its
+    training part. Input checks are left out; pipeline_compare must return
+    the same rows in the same order."""
     edges = (0, *breaks, x.size)
     if METHOD_FD in methods:
         global_d = gph_estimate(x).d_hat
@@ -157,13 +192,11 @@ def reference_pipeline_compare(x, breaks, p, h, seeds, config, scale, methods, e
             x_win = x_seg[cut:]
             for seed in seeds:
                 try:
-                    if evaluation == "holdout":
-                        split = int(0.8 * y_win.size)
-                        model = train_nar(y_win[:split], p, h, seed, config)
-                        lo = split - p
-                    else:
-                        model = train_nar(y_win, p, h, seed, config)
-                        lo = 0
+                    split = int(0.8 * y_win.size) if evaluation == "holdout" else y_win.size
+                    # the block leaves at least p + 1 training pairs
+                    n_val = max(min(int(VALIDATION_SHARE * y_win.size), split - p - (p + 1)), 0)
+                    model = train_nar(y_win[:split], p, h, seed, config, n_validation=n_val)
+                    lo = split - p if evaluation == "holdout" else 0
                     fitted_y = reconstruct(model, y_win).fitted
                     fitted_x = fitted_y - (y_win[p:] - x_win[p:])
                     if scale == "levels":
@@ -174,7 +207,8 @@ def reference_pipeline_compare(x, breaks, p, h, seeds, config, scale, methods, e
                     rows.append(ForecastRow(
                         seg_label, method, d_used, score, seed,
                         n_eval=scored_actual.size, start=a, stop=b,
-                        eval_start=a + cut + p + lo,
+                        stop_reason=model.stop_reason, iterations=len(model.loss_trace) - 1,
+                        best_step=model.best_step, eval_start=a + cut + p + lo,
                         actual=tuple(float(v) for v in scored_actual),
                         fitted=tuple(float(v) for v in scored_fitted),
                     ))
@@ -198,9 +232,10 @@ def bits(a) -> np.ndarray:
 
 @st.composite
 def training_instances(draw):
-    """(series, p, hidden_units, seed, config): noisy AR(1), long-memory,
-    noiseless AR(1) and integer-valued series (repeated lag rows), with
-    damping caps low enough that some runs stop with NumericalError."""
+    """(series, p, hidden_units, seed, config, n_validation): noisy AR(1),
+    long-memory, noiseless AR(1) and integer-valued series (repeated lag
+    rows), with damping caps low enough that some runs stop with
+    NumericalError, and no validation block or one of any valid size."""
     n = draw(st.integers(60, 400), label="n")
     p = draw(st.integers(1, 6), label="p")
     h = draw(st.integers(1, 8), label="hidden_units")
@@ -222,7 +257,8 @@ def training_instances(draw):
         max_iterations=draw(st.integers(1, 30), label="max_iterations"),
         damping_cap=draw(st.sampled_from([1e10, 1.0, 1e-2]), label="damping_cap"),
     )
-    return x, p, h, seed, config
+    n_validation = draw(st.just(0) | st.integers(0, n - 2 * p - 1), label="n_validation")
+    return x, p, h, seed, config, n_validation
 
 
 # -------------------------------------------------------------------- mape
@@ -376,19 +412,26 @@ class TestTrainNar:
     @given(training_instances())
     def test_equals_reference_trainer(self, instance):
         # [DERIVED] the trainer reuses one Jacobian buffer and builds it only
-        # for accepted steps; the arithmetic is the reference loop's, so the
-        # weights, the loss trace and a damping-cap failure match bit for bit
-        x, p, h, seed, config = instance
+        # for accepted steps, and counts validation failures where the
+        # reference keeps every step; the arithmetic is the reference
+        # loop's, so the weights, the loss trace, the stop reason, the kept
+        # step and a damping-cap failure match bit for bit
+        x, p, h, seed, config, n_validation = instance
+        kwargs = dict(p=p, hidden_units=h, seed=seed, config=config, n_validation=n_validation)
         try:
-            want = reference_train_nar(x, p, h, seed, config)
+            *want, want_reason, want_best = reference_train_nar(x, p, h, seed, config,
+                                                                n_validation)
         except NumericalError as ref_err:
             with pytest.raises(NumericalError) as got_err:
-                train_nar(x, p=p, hidden_units=h, seed=seed, config=config)
+                train_nar(x, **kwargs)
             assert bits(got_err.value.last_loss) == bits(ref_err.last_loss)
             return
-        got = train_nar(x, p=p, hidden_units=h, seed=seed, config=config)
+        got = train_nar(x, **kwargs)
         for g, w in zip((got.w_in, got.b_in, got.w_out, got.b_out, got.loss_trace), want):
             np.testing.assert_array_equal(bits(g), bits(w))
+        assert (got.stop_reason, got.best_step) == (want_reason, want_best)
+        if not n_validation:
+            assert got.best_step == len(got.loss_trace) - 1
 
     def test_damping_cap_failure_equals_reference(self, noisy_series):
         # [DERIVED] seed 3 with the cap at 1.0 accepts steps first, then
@@ -403,6 +446,79 @@ class TestTrainNar:
         first = train_nar(noisy_series, p=3, hidden_units=6, seed=3,
                           config=TrainConfig(max_iterations=1)).loss_trace[0]
         assert got.value.last_loss < first
+
+    def test_each_stop_reason(self, noisy_series):
+        # [TRIVIAL] one run per exit: one step under a one-step cap, a
+        # first step that improves by less than a huge relative tolerance,
+        # and MAX_FAIL steps past the best validation loss
+        cap = train_nar(noisy_series, p=3, hidden_units=6, seed=5,
+                        config=TrainConfig(max_iterations=1))
+        assert (cap.stop_reason, cap.best_step, len(cap.loss_trace)) == ("cap", 1, 2)
+        tol = train_nar(noisy_series, p=3, hidden_units=6, seed=5,
+                        config=TrainConfig(min_relative_improvement=1e6))
+        assert (tol.stop_reason, tol.best_step, len(tol.loss_trace)) == ("tolerance", 1, 2)
+        val = train_nar(noisy_series, p=3, hidden_units=6, seed=5, n_validation=60)
+        assert val.stop_reason == "validation"
+        assert val.best_step == len(val.loss_trace) - 1 - MAX_FAIL
+        assert len(val.loss_trace) - 1 < TrainConfig().max_iterations
+
+    def test_early_stop_keeps_the_best_validation_step(self, noisy_series):
+        # [DERIVED] the block is never trained on, so the early-stopped run
+        # is the plain trainer on the values before the block: its kept
+        # weights are that trainer's weights after best_step steps, and no
+        # later step of that trainer scores lower on the block
+        n_val, p = 60, 3
+        model = train_nar(noisy_series, p=p, hidden_units=6, seed=5, n_validation=n_val)
+        fit = noisy_series[:-n_val]
+        u_val = np.lib.stride_tricks.sliding_window_view(noisy_series[:-1], p)[-n_val:]
+        target_val = noisy_series[-n_val:]
+        sse = []
+        for steps in range(1, len(model.loss_trace)):
+            plain = train_nar(fit, p=p, hidden_units=6, seed=5,
+                              config=TrainConfig(max_iterations=steps))
+            assert plain.loss_trace == model.loss_trace[: steps + 1]
+            sse.append(float(np.sum((plain.predict_next(u_val) - target_val) ** 2)))
+            if steps == model.best_step:
+                for g, w in zip((model.w_in, model.b_in, model.w_out, model.b_out),
+                                (plain.w_in, plain.b_in, plain.w_out, plain.b_out)):
+                    np.testing.assert_array_equal(bits(g), bits(w))
+        assert model.best_step >= 1
+        assert min(sse) == sse[model.best_step - 1]
+
+    def test_validation_tie_is_a_failure(self):
+        # [DERIVED] on a constant series every lag row is 0 after scaling, so
+        # the block's loss is n_validation times the training loss; the last
+        # accepted step leaves that loss unchanged (hence the tolerance
+        # stop), and a loss equal to the best is not kept
+        model = train_nar(np.full(120, 3.0), p=2, hidden_units=1, seed=0, n_validation=30)
+        assert model.stop_reason == "tolerance"
+        assert model.loss_trace[-1] == model.loss_trace[-2]
+        assert model.best_step == len(model.loss_trace) - 2
+
+    def test_bad_validation_size_rejected(self, noisy_series):
+        # a negative block, or one that leaves p = 3 training pairs (fewer
+        # than p + 1), is an input error; one more training pair is not.
+        # No block is always allowed: with p = 60 a 110-sample series has
+        # 50 training pairs, as before blocks existed
+        n = noisy_series.size
+        for bad in (-1, n - 6):
+            with pytest.raises(InputError, match=r"must be 0 or lie in \[1, 293\]"):
+                train_nar(noisy_series, p=3, hidden_units=2, n_validation=bad)
+        short = dict(hidden_units=2, config=TrainConfig(max_iterations=1))
+        train_nar(noisy_series, p=3, n_validation=n - 7, **short)
+        train_nar(noisy_series[:110], p=60, **short)
+        with pytest.raises(InputError, match=r"must be 0 or lie in \[1, -11\]"):
+            train_nar(noisy_series[:110], p=60, n_validation=1, **short)
+
+    def test_size_check_counts_the_whole_series(self):
+        # [TRIVIAL] the 53-sample floor for p = 3 counts the validation
+        # block: 53 samples with a 10-pair block train on 43 values
+        x = ar1_deterministic(53)
+        with pytest.raises(InputError, match="need at least 53 samples"):
+            train_nar(x[:52], p=3, n_validation=10)
+        model = train_nar(x, p=3, hidden_units=2, n_validation=10,
+                          config=TrainConfig(max_iterations=3))
+        assert model.mean == float(x[:43].mean())
 
     def test_fits_noiseless_ar1_under_one_percent(self):
         # [DERIVED] x_t = 0.8 x_{t-1} + 0.1 from x_0 = 1 is a noiseless,
@@ -678,6 +794,22 @@ class TestPipelineCompare:
             if scale == "levels":
                 assert len({r.actual for r in seg}) == 1
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.integers(1, 80), st.integers(0, 200), st.sampled_from(EVALUATIONS))
+    def test_no_window_scored_before_the_block_is_skipped(self, p, extra, evaluation):
+        # [DERIVED] a window was scored whenever its training part held p +
+        # 50 values; the block is capped so that such a part still leaves
+        # p + 1 training pairs, or is left out where it cannot (p >= 49),
+        # so train_nar accepts every such part
+        size = p + 50 + extra
+        if evaluation == "holdout" and int(0.8 * size) < p + 50:
+            return  # too short before the block as well
+        x_win = 100.0 + np.random.default_rng(size).standard_normal(size)
+        first, actual, fitted, score, model = _score_window(
+            x_win - 100.0, x_win, p, 1, 0, TrainConfig(max_iterations=1), "levels", evaluation)
+        assert actual.size == size - first and math.isfinite(score)
+        assert model.stop_reason == "cap"
+
     def test_rows_equal_reference_loop(self):
         # [DERIVED] every field of every row, traces included, equals the
         # reference loop's, in the same order, for each method set, both
@@ -716,7 +848,8 @@ class TestForecastReport:
         assert agg == {METHOD_FD: 2.0, METHOD_LFD: 3.0}
 
     def test_to_dict_fields(self):
-        row = ForecastRow("s::seg1", METHOD_FD, 0.1, 2.0, 7, 10, 0, 50)
+        row = ForecastRow("s::seg1", METHOD_FD, 0.1, 2.0, 7, 10, 0, 50,
+                          stop_reason="validation", iterations=9, best_step=3)
         doc = forecast_report_to_dict(ForecastReport(rows=(row,), scale="levels"))
         assert doc["rows"][0] == {
             "segment": "s::seg1",
@@ -728,4 +861,7 @@ class TestForecastReport:
             "start": 0,
             "stop": 50,
             "skipped_reason": None,
+            "stop_reason": "validation",
+            "iterations": 9,
+            "best_step": 3,
         }

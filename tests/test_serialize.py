@@ -73,7 +73,7 @@ def reference_surrogate_rows(cmp_):
 
 def reference_forecast_rows(report):
     return ((r.segment_label, r.method, r.d_used, r.mape, r.seed, r.n_eval, r.start, r.stop,
-             r.skipped_reason) for r in report.rows)
+             r.skipped_reason, r.stop_reason, r.iterations, r.best_step) for r in report.rows)
 
 
 def reference_fitted_rows(report):
@@ -154,6 +154,9 @@ def forecast_reports(draw):
             draw(floats.flatmap(maybe_numpy)), draw(floats.flatmap(maybe_numpy)),
             draw(st.integers(0, 2**31)), n, draw(st.integers(0, 10**4)),
             draw(st.integers(0, 10**4)), None if scored else draw(labels),
+            stop_reason=draw(st.sampled_from(["cap", "validation", "tolerance"])) if scored else None,
+            iterations=draw(st.integers(0, 200)) if scored else None,
+            best_step=draw(st.integers(0, 200)) if scored else None,
             eval_start=draw(st.integers(0, 10**4)) if scored else None,
             actual=tuple(draw(st.lists(floats, min_size=n, max_size=n))) if scored else None,
             fitted=tuple(draw(st.lists(floats, min_size=n, max_size=n))) if scored else None))

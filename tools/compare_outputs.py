@@ -33,9 +33,11 @@ volatility regimes, in both --format values; analyze on analyze_regimes
 input 0 rewritten in other CSV dialects (quoted fields, CRLF line ends,
 blank lines, short and extra columns, a repeated header name, another date
 format or column names), under a file name CSV must quote, and with a bad
-row or a non-UTF-8 byte late in the file; every synth kind; and forecast
-with --scale differenced and with --evaluation holdout. The `synth/step/nan`
-job exits 2, since synth rejects a non-finite --sigma.
+row or a non-UTF-8 byte late in the file; every synth kind, and fgn, step
+and arfima with finite flags whose series overflows; and forecast with
+--scale differenced, with --evaluation holdout and with a --config file
+setting p and hidden_units. The `synth/step/nan` job exits 2, since synth
+rejects a non-finite --sigma, and so do the three `overflow` jobs.
 The toy list runs a few jobs on toy-size inputs in seconds; the
 self-tests use it.
 """
@@ -78,6 +80,7 @@ CP_SETTINGS = {
     "binseg": ["--cp-method", "binary-segmentation"],
 }
 CONFIG = {"min_segment": 64, "max_breaks": 3, "detrend_order": 2}
+FORECAST_CONFIG = {"p": 3, "hidden_units": 6}
 # change-point jobs on a 20480-return series of four 5120-sample regimes
 # (analyze_regimes' sigmas), where the DP prunes thousands of starts
 LONG_REGIME = 5120
@@ -95,6 +98,9 @@ SYNTH_JOBS = {
     "arfima": ["arfima", "--n", "3000", "--d", "0.4", "--offset", "100", "--seed", "2"],
     "step": ["step", "--n", "1000", "--break-at", "300", "--shift", "2", "--seed", "4"],
     "step/nan": ["step", "--n", "100", "--sigma", "nan"],
+    "fgn/overflow": ["fgn", "--n", "64", "--sigma", "1e308", "--offset", "1e308"],
+    "step/overflow": ["step", "--n", "100", "--shift", "1e308", "--offset", "1e308"],
+    "arfima/overflow": ["arfima", "--n", "100", "--sigma", "1e308"],
 }
 
 
@@ -252,6 +258,9 @@ def build_jobs(kind: str, inputs: Path) -> list[dict]:
              "--format", fmt])
     add("forecast/0/differenced", [argv[0], path, *argv[1:], "--scale", "differenced"])
     add("forecast/0/holdout", [argv[0], path, *argv[1:], "--evaluation", "holdout"])
+    forecast_config = inputs / "forecast_config.json"
+    forecast_config.write_text(json.dumps(FORECAST_CONFIG))
+    add("forecast/0/config", [argv[0], path, *argv[1:], "--config", str(forecast_config)])
     path, _ = prepare("analyze_regimes", 0)
     for name, job_argv in _io_jobs(Path(path), inputs).items():
         add(f"io/{name}", job_argv)
