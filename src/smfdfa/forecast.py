@@ -36,28 +36,20 @@ EVALUATIONS = ("in-sample", "holdout")
 # VALIDATION_SHARE of the window, cut from the end of the training part, is
 # the early-stopping block, and training stops after MAX_FAIL accepted
 # steps in a row that do not lower the block's loss. 0.15 and 6 are the
-# defaults of MATLAB's divideblock and trainlm, whose damping schedule
-# TrainConfig has
+# defaults of MATLAB's divideblock and trainlm, and so is the damping
+# schedule: start at DAMPING_INIT, multiply by DAMPING_FACTOR on a rejected
+# step and divide on an accepted one, and fail past DAMPING_CAP. Training
+# also stops after MAX_ITERATIONS accepted steps, or at a step that lowers
+# the loss by at most MIN_RELATIVE_IMPROVEMENT of it. train_nar reads these
+# constants when it is called
 HOLDOUT_SPLIT = 0.8
 VALIDATION_SHARE = 0.15
 MAX_FAIL = 6
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Levenberg-Marquardt damping schedule and stopping rule."""
-
-    damping_init: float = 1e-3
-    damping_factor: float = 10.0
-    damping_cap: float = 1e10
-    max_iterations: int = 200
-    min_relative_improvement: float = 1e-12
-
-    def __post_init__(self):
-        if self.damping_init <= 0 or self.damping_factor <= 1 or self.damping_cap <= 0:
-            raise InputError("damping parameters must be positive (factor > 1)")
-        if self.max_iterations < 1:
-            raise InputError("max_iterations must be >= 1")
+DAMPING_INIT = 1e-3
+DAMPING_FACTOR = 10.0
+DAMPING_CAP = 1e10
+MAX_ITERATIONS = 200
+MIN_RELATIVE_IMPROVEMENT = 1e-12
 
 
 @dataclass(frozen=True)
@@ -73,14 +65,12 @@ class NarModel:
     """
 
     p: int
-    hidden_units: int
     w_in: np.ndarray    # (hidden_units, p)
     b_in: np.ndarray    # (hidden_units,)
     w_out: np.ndarray   # (hidden_units,)
     b_out: float
     mean: float
     scale: float
-    seed: int
     loss_trace: tuple[float, ...] = field(repr=False, default=())
     stop_reason: str = "cap"
     best_step: int = 0
@@ -146,7 +136,6 @@ def train_nar(
     p: int = DEFAULT_LAGS,
     hidden_units: int = DEFAULT_HIDDEN,
     seed: int = 0,
-    config: TrainConfig = TrainConfig(),
     n_validation: int = 0,
 ) -> NarModel:
     """Fit the network to the (lag vector, next value) pairs of the series.
@@ -156,17 +145,17 @@ def train_nar(
     inputs and targets share their standardization (mean and standard
     deviation). Training is full-batch Levenberg-Marquardt: solve
     (J'J + damping I) step = -J'r, accept only steps that reduce the sum
-    of squares, multiply the damping by the schedule factor on rejection
-    and divide on acceptance. It stops at the iteration cap, when a step
-    improves the loss by less than the relative tolerance, or, with a
-    validation block, after MAX_FAIL accepted steps in a row whose block
-    sum of squares is not below the lowest so far (the initial network is
-    step 0); the parameters of that lowest step are returned. Without a
-    block the last step's parameters are returned. Deterministic given the
-    seed.
+    of squares, multiply the damping by DAMPING_FACTOR on rejection and
+    divide on acceptance. It stops after MAX_ITERATIONS accepted steps, when
+    a step improves the loss by at most MIN_RELATIVE_IMPROVEMENT of it, or,
+    with a validation block, after MAX_FAIL accepted steps in a row whose
+    block sum of squares is not below the lowest so far (the initial
+    network is step 0); the parameters of that lowest step are returned.
+    Without a block the last step's parameters are returned. Deterministic
+    given the seed.
 
-    Raises NumericalError carrying .last_loss when the damping exceeds its
-    cap without finding an acceptable step.
+    Raises NumericalError carrying .last_loss when the damping exceeds
+    DAMPING_CAP without finding an acceptable step.
     """
     x = finite_1d(series)
     if p < 1 or hidden_units < 1:
@@ -208,21 +197,21 @@ def train_nar(
     best_theta, best_step, fails = theta, 0, 0
     if n_validation:
         best_val = validation_sse(theta)
-    damping = config.damping_init
+    damping = DAMPING_INIT
     eye = np.eye(theta.size)
     # one Jacobian buffer for the whole run, refilled at the accepted
     # parameters; J'J and J'r are taken from it before any trial step, and
     # trial steps need only the forward pass
     jac = np.empty((n_pairs, theta.size))
-    for _ in range(config.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         _fill_jacobian(jac, theta, s, u, p, hidden_units)
         jtj = jac.T @ jac
         jtr = jac.T @ resid
-        while damping <= config.damping_cap:
+        while damping <= DAMPING_CAP:
             try:
                 step = np.linalg.solve(jtj + damping * eye, -jtr)
             except np.linalg.LinAlgError:
-                damping *= config.damping_factor
+                damping *= DAMPING_FACTOR
                 continue
             cand = theta + step
             cand_s, cand_out = _forward(u, *_unpack(cand, p, hidden_units))
@@ -230,10 +219,10 @@ def train_nar(
             cand_loss = float(np.dot(cand_resid, cand_resid)) / n_pairs
             if math.isfinite(cand_loss) and cand_loss <= loss:
                 break
-            damping *= config.damping_factor
+            damping *= DAMPING_FACTOR
         else:  # exit 2: the damping cap, with no acceptable step
             err = NumericalError(
-                f"damping exceeded cap {config.damping_cap:g} without an acceptable step; "
+                f"damping exceeded cap {DAMPING_CAP:g} without an acceptable step; "
                 f"last training loss {loss:.6g}"
             )
             err.last_loss = loss
@@ -241,14 +230,14 @@ def train_nar(
         improvement = loss - cand_loss
         theta, s, resid, loss = cand, cand_s, cand_resid, cand_loss
         trace.append(loss)
-        damping = max(damping / config.damping_factor, 1e-300)
+        damping = max(damping / DAMPING_FACTOR, 1e-300)
         if n_validation:
             val = validation_sse(theta)
             if val < best_val:
                 best_theta, best_step, best_val, fails = theta, len(trace) - 1, val, 0
             else:
                 fails += 1
-        if improvement <= config.min_relative_improvement * max(loss, 1e-300):
+        if improvement <= MIN_RELATIVE_IMPROVEMENT * max(loss, 1e-300):
             stop_reason = "tolerance"  # exit 3
             break
         if fails == MAX_FAIL:
@@ -261,14 +250,12 @@ def train_nar(
     w_in, b_in, w_out, b_out = _unpack(best_theta, p, hidden_units)
     return NarModel(
         p=p,
-        hidden_units=hidden_units,
         w_in=w_in,
         b_in=b_in,
         w_out=w_out,
         b_out=float(b_out[0]),
         mean=mean,
         scale=scale,
-        seed=seed,
         loss_trace=tuple(trace),
         stop_reason=stop_reason,
         best_step=best_step,
@@ -289,24 +276,18 @@ def mape(actual: np.ndarray, forecast: np.ndarray) -> float:
     return float(np.mean(np.abs((a - f) / a))) * 100.0
 
 
-@dataclass(frozen=True)
-class Reconstruction:
-    fitted: np.ndarray
-    mape: float
-
-
-def reconstruct(model: NarModel, series: np.ndarray) -> Reconstruction:
+def reconstruct(model: NarModel, series: np.ndarray) -> np.ndarray:
     """One-step-ahead fitted values with teacher forcing.
 
     fitted[i] predicts series[p + i] from the true values series[i .. p +
-    i - 1]; never reads at or beyond the predicted position.
+    i - 1]; never reads at or beyond the predicted position. Every lag row
+    is predicted in one product, whose bits depend on its row count, so a
+    caller that scores part of the series slices the result.
     """
     x = np.asarray(series, dtype=float)
     if x.size <= model.p:
         raise InputError(f"series length {x.size} must exceed p={model.p}")
-    u, target = _lag_matrix(x, model.p)
-    fitted = model.predict_next(u)
-    return Reconstruction(fitted=fitted, mape=mape(target, fitted))
+    return model.predict_next(_lag_matrix(x, model.p)[0])
 
 
 @dataclass(frozen=True)
@@ -348,7 +329,7 @@ class ForecastReport:
 
 
 def _score_window(y_win: np.ndarray, x_win: np.ndarray, p: int, hidden_units: int, seed: int,
-                  train_config: TrainConfig, scale: str, evaluation: str):
+                  scale: str, evaluation: str):
     """Train one network on a usable window of differenced values y_win
     (levels x_win) and score its one-step fits: the window index of the
     first scored sample, the scored actual and fitted values, their MAPE,
@@ -362,10 +343,9 @@ def _score_window(y_win: np.ndarray, x_win: np.ndarray, p: int, hidden_units: in
     holdout = evaluation == "holdout"
     split = int(HOLDOUT_SPLIT * y_win.size) if holdout else y_win.size
     n_val = max(min(int(VALIDATION_SHARE * y_win.size), split - p - (p + 1)), 0)
-    model = train_nar(y_win[:split], p, hidden_units, seed, train_config, n_validation=n_val)
+    model = train_nar(y_win[:split], p, hidden_units, seed, n_validation=n_val)
     first = split if holdout else p
-    # predict every lag row and slice: the product's bits depend on its row count
-    fitted = model.predict_next(_lag_matrix(y_win, p)[0])[first - p :]
+    fitted = reconstruct(model, y_win)[first - p :]
     actual = y_win[first:]
     if scale == "levels":
         fitted = fitted - (actual - x_win[first:])
@@ -379,7 +359,6 @@ def pipeline_compare(
     p: int = DEFAULT_LAGS,
     hidden_units: int = DEFAULT_HIDDEN,
     seeds: Sequence[int] = (0,),
-    train_config: TrainConfig = TrainConfig(),
     scale: str = "levels",
     methods: tuple[str, ...] = (METHOD_FD, METHOD_LFD),
     evaluation: str = "in-sample",
@@ -408,6 +387,8 @@ def pipeline_compare(
     for name, value, valid in (("scale", scale, SCALES), ("evaluation", evaluation, EVALUATIONS)):
         if value not in valid:
             raise InputError(f"{name} must be {' or '.join(map(repr, valid))}, got {value!r}")
+    if p < 1 or hidden_units < 1:
+        raise InputError("p and hidden_units must be >= 1")
     bad = [m for m in methods if m not in (METHOD_FD, METHOD_LFD)]
     if bad:
         raise InputError(f"unknown method {bad[0]!r}")
@@ -455,8 +436,8 @@ def pipeline_compare(
                     d_used = got[0]
                     try:
                         first, actual, fitted, score, model = _score_window(
-                            got[1][cut:], x_seg[cut:], p, hidden_units, seed, train_config,
-                            scale, evaluation)
+                            got[1][cut:], x_seg[cut:], p, hidden_units, seed, scale,
+                            evaluation)
                     except InputError as exc:
                         reason = str(exc)
                     else:

@@ -114,6 +114,19 @@ class TestErrorPaths:
         assert code == 2
         assert "--breaks must be" in capsys.readouterr().err
 
+    def test_forecast_lags_and_hidden_units_below_one_exit_2(self, price_csv, tmp_path,
+                                                              capsys):
+        # each once exited 2 as "no segment was long enough to train on",
+        # after every row had been skipped with this message
+        cfg = tmp_path / "p0.json"
+        cfg.write_text(json.dumps({"p": 0}))
+        for flags in (["--p", "0"], ["--p", "-2"], ["--hidden", "0"], ["--config", str(cfg)]):
+            code = main(["forecast", str(price_csv), "--breaks", "manual:300", *flags,
+                         "--out", str(tmp_path / "o")])
+            assert code == 2, flags
+            assert capsys.readouterr().err == "input error: p and hidden_units must be >= 1\n"
+            assert not (tmp_path / "o").exists()
+
     def test_missing_config_file_exits_2(self, price_csv, tmp_path, capsys):
         code = main(["mfdfa", str(price_csv), "--config", str(tmp_path / "no.json"),
                      "--out", str(tmp_path / "o")])

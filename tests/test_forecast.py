@@ -4,6 +4,7 @@ pipeline for global vs per-segment fractional differencing.
 Oracle notes per test are tagged [TRIVIAL] / [DERIVED] as in conftest.py.
 """
 
+import contextlib
 import dataclasses
 import math
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import make_series
+from smfdfa import forecast
 from smfdfa.errors import InputError, NumericalError
 from smfdfa.forecast import (
     EVALUATIONS,
@@ -23,7 +25,6 @@ from smfdfa.forecast import (
     VALIDATION_SHARE,
     ForecastReport,
     ForecastRow,
-    TrainConfig,
     _n_params,
     _score_window,
     _sigmoid,
@@ -36,7 +37,22 @@ from smfdfa.forecast import (
 from smfdfa.longmemory import arfima_generate, frac_diff, gph_estimate
 from smfdfa.serialize import forecast_report_to_dict
 
-FAST_TRAIN = TrainConfig(max_iterations=60)
+
+@contextlib.contextmanager
+def schedule(**constants):
+    """The trainer's schedule constants (MAX_ITERATIONS, DAMPING_CAP, ...)
+    set to the given values inside the block; train_nar reads them when it
+    is called."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in constants.items():
+            mp.setattr(forecast, name, value)
+        yield
+
+
+@pytest.fixture
+def fast_train(monkeypatch):
+    """Training capped at 60 accepted steps."""
+    monkeypatch.setattr(forecast, "MAX_ITERATIONS", 60)
 
 
 def ar1_deterministic(n: int, phi: float = 0.8, c: float = 0.1, x0: float = 1.0):
@@ -58,17 +74,17 @@ def masked_sigmoid(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def reference_train_nar(x: np.ndarray, p: int, h: int, seed: int, config: TrainConfig,
-                        n_validation: int = 0):
+def reference_train_nar(x: np.ndarray, p: int, h: int, seed: int, n_validation: int = 0):
     """Reference: the straightforward Levenberg-Marquardt loop, which builds
     a fresh Jacobian with every trial step and uses masked_sigmoid. With
     n_validation > 0 it trains on x[:-n_validation] (its own mean and
     scale), scores the last n_validation lag pairs of x after every
     accepted step, stops after MAX_FAIL steps in a row that do not lower
-    that sum of squares, and keeps the lowest one's parameters. The
-    library's trainer must give the same weights, loss trace, stop reason
-    and kept step bit for bit. Returns (w_in, b_in, w_out, b_out,
-    loss_trace, stop_reason, best_step)."""
+    that sum of squares, and keeps the lowest one's parameters. It reads
+    the damping schedule and stopping rule from the library's constants
+    when called. The library's trainer must give the same weights, loss
+    trace, stop reason and kept step bit for bit. Returns (w_in, b_in,
+    w_out, b_out, loss_trace, stop_reason, best_step)."""
     fit = x[: x.size - n_validation]
     mean = float(fit.mean())
     scale = float(fit.std())
@@ -110,17 +126,17 @@ def reference_train_nar(x: np.ndarray, p: int, h: int, seed: int, config: TrainC
     kept = [theta]  # the parameters of every accepted step, the initial ones first
     val_trace = val_losses[-1:]  # the validation loss of every accepted step
     stop_reason = "cap"
-    damping = config.damping_init
+    damping = forecast.DAMPING_INIT
     eye = np.eye(n_params)
-    for _ in range(config.max_iterations):
+    for _ in range(forecast.MAX_ITERATIONS):
         jtj = jac.T @ jac
         jtr = jac.T @ resid
         accepted = False
-        while damping <= config.damping_cap:
+        while damping <= forecast.DAMPING_CAP:
             try:
                 step = np.linalg.solve(jtj + damping * eye, -jtr)
             except np.linalg.LinAlgError:
-                damping *= config.damping_factor
+                damping *= forecast.DAMPING_FACTOR
                 continue
             cand = theta + step
             cand_out, cand_jac = forward_jacobian(cand)
@@ -133,15 +149,15 @@ def reference_train_nar(x: np.ndarray, p: int, h: int, seed: int, config: TrainC
                 trace.append(loss)
                 kept.append(theta)
                 val_trace += val_losses[-1:]
-                damping = max(damping / config.damping_factor, 1e-300)
+                damping = max(damping / forecast.DAMPING_FACTOR, 1e-300)
                 accepted = True
                 break
-            damping *= config.damping_factor
+            damping *= forecast.DAMPING_FACTOR
         if not accepted:
             err = NumericalError("damping cap")
             err.last_loss = loss
             raise err
-        if improvement <= config.min_relative_improvement * max(loss, 1e-300):
+        if improvement <= forecast.MIN_RELATIVE_IMPROVEMENT * max(loss, 1e-300):
             stop_reason = "tolerance"
             break
         # none of the last MAX_FAIL accepted steps went below every
@@ -157,7 +173,7 @@ def reference_train_nar(x: np.ndarray, p: int, h: int, seed: int, config: TrainC
             theta[h * p + h : h * p + 2 * h], theta[-1:], np.array(trace), stop_reason, best)
 
 
-def reference_pipeline_compare(x, breaks, p, h, seeds, config, scale, methods, evaluation):
+def reference_pipeline_compare(x, breaks, p, h, seeds, scale, methods, evaluation):
     """Reference: the regime loop as first written, with one list of
     scored jobs and one of skipped methods, three row construction sites,
     and level forecasts reintegrated as fitted minus the differencing
@@ -195,9 +211,12 @@ def reference_pipeline_compare(x, breaks, p, h, seeds, config, scale, methods, e
                     split = int(0.8 * y_win.size) if evaluation == "holdout" else y_win.size
                     # the block leaves at least p + 1 training pairs
                     n_val = max(min(int(VALIDATION_SHARE * y_win.size), split - p - (p + 1)), 0)
-                    model = train_nar(y_win[:split], p, h, seed, config, n_validation=n_val)
+                    model = train_nar(y_win[:split], p, h, seed, n_validation=n_val)
                     lo = split - p if evaluation == "holdout" else 0
-                    fitted_y = reconstruct(model, y_win).fitted
+                    fitted_y = reconstruct(model, y_win)
+                    # the whole-window MAPE the loop also took, which skips
+                    # the row at any zero in y_win[p:]
+                    mape(y_win[p:], fitted_y)
                     fitted_x = fitted_y - (y_win[p:] - x_win[p:])
                     if scale == "levels":
                         scored_actual, scored_fitted = x_win[p + lo :], fitted_x[lo:]
@@ -232,10 +251,11 @@ def bits(a) -> np.ndarray:
 
 @st.composite
 def training_instances(draw):
-    """(series, p, hidden_units, seed, config, n_validation): noisy AR(1),
-    long-memory, noiseless AR(1) and integer-valued series (repeated lag
-    rows), with damping caps low enough that some runs stop with
-    NumericalError, and no validation block or one of any valid size."""
+    """(series, p, hidden_units, seed, schedule constants, n_validation):
+    noisy AR(1), long-memory, noiseless AR(1) and integer-valued series
+    (repeated lag rows), with damping caps low enough that some runs stop
+    with NumericalError, and no validation block or one of any valid
+    size."""
     n = draw(st.integers(60, 400), label="n")
     p = draw(st.integers(1, 6), label="p")
     h = draw(st.integers(1, 8), label="hidden_units")
@@ -253,12 +273,12 @@ def training_instances(draw):
         x = ar1_deterministic(n)
     else:
         x = gen.integers(0, 4, n).astype(float)
-    config = TrainConfig(
-        max_iterations=draw(st.integers(1, 30), label="max_iterations"),
-        damping_cap=draw(st.sampled_from([1e10, 1.0, 1e-2]), label="damping_cap"),
+    constants = dict(
+        MAX_ITERATIONS=draw(st.integers(1, 30), label="max_iterations"),
+        DAMPING_CAP=draw(st.sampled_from([1e10, 1.0, 1e-2]), label="damping_cap"),
     )
     n_validation = draw(st.just(0) | st.integers(0, n - 2 * p - 1), label="n_validation")
-    return x, p, h, seed, config, n_validation
+    return x, p, h, seed, constants, n_validation
 
 
 # -------------------------------------------------------------------- mape
@@ -337,23 +357,24 @@ def noisy_series():
 
 @pytest.fixture(scope="module")
 def trained(noisy_series):
-    return train_nar(noisy_series, p=3, hidden_units=6, seed=5, config=FAST_TRAIN)
+    with schedule(MAX_ITERATIONS=60):
+        return train_nar(noisy_series, p=3, hidden_units=6, seed=5)
 
 
 class TestTrainNar:
-    def test_deterministic(self, noisy_series):
-        # [TRIVIAL] same data, same seed, same config: weights and the
+    def test_deterministic(self, noisy_series, fast_train):
+        # [TRIVIAL] same data, same seed, same schedule: weights and the
         # loss trace must match bit for bit.
-        a = train_nar(noisy_series, p=3, hidden_units=6, seed=5, config=FAST_TRAIN)
-        b = train_nar(noisy_series, p=3, hidden_units=6, seed=5, config=FAST_TRAIN)
+        a = train_nar(noisy_series, p=3, hidden_units=6, seed=5)
+        b = train_nar(noisy_series, p=3, hidden_units=6, seed=5)
         np.testing.assert_array_equal(a.w_in, b.w_in)
         np.testing.assert_array_equal(a.b_in, b.b_in)
         np.testing.assert_array_equal(a.w_out, b.w_out)
         assert a.b_out == b.b_out
         assert a.loss_trace == b.loss_trace
 
-    def test_seed_changes_model(self, noisy_series, trained):
-        other = train_nar(noisy_series, p=3, hidden_units=6, seed=6, config=FAST_TRAIN)
+    def test_seed_changes_model(self, noisy_series, trained, fast_train):
+        other = train_nar(noisy_series, p=3, hidden_units=6, seed=6)
         assert not np.array_equal(other.w_in, trained.w_in)
 
     def test_loss_trace_non_increasing(self, trained):
@@ -387,12 +408,6 @@ class TestTrainNar:
         with pytest.raises(InputError, match="must have 3 columns"):
             trained.predict_next(np.zeros((2, 4)))
 
-    def test_config_validation(self):
-        with pytest.raises(InputError, match="factor > 1"):
-            TrainConfig(damping_factor=1.0)
-        with pytest.raises(InputError, match="max_iterations"):
-            TrainConfig(max_iterations=0)
-
     def test_unpack_views_theta_and_jacobian_columns(self):
         # [TRIVIAL] the init scales theta and _fill_jacobian writes the
         # Jacobian through _unpack's pieces, so they must be views that
@@ -416,17 +431,17 @@ class TestTrainNar:
         # reference keeps every step; the arithmetic is the reference
         # loop's, so the weights, the loss trace, the stop reason, the kept
         # step and a damping-cap failure match bit for bit
-        x, p, h, seed, config, n_validation = instance
-        kwargs = dict(p=p, hidden_units=h, seed=seed, config=config, n_validation=n_validation)
-        try:
-            *want, want_reason, want_best = reference_train_nar(x, p, h, seed, config,
-                                                                n_validation)
-        except NumericalError as ref_err:
-            with pytest.raises(NumericalError) as got_err:
-                train_nar(x, **kwargs)
-            assert bits(got_err.value.last_loss) == bits(ref_err.last_loss)
-            return
-        got = train_nar(x, **kwargs)
+        x, p, h, seed, constants, n_validation = instance
+        kwargs = dict(p=p, hidden_units=h, seed=seed, n_validation=n_validation)
+        with schedule(**constants):
+            try:
+                *want, want_reason, want_best = reference_train_nar(x, p, h, seed, n_validation)
+            except NumericalError as ref_err:
+                with pytest.raises(NumericalError) as got_err:
+                    train_nar(x, **kwargs)
+                assert bits(got_err.value.last_loss) == bits(ref_err.last_loss)
+                return
+            got = train_nar(x, **kwargs)
         for g, w in zip((got.w_in, got.b_in, got.w_out, got.b_out, got.loss_trace), want):
             np.testing.assert_array_equal(bits(g), bits(w))
         assert (got.stop_reason, got.best_step) == (want_reason, want_best)
@@ -437,30 +452,30 @@ class TestTrainNar:
         # [DERIVED] seed 3 with the cap at 1.0 accepts steps first, then
         # exhausts the damping: both trainers report the same last loss,
         # which is below the initial one
-        config = TrainConfig(damping_cap=1.0, max_iterations=30)
-        with pytest.raises(NumericalError) as want:
-            reference_train_nar(noisy_series, 3, 6, 3, config)
-        with pytest.raises(NumericalError) as got:
-            train_nar(noisy_series, p=3, hidden_units=6, seed=3, config=config)
+        with schedule(DAMPING_CAP=1.0, MAX_ITERATIONS=30):
+            with pytest.raises(NumericalError) as want:
+                reference_train_nar(noisy_series, 3, 6, 3)
+            with pytest.raises(NumericalError) as got:
+                train_nar(noisy_series, p=3, hidden_units=6, seed=3)
         assert bits(got.value.last_loss) == bits(want.value.last_loss)
-        first = train_nar(noisy_series, p=3, hidden_units=6, seed=3,
-                          config=TrainConfig(max_iterations=1)).loss_trace[0]
+        with schedule(MAX_ITERATIONS=1):
+            first = train_nar(noisy_series, p=3, hidden_units=6, seed=3).loss_trace[0]
         assert got.value.last_loss < first
 
     def test_each_stop_reason(self, noisy_series):
         # [TRIVIAL] one run per exit: one step under a one-step cap, a
         # first step that improves by less than a huge relative tolerance,
         # and MAX_FAIL steps past the best validation loss
-        cap = train_nar(noisy_series, p=3, hidden_units=6, seed=5,
-                        config=TrainConfig(max_iterations=1))
+        with schedule(MAX_ITERATIONS=1):
+            cap = train_nar(noisy_series, p=3, hidden_units=6, seed=5)
         assert (cap.stop_reason, cap.best_step, len(cap.loss_trace)) == ("cap", 1, 2)
-        tol = train_nar(noisy_series, p=3, hidden_units=6, seed=5,
-                        config=TrainConfig(min_relative_improvement=1e6))
+        with schedule(MIN_RELATIVE_IMPROVEMENT=1e6):
+            tol = train_nar(noisy_series, p=3, hidden_units=6, seed=5)
         assert (tol.stop_reason, tol.best_step, len(tol.loss_trace)) == ("tolerance", 1, 2)
         val = train_nar(noisy_series, p=3, hidden_units=6, seed=5, n_validation=60)
         assert val.stop_reason == "validation"
         assert val.best_step == len(val.loss_trace) - 1 - MAX_FAIL
-        assert len(val.loss_trace) - 1 < TrainConfig().max_iterations
+        assert len(val.loss_trace) - 1 < forecast.MAX_ITERATIONS
 
     def test_early_stop_keeps_the_best_validation_step(self, noisy_series):
         # [DERIVED] the block is never trained on, so the early-stopped run
@@ -474,8 +489,8 @@ class TestTrainNar:
         target_val = noisy_series[-n_val:]
         sse = []
         for steps in range(1, len(model.loss_trace)):
-            plain = train_nar(fit, p=p, hidden_units=6, seed=5,
-                              config=TrainConfig(max_iterations=steps))
+            with schedule(MAX_ITERATIONS=steps):
+                plain = train_nar(fit, p=p, hidden_units=6, seed=5)
             assert plain.loss_trace == model.loss_trace[: steps + 1]
             sse.append(float(np.sum((plain.predict_next(u_val) - target_val) ** 2)))
             if steps == model.best_step:
@@ -495,7 +510,7 @@ class TestTrainNar:
         assert model.loss_trace[-1] == model.loss_trace[-2]
         assert model.best_step == len(model.loss_trace) - 2
 
-    def test_bad_validation_size_rejected(self, noisy_series):
+    def test_bad_validation_size_rejected(self, noisy_series, monkeypatch):
         # a negative block, or one that leaves p = 3 training pairs (fewer
         # than p + 1), is an input error; one more training pair is not.
         # No block is always allowed: with p = 60 a 110-sample series has
@@ -504,20 +519,20 @@ class TestTrainNar:
         for bad in (-1, n - 6):
             with pytest.raises(InputError, match=r"must be 0 or lie in \[1, 293\]"):
                 train_nar(noisy_series, p=3, hidden_units=2, n_validation=bad)
-        short = dict(hidden_units=2, config=TrainConfig(max_iterations=1))
-        train_nar(noisy_series, p=3, n_validation=n - 7, **short)
-        train_nar(noisy_series[:110], p=60, **short)
+        monkeypatch.setattr(forecast, "MAX_ITERATIONS", 1)
+        train_nar(noisy_series, p=3, hidden_units=2, n_validation=n - 7)
+        train_nar(noisy_series[:110], p=60, hidden_units=2)
         with pytest.raises(InputError, match=r"must be 0 or lie in \[1, -11\]"):
-            train_nar(noisy_series[:110], p=60, n_validation=1, **short)
+            train_nar(noisy_series[:110], p=60, hidden_units=2, n_validation=1)
 
-    def test_size_check_counts_the_whole_series(self):
+    def test_size_check_counts_the_whole_series(self, monkeypatch):
         # [TRIVIAL] the 53-sample floor for p = 3 counts the validation
         # block: 53 samples with a 10-pair block train on 43 values
         x = ar1_deterministic(53)
         with pytest.raises(InputError, match="need at least 53 samples"):
             train_nar(x[:52], p=3, n_validation=10)
-        model = train_nar(x, p=3, hidden_units=2, n_validation=10,
-                          config=TrainConfig(max_iterations=3))
+        monkeypatch.setattr(forecast, "MAX_ITERATIONS", 3)
+        model = train_nar(x, p=3, hidden_units=2, n_validation=10)
         assert model.mean == float(x[:43].mean())
 
     def test_fits_noiseless_ar1_under_one_percent(self):
@@ -527,14 +542,13 @@ class TestTrainNar:
         # below 0.01% in this configuration).
         x = ar1_deterministic(400)
         model = train_nar(x, p=2, hidden_units=8, seed=0)
-        rec = reconstruct(model, x)
-        assert rec.mape < 1.0
+        assert mape(x[2:], reconstruct(model, x)) < 1.0
 
 
 class TestReconstruct:
     def test_alignment_and_length(self, trained, noisy_series):
-        rec = reconstruct(trained, noisy_series)
-        assert rec.fitted.shape == (noisy_series.size - trained.p,)
+        fitted = reconstruct(trained, noisy_series)
+        assert fitted.shape == (noisy_series.size - trained.p,)
 
     def test_never_reads_the_predicted_position(self, trained, noisy_series):
         # [TRIVIAL] causality: fitted[i] uses only values at i .. i+p-1,
@@ -543,8 +557,8 @@ class TestReconstruct:
         tampered = noisy_series.copy()
         tampered[-1] += 100.0
         np.testing.assert_array_equal(
-            reconstruct(trained, tampered).fitted,
-            reconstruct(trained, noisy_series).fitted,
+            reconstruct(trained, tampered),
+            reconstruct(trained, noisy_series),
         )
 
     def test_perturbation_only_affects_windows_containing_it(
@@ -556,8 +570,8 @@ class TestReconstruct:
         j, p = 50, trained.p
         tampered = noisy_series.copy()
         tampered[j] += 100.0
-        base = reconstruct(trained, noisy_series).fitted
-        moved = reconstruct(trained, tampered).fitted
+        base = reconstruct(trained, noisy_series)
+        moved = reconstruct(trained, tampered)
         np.testing.assert_array_equal(moved[: j - p + 1], base[: j - p + 1])
         assert not np.array_equal(moved, base)
 
@@ -577,7 +591,7 @@ def longmemory_series():
 
 
 class TestPipelineCompare:
-    def test_no_breaks_makes_methods_identical(self, longmemory_series):
+    def test_no_breaks_makes_methods_identical(self, longmemory_series, fast_train):
         # [TRIVIAL] with a single segment the "local" estimate sees exactly
         # the whole series, so both pipelines difference identically and
         # train the same network: equal memory parameter, equal score.
@@ -587,7 +601,6 @@ class TestPipelineCompare:
             p=3,
             hidden_units=6,
             seeds=(4,),
-            train_config=FAST_TRAIN,
         )
         assert len(report.rows) == 2
         fd = next(r for r in report.rows if r.method == METHOD_FD)
@@ -597,14 +610,12 @@ class TestPipelineCompare:
         assert fd.n_eval == lfd.n_eval
         assert fd.skipped_reason is None and lfd.skipped_reason is None
 
-    def test_short_segment_produces_flagged_rows(self):
+    def test_short_segment_produces_flagged_rows(self, fast_train):
         # [TRIVIAL] a 50-sample tail segment is too short both for the
         # local memory estimate and for training; both rows must be
         # flagged instead of aborting, and the aggregate must ignore them.
         x = 100.0 + arfima_generate(0.25, 400, seed=3)
-        report = pipeline_compare(
-            x, breaks=[350], p=3, hidden_units=6, seeds=(0,), train_config=FAST_TRAIN
-        )
+        report = pipeline_compare(x, breaks=[350], p=3, hidden_units=6, seeds=(0,))
         assert len(report.rows) == 4
         seg2 = [r for r in report.rows if r.start == 350]
         assert len(seg2) == 2
@@ -619,28 +630,24 @@ class TestPipelineCompare:
         assert agg[METHOD_FD] == seg1[METHOD_FD].mape
         assert agg[METHOD_LFD] == seg1[METHOD_LFD].mape
 
-    def test_all_segments_too_short_raises(self):
+    def test_all_segments_too_short_raises(self, fast_train):
         # [TRIVIAL] when every (segment, method) pair is flagged there is
         # nothing to compare and the pipeline must say so.
         x = 100.0 + np.random.default_rng(1).standard_normal(208)
         with pytest.raises(InputError, match="no segment was long enough"):
-            pipeline_compare(
-                x, breaks=[52, 104, 156], p=3, hidden_units=6,
-                seeds=(0,), train_config=FAST_TRAIN,
-            )
+            pipeline_compare(x, breaks=[52, 104, 156], p=3, hidden_units=6, seeds=(0,))
 
-    def test_segment_labels_and_edges(self, longmemory_series):
+    def test_segment_labels_and_edges(self, longmemory_series, fast_train):
         series = make_series(longmemory_series, label="demo")
         report = pipeline_compare(
-            series, breaks=[512], p=3, hidden_units=6,
-            seeds=(0,), methods=(METHOD_FD,), train_config=FAST_TRAIN,
+            series, breaks=[512], p=3, hidden_units=6, seeds=(0,), methods=(METHOD_FD,),
         )
         assert [r.segment_label for r in report.rows] == ["demo::seg1", "demo::seg2"]
         assert [(r.start, r.stop) for r in report.rows] == [(0, 512), (512, 1024)]
         # an unlabelled series takes the same default as s_mfdfa's regimes
         unlabelled = pipeline_compare(
             make_series(longmemory_series, label=""), breaks=[512], p=3, hidden_units=6,
-            seeds=(0,), methods=(METHOD_FD,), train_config=FAST_TRAIN,
+            seeds=(0,), methods=(METHOD_FD,),
         )
         assert [r.segment_label for r in unlabelled.rows] == ["series::seg1", "series::seg2"]
 
@@ -660,6 +667,18 @@ class TestPipelineCompare:
         with pytest.raises(InputError, match="unknown method"):
             pipeline_compare(longmemory_series, None, methods=("AR",))
 
+    def test_lags_and_hidden_units_checked_before_any_estimate(self, longmemory_series,
+                                                               monkeypatch):
+        # p or hidden_units below 1 once skipped every row with train_nar's
+        # message and then failed as "no segment was long enough to train
+        # on"; the check now comes before the first memory estimate
+        estimates = []
+        monkeypatch.setattr(forecast, "gph_estimate", lambda *args: estimates.append(args))
+        for kwargs in (dict(p=0), dict(p=-2), dict(hidden_units=0)):
+            with pytest.raises(InputError, match=r"^p and hidden_units must be >= 1$"):
+                pipeline_compare(longmemory_series, [512], **kwargs)
+        assert estimates == []
+
     def test_array_input_checked_as_one_finite_series(self, longmemory_series):
         # a 2-d array once failed as "no segment was long enough to train
         # on", and a NaN aborted the run only when FD-NAR was requested
@@ -678,10 +697,10 @@ class TestPipelineCompare:
         # skipped with "actual value is 0 at index 0", a MAPE over the whole
         # window that was then thrown away. Segment 2's rows are unchanged.
         x = np.concatenate([np.zeros(700), 100.0 + arfima_generate(0.3, 1300, seed=1)])
-        args = ([1000], 3, 4, (0,), TrainConfig(max_iterations=20), "levels",
-                (METHOD_FD, METHOD_LFD), "holdout")
-        got = pipeline_compare(x, *args).rows
-        want = reference_pipeline_compare(x, *args)
+        args = ([1000], 3, 4, (0,), "levels", (METHOD_FD, METHOD_LFD), "holdout")
+        with schedule(MAX_ITERATIONS=20):
+            got = pipeline_compare(x, *args).rows
+            want = reference_pipeline_compare(x, *args)
         assert [r.start for r in got] == [0, 0, 1000, 1000]
         for row in got[:2]:
             assert row.skipped_reason is None and row.n_eval > 0
@@ -699,23 +718,22 @@ class TestPipelineCompare:
         # run: index 597 (FD-NAR) and 579 (LFD-NAR).
         x = 100.0 + arfima_generate(0.3, 2000, seed=1)
         x[600:1000] = 0.0
-        args = ([1200], 3, 4, (0,), TrainConfig(max_iterations=20), "levels",
-                (METHOD_FD, METHOD_LFD), "in-sample")
-        got = pipeline_compare(x, *args).rows
-        want = reference_pipeline_compare(x, *args)
+        args = ([1200], 3, 4, (0,), "levels", (METHOD_FD, METHOD_LFD), "in-sample")
+        with schedule(MAX_ITERATIONS=20):
+            got = pipeline_compare(x, *args).rows
+            want = reference_pipeline_compare(x, *args)
         assert [r.skipped_reason for r in got[:2]] == [
             "actual value is 0 at index 510; percentage error undefined"] * 2
         assert [r.skipped_reason for r in want[:2]] == [
             f"actual value is 0 at index {i}; percentage error undefined" for i in (597, 579)]
         assert list(got[2:]) == want[2:]
 
-    def test_keep_fitted_attaches_scored_traces(self, longmemory_series):
+    def test_keep_fitted_attaches_scored_traces(self, longmemory_series, fast_train):
         # [TRIVIAL] the traces a scored row carries must be exactly what
         # was scored: the row's own MAPE recomputes from them, and
         # serialization still excludes them.
         report = pipeline_compare(
-            longmemory_series, None, p=3, hidden_units=6, seeds=(0,),
-            methods=(METHOD_FD,), train_config=FAST_TRAIN,
+            longmemory_series, None, p=3, hidden_units=6, seeds=(0,), methods=(METHOD_FD,),
         )
         row = report.rows[0]
         assert row.eval_start is not None
@@ -729,14 +747,11 @@ class TestPipelineCompare:
         doc_row = forecast_report_to_dict(report)["rows"][0]
         assert "actual" not in doc_row and "eval_start" not in doc_row
 
-    def test_holdout_scores_only_the_tail(self, longmemory_series):
+    def test_holdout_scores_only_the_tail(self, longmemory_series, fast_train):
         # [TRIVIAL] holdout trains on the first 80% of the usable window
         # and scores the remaining 20%: n_eval and the first scored index
         # follow directly from the split arithmetic.
-        common = dict(
-            p=3, hidden_units=6, seeds=(0,), methods=(METHOD_FD,),
-            train_config=FAST_TRAIN,
-        )
+        common = dict(p=3, hidden_units=6, seeds=(0,), methods=(METHOD_FD,))
         full = pipeline_compare(longmemory_series, None, **common).rows[0]
         held = pipeline_compare(
             longmemory_series, None, evaluation="holdout", **common
@@ -751,13 +766,12 @@ class TestPipelineCompare:
         # the holdout model saw less data, so its tail forecasts differ
         assert full.fitted[-held.n_eval :] != held.fitted
 
-    def test_differenced_scale_scores_differenced_values(self, longmemory_series):
+    def test_differenced_scale_scores_differenced_values(self, longmemory_series, fast_train):
         # [TRIVIAL] with scale="differenced" the scored actuals are the
         # filtered values, not the levels.
         report = pipeline_compare(
             longmemory_series, None, p=3, hidden_units=6, seeds=(0,),
-            methods=(METHOD_FD,), train_config=FAST_TRAIN,
-            scale="differenced",
+            methods=(METHOD_FD,), scale="differenced",
         )
         row = report.rows[0]
         assert report.scale == "differenced"
@@ -766,10 +780,10 @@ class TestPipelineCompare:
             longmemory_series[row.eval_start : row.eval_start + row.n_eval],
         )
 
-    def test_multiple_seeds_make_one_row_each(self, longmemory_series):
+    def test_multiple_seeds_make_one_row_each(self, longmemory_series, fast_train):
         report = pipeline_compare(
             longmemory_series, None, p=3, hidden_units=6, seeds=(0, 1, 2),
-            methods=(METHOD_FD,), train_config=FAST_TRAIN,
+            methods=(METHOD_FD,),
         )
         assert [r.seed for r in report.rows] == [0, 1, 2]
         assert len({r.mape for r in report.rows}) > 1  # different nets, different fits
@@ -777,13 +791,13 @@ class TestPipelineCompare:
     @pytest.mark.parametrize("evaluation", ["in-sample", "holdout"])
     @pytest.mark.parametrize("scale", ["levels", "differenced"])
     def test_methods_share_each_segments_scored_window(self, longmemory_series, scale,
-                                                        evaluation):
+                                                        evaluation, fast_train):
         # [TRIVIAL] within a segment one cut (the widest burn-in) applies to
         # every method, so every (method, seed) row scores the same
         # observations; on the level scale they are the same actuals.
         report = pipeline_compare(
             longmemory_series, [512], p=2, hidden_units=3, seeds=(0, 1),
-            train_config=FAST_TRAIN, scale=scale, evaluation=evaluation,
+            scale=scale, evaluation=evaluation,
         )
         assert all(r.skipped_reason is None for r in report.rows)
         for start in (0, 512):
@@ -805,12 +819,13 @@ class TestPipelineCompare:
         if evaluation == "holdout" and int(0.8 * size) < p + 50:
             return  # too short before the block as well
         x_win = 100.0 + np.random.default_rng(size).standard_normal(size)
-        first, actual, fitted, score, model = _score_window(
-            x_win - 100.0, x_win, p, 1, 0, TrainConfig(max_iterations=1), "levels", evaluation)
+        with schedule(MAX_ITERATIONS=1):
+            first, actual, fitted, score, model = _score_window(
+                x_win - 100.0, x_win, p, 1, 0, "levels", evaluation)
         assert actual.size == size - first and math.isfinite(score)
         assert model.stop_reason == "cap"
 
-    def test_rows_equal_reference_loop(self):
+    def test_rows_equal_reference_loop(self, fast_train):
         # [DERIVED] every field of every row, traces included, equals the
         # reference loop's, in the same order, for each method set, both
         # evaluations and both scales. The 50-sample tail segment gives
@@ -821,7 +836,7 @@ class TestPipelineCompare:
         for methods in [(METHOD_FD,), (METHOD_LFD,), (METHOD_FD, METHOD_LFD)]:
             for evaluation in ("in-sample", "holdout"):
                 for scale in ("levels", "differenced"):
-                    args = ([350], 2, 3, (0, 1), FAST_TRAIN, scale, methods, evaluation)
+                    args = ([350], 2, 3, (0, 1), scale, methods, evaluation)
                     got = pipeline_compare(x, *args).rows
                     want = reference_pipeline_compare(x, *args)
                     assert len(got) == len(want) == 4 * len(methods)

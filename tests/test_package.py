@@ -145,8 +145,9 @@ def test_one_power_sum_kernel():
 def test_one_nar_network():
     # forecast.py evaluates the network only in _forward and knows the
     # parameter layout only in _unpack and _n_params (no other product
-    # involves p); _score_window scores its fitted values once, without
-    # reconstruct's whole-window MAPE
+    # involves p); reconstruct is the one place that passes lag rows to
+    # predict_next and scores nothing itself, and the trainer's schedule
+    # is module constants, not a *Config class
     tree = ast.parse((SRC / "forecast.py").read_text())
     functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
 
@@ -173,7 +174,17 @@ def test_one_nar_network():
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and "p" in names(node)
     }
     assert callers("_sigmoid") == ["_forward"]
-    assert "_score_window" not in callers("reconstruct")
+    predicting = sorted(
+        fn.name
+        for fn in functions
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "predict_next"
+    )
+    assert predicting == ["reconstruct"]
+    assert "reconstruct" not in callers("mape")
+    assert not [node.name for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef) and node.name.endswith("Config")]
     assert multiplying_p == {"_n_params", "_unpack"}
 
 

@@ -18,12 +18,16 @@ differs -- for JSON the key paths, for CSV the columns and the first
 differing row, otherwise the file names. The last line counts the jobs.
 The exit code is 0 when every job is identical and 1 otherwise.
 
-The full list is benchmark seeds 0-9 of all three perfbench workloads (7
-inputs each, as perfbench runs them) plus change-point, forecast,
+The full list holds 420 jobs: benchmark seeds 0-9 of all three perfbench
+workloads (7 inputs each, as perfbench runs them) plus change-point, forecast,
 surrogate and subcommand jobs on analyze_regimes input seeds 0, 371 and
 400, on one forecast_memory_switch input and on a series with a flat
 regime, mostly in both --format values, and two rejected --config files,
-one with a bad value and one naming the retired `cp_method` key. The 18
+one with a bad value and one naming the retired `cp_method` key. mfdfa,
+surrogate and analyze each run four --config files of MF-DFA keys: a
+q_grid, a q_grid without q = 2 (so that analyze fits each regime's DFA
+Hurst exponent in a pass of its own), a scale_grid and a
+regression_range. The 18
 `binseg` jobs still pass `--cp-method binary-segmentation`: binary
 segmentation is retired, so they exit 2 on a tree without it, and a tree
 that still has it reads as an exit-code difference under the same label. It
@@ -35,9 +39,11 @@ blank lines, short and extra columns, a repeated header name, another date
 format or column names), under a file name CSV must quote, and with a bad
 row or a non-UTF-8 byte late in the file; every synth kind, and fgn, step
 and arfima with finite flags whose series overflows; and forecast with
---scale differenced, with --evaluation holdout and with a --config file
-setting p and hidden_units. The `synth/step/nan` job exits 2, since synth
-rejects a non-finite --sigma, and so do the three `overflow` jobs.
+--scale differenced, with --evaluation holdout, with a --config file
+setting p and hidden_units, and with --p 0 and --hidden 0. The
+`synth/step/nan` job exits 2, since synth rejects a non-finite --sigma,
+and so do the three `overflow` jobs and the two forecast jobs with a
+setting of 0.
 The toy list runs a few jobs on toy-size inputs in seconds; the
 self-tests use it.
 """
@@ -81,6 +87,13 @@ CP_SETTINGS = {
 }
 CONFIG = {"min_segment": 64, "max_breaks": 3, "detrend_order": 2}
 FORECAST_CONFIG = {"p": 3, "hidden_units": 6}
+# MF-DFA settings that mfdfa, surrogate and analyze read from a --config file
+MF_CONFIGS = {
+    "q_grid": {"q_grid": [-4, -2, -1, 0.5, 1, 2, 4]},
+    "q_grid_no_q2": {"q_grid": [-3, -1, 1, 3, 5]},
+    "scale_grid": {"scale_grid": [16, 24, 32, 48, 64, 96, 128]},
+    "regression_range": {"regression_range": [20, 200]},
+}
 # change-point jobs on a 20480-return series of four 5120-sample regimes
 # (analyze_regimes' sigmas), where the DP prunes thousands of starts
 LONG_REGIME = 5120
@@ -228,6 +241,11 @@ def build_jobs(kind: str, inputs: Path) -> list[dict]:
         for kind in ("shuffle", "phase"):
             add(f"analyze/0/surrogates/{kind}/{fmt}",
                 ["analyze", path, "--surrogates", "10", "--surrogate-kind", kind, "--format", fmt])
+    for label, mf_config in MF_CONFIGS.items():
+        mf_config_path = inputs / f"mf_{label}.json"
+        mf_config_path.write_text(json.dumps(mf_config))
+        for command in ("mfdfa", "surrogate", "analyze"):
+            add(f"{command}/0/config/{label}", [command, path, "--config", str(mf_config_path)])
     for label, bad in (("bad_config", {"penalty": True}), ("cp_method", {"cp_method": "exact-dp"})):
         bad_config = inputs / f"{label}.json"
         bad_config.write_text(json.dumps(bad))
@@ -261,6 +279,8 @@ def build_jobs(kind: str, inputs: Path) -> list[dict]:
     forecast_config = inputs / "forecast_config.json"
     forecast_config.write_text(json.dumps(FORECAST_CONFIG))
     add("forecast/0/config", [argv[0], path, *argv[1:], "--config", str(forecast_config)])
+    for label, flags in (("p0", ["--p", "0"]), ("hidden0", ["--hidden", "0"])):
+        add(f"forecast/0/{label}", [argv[0], path, *argv[1:], *flags])
     path, _ = prepare("analyze_regimes", 0)
     for name, job_argv in _io_jobs(Path(path), inputs).items():
         add(f"io/{name}", job_argv)
