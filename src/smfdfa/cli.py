@@ -456,7 +456,7 @@ def cmd_forecast(args, file_cfg: dict, series) -> Run:
     p = _pick(args.p, file_cfg, "p", DEFAULT_LAGS, _integer)
     hidden = _pick(args.hidden, file_cfg, "hidden_units", DEFAULT_HIDDEN, _integer)
     report = pipeline_compare(
-        series, breaks, p=p, hidden_units=hidden, seeds=(args.seed,),
+        series, breaks, p=p, hidden_units=hidden, seed=args.seed,
         scale=args.scale, methods=methods, evaluation=args.evaluation,
     )
     config_snapshot = {
@@ -478,6 +478,7 @@ def cmd_forecast(args, file_cfg: dict, series) -> Run:
     }, summary
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the isfinite check below reports an overflow
 def cmd_synth(args, file_cfg: dict, series) -> Run:
     if bad := [f"--{k}" for k in ("sigma", "shift", "offset") if not np.isfinite(vars(args)[k])]:
         raise InputError(f"{' and '.join(bad)} must be finite")  # else series.csv fails to load

@@ -358,7 +358,7 @@ def pipeline_compare(
     breaks: Sequence[int] | None,
     p: int = DEFAULT_LAGS,
     hidden_units: int = DEFAULT_HIDDEN,
-    seeds: Sequence[int] = (0,),
+    seed: int = 0,
     scale: str = "levels",
     methods: tuple[str, ...] = (METHOD_FD, METHOD_LFD),
     evaluation: str = "in-sample",
@@ -371,9 +371,10 @@ def pipeline_compare(
     inside each segment. Samples still inside a differencing filter's
     burn-in are excluded from training and scoring; within a segment the
     same cut (the widest burn-in among the requested methods) applies to
-    every method so their rows stay comparable. Scoring is MAPE per
-    (segment, method, seed) row, on reintegrated levels by default or on
-    the differenced values with scale="differenced". evaluation="in-sample"
+    every method so their rows stay comparable. Every network is
+    initialized from the one seed. Scoring is MAPE per (segment, method)
+    row, on reintegrated levels by default or on the differenced values
+    with scale="differenced". evaluation="in-sample"
     scores the whole usable window and trains on its first 85%, stopping
     early on the last 15%; evaluation="holdout" trains on the first 65%,
     stops early on the next 15% and scores the last 20% only. Segments
@@ -389,6 +390,8 @@ def pipeline_compare(
             raise InputError(f"{name} must be {' or '.join(map(repr, valid))}, got {value!r}")
     if p < 1 or hidden_units < 1:
         raise InputError("p and hidden_units must be >= 1")
+    if not methods:
+        raise InputError(f"methods must name {METHOD_FD!r}, {METHOD_LFD!r} or both")
     bad = [m for m in methods if m not in (METHOD_FD, METHOD_LFD)]
     if bad:
         raise InputError(f"unknown method {bad[0]!r}")
@@ -429,27 +432,25 @@ def pipeline_compare(
                 inputs[METHOD_LFD] = f"local estimate failed: numerical: {exc}"
         cut = max((got[2] for got in inputs.values() if not isinstance(got, str)), default=0)
         for method, got in inputs.items():
-            for seed in seeds:
-                if isinstance(got, str):
-                    d_used, reason = math.nan, got
+            if isinstance(got, str):
+                d_used, reason = math.nan, got
+            else:
+                d_used = got[0]
+                try:
+                    first, actual, fitted, score, model = _score_window(
+                        got[1][cut:], x_seg[cut:], p, hidden_units, seed, scale, evaluation)
+                except InputError as exc:
+                    reason = str(exc)
                 else:
-                    d_used = got[0]
-                    try:
-                        first, actual, fitted, score, model = _score_window(
-                            got[1][cut:], x_seg[cut:], p, hidden_units, seed, scale,
-                            evaluation)
-                    except InputError as exc:
-                        reason = str(exc)
-                    else:
-                        rows.append(ForecastRow(
-                            seg_label, method, d_used, score, seed, n_eval=actual.size,
-                            start=a, stop=b, stop_reason=model.stop_reason,
-                            iterations=len(model.loss_trace) - 1, best_step=model.best_step,
-                            eval_start=a + cut + first,
-                            actual=tuple(actual.tolist()), fitted=tuple(fitted.tolist())))
-                        continue
-                rows.append(ForecastRow(seg_label, method, d_used, math.nan, seed, n_eval=0,
-                                        start=a, stop=b, skipped_reason=reason))
+                    rows.append(ForecastRow(
+                        seg_label, method, d_used, score, seed, n_eval=actual.size,
+                        start=a, stop=b, stop_reason=model.stop_reason,
+                        iterations=len(model.loss_trace) - 1, best_step=model.best_step,
+                        eval_start=a + cut + first,
+                        actual=tuple(actual.tolist()), fitted=tuple(fitted.tolist())))
+                    continue
+            rows.append(ForecastRow(seg_label, method, d_used, math.nan, seed, n_eval=0,
+                                    start=a, stop=b, skipped_reason=reason))
     if not any(r.skipped_reason is None for r in rows):
         raise InputError("no segment was long enough to train on")
     return ForecastReport(rows=tuple(rows), scale=scale)

@@ -11,7 +11,7 @@ through Davies-Harte circulant embedding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,28 +28,22 @@ class LongMemoryEstimate:
     stderr: float
     bandwidth: int
     n: int
-    method: str = "gph"
-
-    @property
-    def hurst(self) -> float:
-        return self.d_hat + 0.5
 
 
-def gph_estimate(returns: np.ndarray, bandwidth: int | None = None) -> LongMemoryEstimate:
+def gph_estimate(returns: np.ndarray) -> LongMemoryEstimate:
     """Log-periodogram estimate of the fractional integration order.
 
     Regresses log I(lambda_j) on -2 log(2 sin(lambda_j / 2)) over the
-    first m Fourier frequencies, m = floor(sqrt(N)) by default. The
-    reported standard error is the asymptotic sqrt(pi^2 / 6 / SSX).
-    InputError unless the returns are 1-d and finite.
+    first m = floor(sqrt(N)) Fourier frequencies (the reported bandwidth).
+    The reported standard error is the asymptotic sqrt(pi^2 / 6 / SSX).
+    InputError unless the returns are 1-d and finite, with at least
+    MIN_GPH_LENGTH samples.
     """
     x = finite_1d(returns)
     n = x.size
     if n < MIN_GPH_LENGTH:
         raise InputError(f"need at least {MIN_GPH_LENGTH} samples, got {n}")
-    m = int(math.isqrt(n)) if bandwidth is None else int(bandwidth)
-    if not 4 <= m <= n // 2:
-        raise InputError(f"bandwidth must be in [4, {n // 2}], got {m}")
+    m = math.isqrt(n)
     centered = x - x.mean()
     spectrum = np.fft.rfft(centered)
     # periodogram at lambda_j = 2 pi j / n, j = 1..m
@@ -87,9 +81,7 @@ def _auto_truncation(d: float, n: int) -> int:
 @dataclass(frozen=True)
 class FracDiffResult:
     values: np.ndarray
-    d: float
-    truncation: int
-    burn_in: int  # leading samples whose filter history is incomplete
+    burn_in: int  # leading samples whose filter history is incomplete: the truncation K
 
 
 def frac_diff(series: np.ndarray, d: float, truncation: int | None = None) -> FracDiffResult:
@@ -115,23 +107,15 @@ def frac_diff(series: np.ndarray, d: float, truncation: int | None = None) -> Fr
         raise InputError(f"truncation {k_max} must be smaller than the series length {n}")
     w = frac_diff_weights(d, k_max)
     out = np.convolve(x, w)[:n]
-    return FracDiffResult(values=out, d=d, truncation=k_max, burn_in=k_max)
-
-
-def frac_integrate(
-    series: np.ndarray, d: float, truncation: int | None = None
-) -> FracDiffResult:
-    """Inverse of frac_diff at the same order: applies (1 - B)^{-d}."""
-    d = float(d)
-    return replace(frac_diff(series, -d, truncation), d=d)
+    return FracDiffResult(values=out, burn_in=k_max)
 
 
 def arfima_generate(d: float, n: int, seed: int, sigma: float = 1.0) -> np.ndarray:
-    """ARFIMA(0, d, 0) sample path: frac_integrate ((1 - B)^{-d}),
-    truncated at MAX_AUTO_TRUNCATION lags, applied to seeded Gaussian
-    noise, with that many leading samples dropped so every kept sample has
-    a full filter history. Requires |d| < 0.5 (stationary, invertible
-    range).
+    """ARFIMA(0, d, 0) sample path: fractional integration (frac_diff at
+    order -d, that is (1 - B)^{-d}), truncated at MAX_AUTO_TRUNCATION lags,
+    applied to seeded Gaussian noise, with that many leading samples
+    dropped so every kept sample has a full filter history. Requires
+    |d| < 0.5 (stationary, invertible range).
     """
     if not abs(d) < 0.5:
         raise InputError(f"need |d| < 0.5 for a stationary path, got d={d}")
@@ -141,7 +125,7 @@ def arfima_generate(d: float, n: int, seed: int, sigma: float = 1.0) -> np.ndarr
         raise InputError(f"sigma must be positive, got {sigma}")
     burn_in = MAX_AUTO_TRUNCATION
     noise = np.random.default_rng(seed).standard_normal(n + burn_in) * sigma
-    return frac_integrate(noise, d, burn_in).values[burn_in:]
+    return frac_diff(noise, -d, burn_in).values[burn_in:]
 
 
 def fgn_generate(n: int, hurst: float, seed: int, sigma: float = 1.0) -> np.ndarray:

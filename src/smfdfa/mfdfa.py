@@ -324,28 +324,19 @@ def hurst_dfa(series: np.ndarray, config: MfdfaConfig | None = None) -> float:
     return float(generalized_hurst(surface).rho[0])
 
 
-def scaling_and_spectrum(
-    curve: HurstCurve, rho_prime: np.ndarray | None = None
-) -> SingularitySpectrum:
+def scaling_and_spectrum(curve: HurstCurve) -> SingularitySpectrum:
     """Mass exponents and Legendre singularity spectrum of a Hurst curve.
 
     tau(q) = q rho(q) - 1; alpha = rho + q rho'(q); f(alpha) = q (alpha -
-    rho) + 1. rho' defaults to central finite differences on the q grid
-    (one-sided at the ends); pass rho_prime to use an externally known
-    derivative instead.
+    rho) + 1. rho' is taken by central finite differences on the q grid
+    (one-sided at the ends).
     """
     q = curve.q_grid
     rho = curve.rho
     if q.size < MIN_SPECTRUM_Q:
         raise InputError(f"spectrum needs a Hurst curve on >= {MIN_SPECTRUM_Q} q points")
-    if rho_prime is None:
-        rho_prime = np.gradient(rho, q)
-    else:
-        rho_prime = np.asarray(rho_prime, dtype=float)
-        if rho_prime.shape != rho.shape:
-            raise InputError("rho_prime must match the q grid")
     tau = q * rho - 1.0
-    alpha = rho + q * rho_prime
+    alpha = rho + q * np.gradient(rho, q)
     f_alpha = q * (alpha - rho) + 1.0
     monotone = bool(np.all(np.diff(alpha) <= 1e-12))
     return SingularitySpectrum(

@@ -61,35 +61,29 @@ def phase_surrogate(series: np.ndarray, seed: int) -> np.ndarray:
     return np.fft.irfft(rotated, n=n)
 
 
-class _Members(Sequence):
-    """Read-only sequence of surrogates of one series: member i is built
-    from generator seed seed^i each time it is accessed, so iterating holds
-    one member at a time."""
+class SurrogateEnsemble(Sequence):
+    """Read-only sequence of the n_surrogates surrogates of one series:
+    member i is built from generator seed seed^i each time it is accessed,
+    so the ensemble is identical no matter how members are scheduled, and
+    iterating holds one member at a time."""
 
     def __init__(self, series: np.ndarray, kind: str, seed: int, n: int):
-        self._series, self._kind, self._seed, self._n = series, kind, seed, n
+        self._series, self._seed, self._n = series, seed, n
+        self._build = shuffle if kind == "shuffle" else phase_surrogate
 
     def __len__(self) -> int:
         return self._n
 
+    n_surrogates = property(__len__)
+
     def __getitem__(self, index: int) -> np.ndarray:
         i = range(self._n)[index]  # negative indices and bounds as in a tuple
-        build = shuffle if self._kind == "shuffle" else phase_surrogate
-        return build(self._series, self._seed ^ i)
-
-
-@dataclass(frozen=True)
-class SurrogateEnsemble:
-    kind: str
-    n_surrogates: int
-    seed: int
-    series: Sequence[np.ndarray]
+        return self._build(self._series, self._seed ^ i)
 
 
 def make_ensemble(series: np.ndarray, kind: str, n: int, seed: int) -> SurrogateEnsemble:
-    """n independent surrogates; member i uses generator seed seed^i so the
-    ensemble is identical no matter how members are scheduled. Members are
-    built when accessed, from a read-only copy of the series."""
+    """n independent surrogates of a read-only copy of the series, built
+    when accessed."""
     if kind not in KINDS:
         raise InputError(f"kind must be one of {KINDS}, got {kind!r}")
     if n < 1:
@@ -97,8 +91,7 @@ def make_ensemble(series: np.ndarray, kind: str, n: int, seed: int) -> Surrogate
     x = np.array(series, dtype=float)
     _check_length(x.size, kind)
     x.flags.writeable = False
-    return SurrogateEnsemble(kind=kind, n_surrogates=n, seed=seed,
-                             series=_Members(x, kind, seed, n))
+    return SurrogateEnsemble(x, kind, seed, n)
 
 
 @dataclass(frozen=True)
@@ -137,8 +130,7 @@ def surrogate_test(
     _, _, spectrum = analyze_segment(x, mf_config)
     widths = []
     n_failed = 0
-    ensemble = make_ensemble(x, kind, n, seed)
-    for member in ensemble.series:
+    for member in make_ensemble(x, kind, n, seed):
         try:
             _, _, spec = analyze_segment(member, mf_config)
             widths.append(spec.delta_alpha)

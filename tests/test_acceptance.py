@@ -363,7 +363,7 @@ def test_criterion_08_forecast_protocol():
         first = arfima_generate(0.4, 1536, 1000 + seed)
         second = arfima_generate(-0.2, 1536, 2000 + seed)
         levels = np.concatenate([first, second]) + 100.0
-        report = pipeline_compare(levels, [1536], seeds=[seed])
+        report = pipeline_compare(levels, [1536], seed=seed)
         scores: dict[str, dict[str, float]] = {}
         for row in report.rows:
             scores.setdefault(row.segment_label, {})[row.method] = row.mape

@@ -93,13 +93,15 @@ class TestErrorPaths:
         ("arfima", ["--n", "100", "--sigma", "1e308"],
          "the arfima series overflows; lower --sigma or --offset"),
     ])
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_synth_series_exits_2(self, kind, flags, named, tmp_path, capsys):
         # finite flags whose series overflows: fgn once raised an
         # OverflowError traceback (exit 1), step and arfima exited 0 with
-        # inf prices that load_csv then rejected
+        # inf prices that load_csv then rejected, and later printed NumPy's
+        # overflow warnings before the one input error line
         code = main(["synth", kind, *flags, "--out", str(tmp_path / "o")])
         assert code == 2
-        assert f"input error: {named}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"input error: {named}\n"
         assert not (tmp_path / "o").exists()
 
     def test_forecast_break_outside_series_exits_2(self, price_csv, tmp_path, capsys):

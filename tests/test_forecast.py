@@ -6,6 +6,7 @@ Oracle notes per test are tagged [TRIVIAL] / [DERIVED] as in conftest.py.
 
 import contextlib
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -173,7 +174,7 @@ def reference_train_nar(x: np.ndarray, p: int, h: int, seed: int, n_validation: 
             theta[h * p + h : h * p + 2 * h], theta[-1:], np.array(trace), stop_reason, best)
 
 
-def reference_pipeline_compare(x, breaks, p, h, seeds, scale, methods, evaluation):
+def reference_pipeline_compare(x, breaks, p, h, seed, scale, methods, evaluation):
     """Reference: the regime loop as first written, with one list of
     scored jobs and one of skipped methods, three row construction sites,
     and level forecasts reintegrated as fitted minus the differencing
@@ -206,42 +207,40 @@ def reference_pipeline_compare(x, breaks, p, h, seeds, scale, methods, evaluatio
         for method, d_used, y_seg, _ in jobs:
             y_win = y_seg[cut:]
             x_win = x_seg[cut:]
-            for seed in seeds:
-                try:
-                    split = int(0.8 * y_win.size) if evaluation == "holdout" else y_win.size
-                    # the block leaves at least p + 1 training pairs
-                    n_val = max(min(int(VALIDATION_SHARE * y_win.size), split - p - (p + 1)), 0)
-                    model = train_nar(y_win[:split], p, h, seed, n_validation=n_val)
-                    lo = split - p if evaluation == "holdout" else 0
-                    fitted_y = reconstruct(model, y_win)
-                    # the whole-window MAPE the loop also took, which skips
-                    # the row at any zero in y_win[p:]
-                    mape(y_win[p:], fitted_y)
-                    fitted_x = fitted_y - (y_win[p:] - x_win[p:])
-                    if scale == "levels":
-                        scored_actual, scored_fitted = x_win[p + lo :], fitted_x[lo:]
-                    else:
-                        scored_actual, scored_fitted = y_win[p + lo :], fitted_y[lo:]
-                    score = mape(scored_actual, scored_fitted)
-                    rows.append(ForecastRow(
-                        seg_label, method, d_used, score, seed,
-                        n_eval=scored_actual.size, start=a, stop=b,
-                        stop_reason=model.stop_reason, iterations=len(model.loss_trace) - 1,
-                        best_step=model.best_step, eval_start=a + cut + p + lo,
-                        actual=tuple(float(v) for v in scored_actual),
-                        fitted=tuple(float(v) for v in scored_fitted),
-                    ))
-                except InputError as exc:
-                    rows.append(ForecastRow(
-                        seg_label, method, d_used, math.nan, seed,
-                        n_eval=0, start=a, stop=b, skipped_reason=str(exc),
-                    ))
-        for method, reason, d_used in skip:
-            for seed in seeds:
+            try:
+                split = int(0.8 * y_win.size) if evaluation == "holdout" else y_win.size
+                # the block leaves at least p + 1 training pairs
+                n_val = max(min(int(VALIDATION_SHARE * y_win.size), split - p - (p + 1)), 0)
+                model = train_nar(y_win[:split], p, h, seed, n_validation=n_val)
+                lo = split - p if evaluation == "holdout" else 0
+                fitted_y = reconstruct(model, y_win)
+                # the whole-window MAPE the loop also took, which skips
+                # the row at any zero in y_win[p:]
+                mape(y_win[p:], fitted_y)
+                fitted_x = fitted_y - (y_win[p:] - x_win[p:])
+                if scale == "levels":
+                    scored_actual, scored_fitted = x_win[p + lo :], fitted_x[lo:]
+                else:
+                    scored_actual, scored_fitted = y_win[p + lo :], fitted_y[lo:]
+                score = mape(scored_actual, scored_fitted)
+                rows.append(ForecastRow(
+                    seg_label, method, d_used, score, seed,
+                    n_eval=scored_actual.size, start=a, stop=b,
+                    stop_reason=model.stop_reason, iterations=len(model.loss_trace) - 1,
+                    best_step=model.best_step, eval_start=a + cut + p + lo,
+                    actual=tuple(float(v) for v in scored_actual),
+                    fitted=tuple(float(v) for v in scored_fitted),
+                ))
+            except InputError as exc:
                 rows.append(ForecastRow(
                     seg_label, method, d_used, math.nan, seed,
-                    n_eval=0, start=a, stop=b, skipped_reason=reason,
+                    n_eval=0, start=a, stop=b, skipped_reason=str(exc),
                 ))
+        for method, reason, d_used in skip:
+            rows.append(ForecastRow(
+                seg_label, method, d_used, math.nan, seed,
+                n_eval=0, start=a, stop=b, skipped_reason=reason,
+            ))
     return rows
 
 
@@ -600,7 +599,7 @@ class TestPipelineCompare:
             breaks=None,
             p=3,
             hidden_units=6,
-            seeds=(4,),
+            seed=4,
         )
         assert len(report.rows) == 2
         fd = next(r for r in report.rows if r.method == METHOD_FD)
@@ -615,7 +614,7 @@ class TestPipelineCompare:
         # local memory estimate and for training; both rows must be
         # flagged instead of aborting, and the aggregate must ignore them.
         x = 100.0 + arfima_generate(0.25, 400, seed=3)
-        report = pipeline_compare(x, breaks=[350], p=3, hidden_units=6, seeds=(0,))
+        report = pipeline_compare(x, breaks=[350], p=3, hidden_units=6)
         assert len(report.rows) == 4
         seg2 = [r for r in report.rows if r.start == 350]
         assert len(seg2) == 2
@@ -635,19 +634,19 @@ class TestPipelineCompare:
         # nothing to compare and the pipeline must say so.
         x = 100.0 + np.random.default_rng(1).standard_normal(208)
         with pytest.raises(InputError, match="no segment was long enough"):
-            pipeline_compare(x, breaks=[52, 104, 156], p=3, hidden_units=6, seeds=(0,))
+            pipeline_compare(x, breaks=[52, 104, 156], p=3, hidden_units=6)
 
     def test_segment_labels_and_edges(self, longmemory_series, fast_train):
         series = make_series(longmemory_series, label="demo")
         report = pipeline_compare(
-            series, breaks=[512], p=3, hidden_units=6, seeds=(0,), methods=(METHOD_FD,),
+            series, breaks=[512], p=3, hidden_units=6, methods=(METHOD_FD,),
         )
         assert [r.segment_label for r in report.rows] == ["demo::seg1", "demo::seg2"]
         assert [(r.start, r.stop) for r in report.rows] == [(0, 512), (512, 1024)]
         # an unlabelled series takes the same default as s_mfdfa's regimes
         unlabelled = pipeline_compare(
             make_series(longmemory_series, label=""), breaks=[512], p=3, hidden_units=6,
-            seeds=(0,), methods=(METHOD_FD,),
+            methods=(METHOD_FD,),
         )
         assert [r.segment_label for r in unlabelled.rows] == ["series::seg1", "series::seg2"]
 
@@ -679,6 +678,15 @@ class TestPipelineCompare:
                 pipeline_compare(longmemory_series, [512], **kwargs)
         assert estimates == []
 
+    def test_empty_methods_rejected_before_any_estimate(self, longmemory_series, monkeypatch):
+        # methods=() once estimated the global memory order and then failed
+        # as "no segment was long enough to train on"
+        estimates = []
+        monkeypatch.setattr(forecast, "gph_estimate", lambda *args: estimates.append(args))
+        with pytest.raises(InputError, match=r"^methods must name 'FD-NAR', 'LFD-NAR' or both$"):
+            pipeline_compare(longmemory_series, [512], methods=())
+        assert estimates == []
+
     def test_array_input_checked_as_one_finite_series(self, longmemory_series):
         # a 2-d array once failed as "no segment was long enough to train
         # on", and a NaN aborted the run only when FD-NAR was requested
@@ -697,7 +705,7 @@ class TestPipelineCompare:
         # skipped with "actual value is 0 at index 0", a MAPE over the whole
         # window that was then thrown away. Segment 2's rows are unchanged.
         x = np.concatenate([np.zeros(700), 100.0 + arfima_generate(0.3, 1300, seed=1)])
-        args = ([1000], 3, 4, (0,), "levels", (METHOD_FD, METHOD_LFD), "holdout")
+        args = ([1000], 3, 4, 0, "levels", (METHOD_FD, METHOD_LFD), "holdout")
         with schedule(MAX_ITERATIONS=20):
             got = pipeline_compare(x, *args).rows
             want = reference_pipeline_compare(x, *args)
@@ -718,7 +726,7 @@ class TestPipelineCompare:
         # run: index 597 (FD-NAR) and 579 (LFD-NAR).
         x = 100.0 + arfima_generate(0.3, 2000, seed=1)
         x[600:1000] = 0.0
-        args = ([1200], 3, 4, (0,), "levels", (METHOD_FD, METHOD_LFD), "in-sample")
+        args = ([1200], 3, 4, 0, "levels", (METHOD_FD, METHOD_LFD), "in-sample")
         with schedule(MAX_ITERATIONS=20):
             got = pipeline_compare(x, *args).rows
             want = reference_pipeline_compare(x, *args)
@@ -733,7 +741,7 @@ class TestPipelineCompare:
         # was scored: the row's own MAPE recomputes from them, and
         # serialization still excludes them.
         report = pipeline_compare(
-            longmemory_series, None, p=3, hidden_units=6, seeds=(0,), methods=(METHOD_FD,),
+            longmemory_series, None, p=3, hidden_units=6, methods=(METHOD_FD,),
         )
         row = report.rows[0]
         assert row.eval_start is not None
@@ -751,7 +759,7 @@ class TestPipelineCompare:
         # [TRIVIAL] holdout trains on the first 80% of the usable window
         # and scores the remaining 20%: n_eval and the first scored index
         # follow directly from the split arithmetic.
-        common = dict(p=3, hidden_units=6, seeds=(0,), methods=(METHOD_FD,))
+        common = dict(p=3, hidden_units=6, methods=(METHOD_FD,))
         full = pipeline_compare(longmemory_series, None, **common).rows[0]
         held = pipeline_compare(
             longmemory_series, None, evaluation="holdout", **common
@@ -770,7 +778,7 @@ class TestPipelineCompare:
         # [TRIVIAL] with scale="differenced" the scored actuals are the
         # filtered values, not the levels.
         report = pipeline_compare(
-            longmemory_series, None, p=3, hidden_units=6, seeds=(0,),
+            longmemory_series, None, p=3, hidden_units=6,
             methods=(METHOD_FD,), scale="differenced",
         )
         row = report.rows[0]
@@ -781,12 +789,12 @@ class TestPipelineCompare:
         )
 
     def test_multiple_seeds_make_one_row_each(self, longmemory_series, fast_train):
-        report = pipeline_compare(
-            longmemory_series, None, p=3, hidden_units=6, seeds=(0, 1, 2),
-            methods=(METHOD_FD,),
-        )
-        assert [r.seed for r in report.rows] == [0, 1, 2]
-        assert len({r.mape for r in report.rows}) > 1  # different nets, different fits
+        # [TRIVIAL] the seed reaches the trainer: each call makes one row
+        # carrying its seed, and different nets give different fits
+        rows = [pipeline_compare(longmemory_series, None, p=3, hidden_units=6, seed=seed,
+                                 methods=(METHOD_FD,)).rows for seed in (0, 1)]
+        assert [[r.seed for r in got] for got in rows] == [[0], [1]]
+        assert rows[0][0].fitted != rows[1][0].fitted
 
     @pytest.mark.parametrize("evaluation", ["in-sample", "holdout"])
     @pytest.mark.parametrize("scale", ["levels", "differenced"])
@@ -795,15 +803,15 @@ class TestPipelineCompare:
         # [TRIVIAL] within a segment one cut (the widest burn-in) applies to
         # every method, so every (method, seed) row scores the same
         # observations; on the level scale they are the same actuals.
-        report = pipeline_compare(
-            longmemory_series, [512], p=2, hidden_units=3, seeds=(0, 1),
+        rows = [r for seed in (0, 1) for r in pipeline_compare(
+            longmemory_series, [512], p=2, hidden_units=3, seed=seed,
             scale=scale, evaluation=evaluation,
-        )
-        assert all(r.skipped_reason is None for r in report.rows)
+        ).rows]
+        assert all(r.skipped_reason is None for r in rows)
         for start in (0, 512):
-            seg = [r for r in report.rows if r.start == start]
+            seg = [r for r in rows if r.start == start]
             assert [(r.method, r.seed) for r in seg] == [
-                (METHOD_FD, 0), (METHOD_FD, 1), (METHOD_LFD, 0), (METHOD_LFD, 1)]
+                (METHOD_FD, 0), (METHOD_LFD, 0), (METHOD_FD, 1), (METHOD_LFD, 1)]
             assert len({(r.eval_start, r.n_eval) for r in seg}) == 1
             if scale == "levels":
                 assert len({r.actual for r in seg}) == 1
@@ -835,11 +843,11 @@ class TestPipelineCompare:
         kinds = set()
         for methods in [(METHOD_FD,), (METHOD_LFD,), (METHOD_FD, METHOD_LFD)]:
             for evaluation in ("in-sample", "holdout"):
-                for scale in ("levels", "differenced"):
-                    args = ([350], 2, 3, (0, 1), scale, methods, evaluation)
+                for scale, seed in itertools.product(("levels", "differenced"), (0, 1)):
+                    args = ([350], 2, 3, seed, scale, methods, evaluation)
                     got = pipeline_compare(x, *args).rows
                     want = reference_pipeline_compare(x, *args)
-                    assert len(got) == len(want) == 4 * len(methods)
+                    assert len(got) == len(want) == 2 * len(methods)
                     for g, w in zip(got, want):
                         for f in dataclasses.fields(ForecastRow):
                             gv, wv = getattr(g, f.name), getattr(w, f.name)

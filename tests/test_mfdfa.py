@@ -467,17 +467,15 @@ class TestSpectrum:
         with pytest.raises(InputError):
             scaling_and_spectrum(curve)
 
-    def test_exact_derivative_override(self):
-        # analytic rho' for the cascade tightens alpha vs finite differences
+    def test_finite_difference_spectrum_keeps_cascade_shape(self):
+        # finite differences of the analytic cascade curve on a 0.5-spaced
+        # grid keep the spectrum's shape
         b1, b2 = 0.75, 0.25
         q = np.arange(-5.0, 5.5, 0.5)
         rho = np.asarray(analytic_rho(b1, b2, q))
-        eps = 1e-6
-        rho_prime = (np.asarray(analytic_rho(b1, b2, q + eps))
-                     - np.asarray(analytic_rho(b1, b2, q - eps))) / (2 * eps)
         curve = HurstCurve(q_grid=q, rho=rho, stderr=np.zeros(q.size),
                            r_squared=np.ones(q.size))
-        spec = scaling_and_spectrum(curve, rho_prime=rho_prime)
+        spec = scaling_and_spectrum(curve)
         # alpha = d tau / dq must be decreasing in q for a cascade
         assert np.all(np.diff(spec.alpha) < 0)
         assert not np.any(np.diff(spec.f_alpha[q < 0]) < -1e-9)  # rising left branch

@@ -18,7 +18,7 @@ differs -- for JSON the key paths, for CSV the columns and the first
 differing row, otherwise the file names. The last line counts the jobs.
 The exit code is 0 when every job is identical and 1 otherwise.
 
-The full list holds 420 jobs: benchmark seeds 0-9 of all three perfbench
+The full list holds 423 jobs: benchmark seeds 0-9 of all three perfbench
 workloads (7 inputs each, as perfbench runs them) plus change-point, forecast,
 surrogate and subcommand jobs on analyze_regimes input seeds 0, 371 and
 400, on one forecast_memory_switch input and on a series with a flat
@@ -40,7 +40,8 @@ format or column names), under a file name CSV must quote, and with a bad
 row or a non-UTF-8 byte late in the file; every synth kind, and fgn, step
 and arfima with finite flags whose series overflows; and forecast with
 --scale differenced, with --evaluation holdout, with a --config file
-setting p and hidden_units, and with --p 0 and --hidden 0. The
+setting p and hidden_units, with --p 0 and --hidden 0, with --seed 3, and
+with --method fd in both --format values. The
 `synth/step/nan` job exits 2, since synth rejects a non-finite --sigma,
 and so do the three `overflow` jobs and the two forecast jobs with a
 setting of 0.
@@ -279,8 +280,11 @@ def build_jobs(kind: str, inputs: Path) -> list[dict]:
     forecast_config = inputs / "forecast_config.json"
     forecast_config.write_text(json.dumps(FORECAST_CONFIG))
     add("forecast/0/config", [argv[0], path, *argv[1:], "--config", str(forecast_config)])
-    for label, flags in (("p0", ["--p", "0"]), ("hidden0", ["--hidden", "0"])):
+    for label, flags in (("p0", ["--p", "0"]), ("hidden0", ["--hidden", "0"]),
+                         ("seed3", ["--seed", "3"])):
         add(f"forecast/0/{label}", [argv[0], path, *argv[1:], *flags])
+    for fmt in FORMATS:  # the workload's --method both is overridden
+        add(f"forecast/0/fd/{fmt}", [argv[0], path, *argv[1:], "--method", "fd", "--format", fmt])
     path, _ = prepare("analyze_regimes", 0)
     for name, job_argv in _io_jobs(Path(path), inputs).items():
         add(f"io/{name}", job_argv)
