@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, NumericalError, finite_1d
-from .longmemory import FracDiffResult, frac_diff, gph_estimate
+from .longmemory import frac_diff, gph_estimate
 from .series import TimeSeries
 
 DEFAULT_LAGS = 5
@@ -368,13 +368,14 @@ def pipeline_compare(
     FD-NAR estimates one memory parameter on the whole series, differences
     the whole series once, and trains one network per segment on the
     globally differenced values. LFD-NAR re-estimates and re-differences
-    inside each segment. Samples still inside a differencing filter's
-    burn-in are excluded from training and scoring; within a segment the
-    same cut (the widest burn-in among the requested methods) applies to
-    every method so their rows stay comparable. Every network is
-    initialized from the one seed. Scoring is MAPE per (segment, method)
-    row, on reintegrated levels by default or on the differenced values
-    with scale="differenced". evaluation="in-sample"
+    inside each segment. Both inputs are estimated on every call, so a
+    failed global estimate raises; `methods` only picks the rows. Samples
+    still inside a differencing filter's burn-in are excluded from
+    training and scoring; within a segment the same cut (the widest
+    burn-in of both methods, whatever `methods` asks for) applies to every
+    row. Every network is initialized from the one seed. Scoring is MAPE
+    per (segment, method) row, on reintegrated levels by default or on the
+    differenced values with scale="differenced". evaluation="in-sample"
     scores the whole usable window and trains on its first 85%, stopping
     early on the last 15%; evaluation="holdout" trains on the first 65%,
     stops early on the next 15% and scores the last 20% only. Segments
@@ -405,11 +406,8 @@ def pipeline_compare(
             raise InputError("break offsets must be strictly increasing")
     edges = (0, *offsets, n)
 
-    global_d: float | None = None
-    global_diff: FracDiffResult | None = None
-    if METHOD_FD in methods:
-        global_d = gph_estimate(x).d_hat
-        global_diff = frac_diff(x, global_d)
+    global_d = gph_estimate(x).d_hat
+    global_diff = frac_diff(x, global_d)
 
     rows: list[ForecastRow] = []
     for k, (a, b) in enumerate(zip(edges, edges[1:])):
@@ -417,21 +415,20 @@ def pipeline_compare(
         x_seg = x[a:b]
         # method -> (d_used, differenced segment, in-segment burn-in count),
         # or the reason the method has no inputs on this segment
-        inputs: dict[str, tuple[float, np.ndarray, int] | str] = {}
-        if METHOD_FD in methods:
-            inputs[METHOD_FD] = (global_d, global_diff.values[a:b],
-                                 max(global_diff.burn_in - a, 0))
-        if METHOD_LFD in methods:
-            try:
-                local_d = gph_estimate(x_seg).d_hat
-                local_diff = frac_diff(x_seg, local_d)
-                inputs[METHOD_LFD] = (local_d, local_diff.values, local_diff.burn_in)
-            except InputError as exc:
-                inputs[METHOD_LFD] = f"local estimate failed: {exc}"
-            except NumericalError as exc:
-                inputs[METHOD_LFD] = f"local estimate failed: numerical: {exc}"
-        cut = max((got[2] for got in inputs.values() if not isinstance(got, str)), default=0)
+        inputs: dict[str, tuple[float, np.ndarray, int] | str] = {
+            METHOD_FD: (global_d, global_diff.values[a:b], max(global_diff.burn_in - a, 0))}
+        try:
+            local_d = gph_estimate(x_seg).d_hat
+            local_diff = frac_diff(x_seg, local_d)
+            inputs[METHOD_LFD] = (local_d, local_diff.values, local_diff.burn_in)
+        except InputError as exc:
+            inputs[METHOD_LFD] = f"local estimate failed: {exc}"
+        except NumericalError as exc:
+            inputs[METHOD_LFD] = f"local estimate failed: numerical: {exc}"
+        cut = max(got[2] for got in inputs.values() if not isinstance(got, str))
         for method, got in inputs.items():
+            if method not in methods:
+                continue
             if isinstance(got, str):
                 d_used, reason = math.nan, got
             else:

@@ -770,6 +770,25 @@ class TestForecastCommand:
             assert row["skipped_reason"] == "" and float(row["mape"]) > 0
         assert "numerical failure" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["both", "fd", "lfd"])
+    def test_failed_global_estimate_ends_every_run(self, method, tmp_path, capsys):
+        # the global memory estimate runs whatever --method asks for, so its
+        # failure ends the run the same way for every method. --method lfd
+        # once read "no segment was long enough to train on" on both
+        # series, and exited 2 on the constant one.
+        rng = np.random.default_rng(0)
+        short = write_price_csv(tmp_path / "short.csv",
+                                100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, 100))))
+        const = write_price_csv(tmp_path / "const.csv", np.full(600, 50.0))
+        for path, code, err in (
+            (short, 2, "input error: need at least 128 samples, got 100\n"),
+            (const, 3, "numerical failure: periodogram vanished at frequency index 1\n"),
+        ):
+            out = tmp_path / "o"
+            assert main(["forecast", str(path), "--method", method, "--out", str(out)]) == code
+            assert capsys.readouterr().err == err
+            assert not out.exists()
+
 
 # ---------------------------------------------------------------- process
 

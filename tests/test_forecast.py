@@ -178,32 +178,32 @@ def reference_pipeline_compare(x, breaks, p, h, seed, scale, methods, evaluation
     """Reference: the regime loop as first written, with one list of
     scored jobs and one of skipped methods, three row construction sites,
     and level forecasts reintegrated as fitted minus the differencing
-    history over the whole window before slicing. Each network stops early
-    on the last VALIDATION_SHARE of the window, cut from the end of its
-    training part. Input checks are left out; pipeline_compare must return
-    the same rows in the same order."""
+    history over the whole window before slicing. Both memory inputs are
+    estimated whatever `methods` holds, and each segment is cut at the
+    wider burn-in of the two, so `methods` only picks which jobs become
+    rows. Each network stops early on the last VALIDATION_SHARE of the
+    window, cut from the end of its training part. Input checks are left
+    out; pipeline_compare must return the same rows in the same order."""
     edges = (0, *breaks, x.size)
-    if METHOD_FD in methods:
-        global_d = gph_estimate(x).d_hat
-        global_diff = frac_diff(x, global_d)
+    global_d = gph_estimate(x).d_hat
+    global_diff = frac_diff(x, global_d)
     rows = []
     for k, (a, b) in enumerate(zip(edges, edges[1:])):
         seg_label = f"series::seg{k + 1}"
         x_seg = x[a:b]
-        jobs, skip = [], []
-        if METHOD_FD in methods:
-            jobs.append((METHOD_FD, global_d, global_diff.values[a:b],
-                         max(global_diff.burn_in - a, 0)))
-        if METHOD_LFD in methods:
-            try:
-                local_d = gph_estimate(x_seg).d_hat
-                local_diff = frac_diff(x_seg, local_d)
-                jobs.append((METHOD_LFD, local_d, local_diff.values, local_diff.burn_in))
-            except InputError as exc:
-                skip.append((METHOD_LFD, f"local estimate failed: {exc}", math.nan))
-            except NumericalError as exc:
-                skip.append((METHOD_LFD, f"local estimate failed: numerical: {exc}", math.nan))
-        cut = max((burn for *_, burn in jobs), default=0)
+        jobs = [(METHOD_FD, global_d, global_diff.values[a:b], max(global_diff.burn_in - a, 0))]
+        skip = []
+        try:
+            local_d = gph_estimate(x_seg).d_hat
+            local_diff = frac_diff(x_seg, local_d)
+            jobs.append((METHOD_LFD, local_d, local_diff.values, local_diff.burn_in))
+        except InputError as exc:
+            skip.append((METHOD_LFD, f"local estimate failed: {exc}", math.nan))
+        except NumericalError as exc:
+            skip.append((METHOD_LFD, f"local estimate failed: numerical: {exc}", math.nan))
+        cut = max(burn for *_, burn in jobs)
+        jobs = [job for job in jobs if job[0] in methods]
+        skip = [job for job in skip if job[0] in methods]
         for method, d_used, y_seg, _ in jobs:
             y_win = y_seg[cut:]
             x_win = x_seg[cut:]
@@ -800,13 +800,15 @@ class TestPipelineCompare:
     @pytest.mark.parametrize("scale", ["levels", "differenced"])
     def test_methods_share_each_segments_scored_window(self, longmemory_series, scale,
                                                         evaluation, fast_train):
-        # [TRIVIAL] within a segment one cut (the widest burn-in) applies to
-        # every method, so every (method, seed) row scores the same
-        # observations; on the level scale they are the same actuals.
-        rows = [r for seed in (0, 1) for r in pipeline_compare(
-            longmemory_series, [512], p=2, hidden_units=3, seed=seed,
-            scale=scale, evaluation=evaluation,
-        ).rows]
+        # [TRIVIAL] within a segment one cut (the widest burn-in of both
+        # methods) applies to every method, so every (method, seed) row
+        # scores the same observations; on the level scale they are the
+        # same actuals.
+        def rows_of(seed, methods=(METHOD_FD, METHOD_LFD)):
+            return pipeline_compare(longmemory_series, [512], p=2, hidden_units=3, seed=seed,
+                                    scale=scale, methods=methods, evaluation=evaluation).rows
+
+        rows = [r for seed in (0, 1) for r in rows_of(seed)]
         assert all(r.skipped_reason is None for r in rows)
         for start in (0, 512):
             seg = [r for r in rows if r.start == start]
@@ -815,6 +817,14 @@ class TestPipelineCompare:
             assert len({(r.eval_start, r.n_eval) for r in seg}) == 1
             if scale == "levels":
                 assert len({r.actual for r in seg}) == 1
+        # the cut does not depend on `methods`: a single-method call gives
+        # exactly the matching rows of the both-methods call, every field
+        # included. The global burn-in is 256 / 0 in the two segments and
+        # the local one 128 / 128, so a cut over the requested methods
+        # alone would move both segments' windows.
+        for method in (METHOD_FD, METHOD_LFD):
+            assert list(rows_of(0, (method,))) == [
+                r for r in rows if r.seed == 0 and r.method == method]
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.integers(1, 80), st.integers(0, 200), st.sampled_from(EVALUATIONS))

@@ -18,7 +18,7 @@ differs -- for JSON the key paths, for CSV the columns and the first
 differing row, otherwise the file names. The last line counts the jobs.
 The exit code is 0 when every job is identical and 1 otherwise.
 
-The full list holds 423 jobs: benchmark seeds 0-9 of all three perfbench
+The full list holds 427 jobs: benchmark seeds 0-9 of all three perfbench
 workloads (7 inputs each, as perfbench runs them) plus change-point, forecast,
 surrogate and subcommand jobs on analyze_regimes input seeds 0, 371 and
 400, on one forecast_memory_switch input and on a series with a flat
@@ -41,10 +41,13 @@ row or a non-UTF-8 byte late in the file; every synth kind, and fgn, step
 and arfima with finite flags whose series overflows; and forecast with
 --scale differenced, with --evaluation holdout, with a --config file
 setting p and hidden_units, with --p 0 and --hidden 0, with --seed 3, and
-with --method fd in both --format values. The
+with --method fd and with --method lfd in both --format values; and
+forecast --method lfd on 100 prices and on 600 constant prices, whose
+global memory estimate fails. The
 `synth/step/nan` job exits 2, since synth rejects a non-finite --sigma,
-and so do the three `overflow` jobs and the two forecast jobs with a
-setting of 0.
+and so do the three `overflow` jobs, the two forecast jobs with a
+setting of 0 and the one on 100 prices; the one on constant prices exits
+3.
 The toy list runs a few jobs on toy-size inputs in seconds; the
 self-tests use it.
 """
@@ -283,8 +286,18 @@ def build_jobs(kind: str, inputs: Path) -> list[dict]:
     for label, flags in (("p0", ["--p", "0"]), ("hidden0", ["--hidden", "0"]),
                          ("seed3", ["--seed", "3"])):
         add(f"forecast/0/{label}", [argv[0], path, *argv[1:], *flags])
-    for fmt in FORMATS:  # the workload's --method both is overridden
-        add(f"forecast/0/fd/{fmt}", [argv[0], path, *argv[1:], "--method", "fd", "--format", fmt])
+    for method in ("fd", "lfd"):  # the workload's --method both is overridden
+        for fmt in FORMATS:
+            add(f"forecast/0/{method}/{fmt}",
+                [argv[0], path, *argv[1:], "--method", method, "--format", fmt])
+    # series whose global memory estimate fails: too short, and constant
+    short = inputs / "short.csv"
+    workloads.write_price_csv(short, workloads.prices_from_returns(
+        np.random.default_rng(0).normal(0, 0.01, 100)))
+    const = inputs / "const.csv"
+    workloads.write_price_csv(const, np.full(600, 50.0))
+    for label, series in (("short", short), ("const", const)):
+        add(f"forecast/{label}/lfd", ["forecast", str(series), "--method", "lfd"])
     path, _ = prepare("analyze_regimes", 0)
     for name, job_argv in _io_jobs(Path(path), inputs).items():
         add(f"io/{name}", job_argv)
