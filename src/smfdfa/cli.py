@@ -34,7 +34,6 @@ from .forecast import (
     EVALUATIONS,
     METHOD_FD,
     METHOD_LFD,
-    SCALES,
     pipeline_compare,
 )
 from .longmemory import arfima_generate, fgn_generate
@@ -74,6 +73,9 @@ from .series import CsvConfig, describe, load_csv, outlier_census, to_fluctuatio
 from .surrogate import KINDS, surrogate_test
 
 SYNTH_START_DATE = np.datetime64("2000-01-01")
+# the longest series synth writes: each generator allocates its whole series
+# at once (fgn a 2n-point circulant), so a longer one could exhaust memory
+MAX_SYNTH_LENGTH = 2**22
 # every key a --config file may hold; one set for all subcommands, so that
 # one file serves every command
 CONFIG_KEYS = frozenset({
@@ -157,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--p", type=int, default=None, help="autoregressive lags")
     p.add_argument("--hidden", type=int, default=None, help="hidden units")
-    p.add_argument("--scale", choices=SCALES, default="levels")
     p.add_argument("--evaluation", choices=EVALUATIONS, default="in-sample",
                    help="score the training window, or only a held-out final 20%%")
     p.set_defaults(handler=cmd_forecast)
@@ -442,7 +443,7 @@ def _parse_breaks(args, series, cp_cfg) -> list[int]:
     if spec_str.startswith("manual:"):
         body = spec_str[len("manual:"):]
         try:
-            return [int(tok) for tok in body.split(",") if tok != ""]
+            return [int(tok) for tok in body.split(",")]
         except ValueError as exc:
             raise InputError(f"cannot parse break list {body!r}") from exc
     raise InputError(f"--breaks must be 'auto', 'none' or 'manual:i,j,...', got {spec_str!r}")
@@ -457,10 +458,10 @@ def cmd_forecast(args, file_cfg: dict, series) -> Run:
     hidden = _pick(args.hidden, file_cfg, "hidden_units", DEFAULT_HIDDEN, _integer)
     report = pipeline_compare(
         series, breaks, p=p, hidden_units=hidden, seed=args.seed,
-        scale=args.scale, methods=methods, evaluation=args.evaluation,
+        methods=methods, evaluation=args.evaluation,
     )
     config_snapshot = {
-        "p": p, "hidden_units": hidden, "scale": args.scale, "methods": list(methods),
+        "p": p, "hidden_units": hidden, "methods": list(methods),
         "breaks": breaks, "evaluation": args.evaluation,
         "changepoint": asdict(cp_cfg),
     }
@@ -482,7 +483,11 @@ def cmd_forecast(args, file_cfg: dict, series) -> Run:
 def cmd_synth(args, file_cfg: dict, series) -> Run:
     if bad := [f"--{k}" for k in ("sigma", "shift", "offset") if not np.isfinite(vars(args)[k])]:
         raise InputError(f"{' and '.join(bad)} must be finite")  # else series.csv fails to load
-    if args.kind == "cascade":
+    cascade = args.kind == "cascade"
+    if (2 ** min(args.levels, 63) if cascade else args.n) > MAX_SYNTH_LENGTH:
+        flag = f"--levels {args.levels}" if cascade else f"--n {args.n}"
+        raise InputError(f"{flag} asks for more than {MAX_SYNTH_LENGTH} samples")
+    if cascade:
         values = generate_cascade(
             args.b1, args.b2, args.levels, shuffle_seed=args.seed if args.shuffle else None
         )

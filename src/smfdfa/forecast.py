@@ -7,7 +7,7 @@ error. Two pipelines wrap it: global fractional differencing with one
 memory parameter for the whole series (FD-NAR), and per-segment local
 differencing with one parameter per regime (LFD-NAR). Both reconstruct
 one-step-ahead values with teacher forcing and are scored by mean
-absolute percentage error, by default on the reintegrated level scale.
+absolute percentage error on the reintegrated price levels.
 Every network the pipelines train stops early on a validation block cut
 from the end of its training part.
 """
@@ -29,7 +29,6 @@ DEFAULT_HIDDEN = 20
 METHOD_FD = "FD-NAR"
 METHOD_LFD = "LFD-NAR"
 MIN_TRAIN_MARGIN = 50
-SCALES = ("levels", "differenced")
 EVALUATIONS = ("in-sample", "holdout")
 # the pipelines' window split: the training part is the whole window
 # (in-sample) or its first HOLDOUT_SPLIT (holdout); a block of
@@ -316,7 +315,6 @@ class ForecastRow:
 @dataclass(frozen=True)
 class ForecastReport:
     rows: tuple[ForecastRow, ...]
-    scale: str  # "levels" or "differenced"
 
     def aggregate(self) -> dict[str, float]:
         """Mean MAPE per method over rows that were not skipped."""
@@ -329,7 +327,7 @@ class ForecastReport:
 
 
 def _score_window(y_win: np.ndarray, x_win: np.ndarray, p: int, hidden_units: int, seed: int,
-                  scale: str, evaluation: str):
+                  evaluation: str):
     """Train one network on a usable window of differenced values y_win
     (levels x_win) and score its one-step fits: the window index of the
     first scored sample, the scored actual and fitted values, their MAPE,
@@ -345,11 +343,8 @@ def _score_window(y_win: np.ndarray, x_win: np.ndarray, p: int, hidden_units: in
     n_val = max(min(int(VALIDATION_SHARE * y_win.size), split - p - (p + 1)), 0)
     model = train_nar(y_win[:split], p, hidden_units, seed, n_validation=n_val)
     first = split if holdout else p
-    fitted = reconstruct(model, y_win)[first - p :]
-    actual = y_win[first:]
-    if scale == "levels":
-        fitted = fitted - (actual - x_win[first:])
-        actual = x_win[first:]
+    actual = x_win[first:]
+    fitted = reconstruct(model, y_win)[first - p :] - (y_win[first:] - actual)
     return first, actual, fitted, mape(actual, fitted), model
 
 
@@ -359,7 +354,6 @@ def pipeline_compare(
     p: int = DEFAULT_LAGS,
     hidden_units: int = DEFAULT_HIDDEN,
     seed: int = 0,
-    scale: str = "levels",
     methods: tuple[str, ...] = (METHOD_FD, METHOD_LFD),
     evaluation: str = "in-sample",
 ) -> ForecastReport:
@@ -374,8 +368,7 @@ def pipeline_compare(
     training and scoring; within a segment the same cut (the widest
     burn-in of both methods, whatever `methods` asks for) applies to every
     row. Every network is initialized from the one seed. Scoring is MAPE
-    per (segment, method) row, on reintegrated levels by default or on the
-    differenced values with scale="differenced". evaluation="in-sample"
+    per (segment, method) row, on reintegrated levels. evaluation="in-sample"
     scores the whole usable window and trains on its first 85%, stopping
     early on the last 15%; evaluation="holdout" trains on the first 65%,
     stops early on the next 15% and scores the last 20% only. Segments
@@ -386,9 +379,9 @@ def pipeline_compare(
     x = series.values if isinstance(series, TimeSeries) else finite_1d(series)
     label_base = (series.label if isinstance(series, TimeSeries) else "") or "series"
     n = x.size
-    for name, value, valid in (("scale", scale, SCALES), ("evaluation", evaluation, EVALUATIONS)):
-        if value not in valid:
-            raise InputError(f"{name} must be {' or '.join(map(repr, valid))}, got {value!r}")
+    if evaluation not in EVALUATIONS:
+        valid = " or ".join(map(repr, EVALUATIONS))
+        raise InputError(f"evaluation must be {valid}, got {evaluation!r}")
     if p < 1 or hidden_units < 1:
         raise InputError("p and hidden_units must be >= 1")
     if not methods:
@@ -435,7 +428,7 @@ def pipeline_compare(
                 d_used = got[0]
                 try:
                     first, actual, fitted, score, model = _score_window(
-                        got[1][cut:], x_seg[cut:], p, hidden_units, seed, scale, evaluation)
+                        got[1][cut:], x_seg[cut:], p, hidden_units, seed, evaluation)
                 except InputError as exc:
                     reason = str(exc)
                 else:
@@ -450,4 +443,4 @@ def pipeline_compare(
                                     start=a, stop=b, skipped_reason=reason))
     if not any(r.skipped_reason is None for r in rows):
         raise InputError("no segment was long enough to train on")
-    return ForecastReport(rows=tuple(rows), scale=scale)
+    return ForecastReport(rows=tuple(rows))

@@ -245,7 +245,6 @@ FITTED_HEADER = ("segment", "method", "seed", "index", "actual", "fitted")
 
 def forecast_report_to_dict(report: ForecastReport) -> dict:
     return {
-        "scale": report.scale,
         "rows": [dict(zip(FORECAST_HEADER, _forecast_fields(r))) for r in report.rows],
         "aggregate": report.aggregate(),
     }

@@ -104,6 +104,28 @@ class TestErrorPaths:
         assert capsys.readouterr().err == f"input error: {named}\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("kind, flags, named", [
+        ("cascade", ["--levels", "23"], "--levels 23"),
+        ("fgn", ["--n", "4194305"], "--n 4194305"),
+        ("arfima", ["--n", "4194305"], "--n 4194305"),
+        ("step", ["--n", "4194305"], "--n 4194305"),
+    ], ids=["cascade", "fgn", "arfima", "step"])
+    def test_synth_longer_than_the_cap_exits_2(self, kind, flags, named, tmp_path, capsys,
+                                               monkeypatch):
+        # one past MAX_SYNTH_LENGTH: --levels 60 once ran out of memory
+        # instead of exiting 2. A check that let the series through would
+        # reach these stand-ins, not allocate it.
+        def no_series(*args, **kwargs):
+            raise AssertionError("the series was generated")
+
+        for name in ("generate_cascade", "fgn_generate", "arfima_generate", "series_rows"):
+            monkeypatch.setattr(f"smfdfa.cli.{name}", no_series)
+        code = main(["synth", kind, *flags, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"input error: {named} asks for more than {2**22} samples\n")
+        assert not (tmp_path / "o").exists()
+
     def test_forecast_break_outside_series_exits_2(self, price_csv, tmp_path, capsys):
         code = main(["forecast", str(price_csv), "--breaks", "manual:900",
                      "--out", str(tmp_path / "o")])
@@ -111,10 +133,15 @@ class TestErrorPaths:
         assert "strictly inside" in capsys.readouterr().err
 
     def test_forecast_unparseable_breaks_exits_2(self, price_csv, tmp_path, capsys):
-        code = main(["forecast", str(price_csv), "--breaks", "sometimes",
-                     "--out", str(tmp_path / "o")])
-        assert code == 2
-        assert "--breaks must be" in capsys.readouterr().err
+        # an empty token was once dropped: manual:600,,900 ran breaks
+        # [600, 900], and manual: ran as 'none'
+        for spec, named in (("sometimes", "--breaks must be"),
+                            ("manual:600,,900", "cannot parse break list '600,,900'"),
+                            ("manual:", "cannot parse break list ''")):
+            code = main(["forecast", str(price_csv), "--breaks", spec,
+                         "--out", str(tmp_path / "o")])
+            assert code == 2, spec
+            assert named in capsys.readouterr().err, spec
 
     def test_forecast_lags_and_hidden_units_below_one_exit_2(self, price_csv, tmp_path,
                                                               capsys):
@@ -368,6 +395,8 @@ class TestErrorPaths:
             (["mfdfa", str(flat), "--transform", "values"], 3),  # zero window variance
             # there is one change-point search, so no flag selects another
             (["changepoints", str(price_csv), "--cp-method", "binary-segmentation"], 2),
+            # forecasts are scored on price levels only
+            (["forecast", str(price_csv), "--breaks", "none", "--scale", "differenced"], 2),
         )
         for argv, expected in cases:
             out = tmp_path / "o"

@@ -6,7 +6,6 @@ Oracle notes per test are tagged [TRIVIAL] / [DERIVED] as in conftest.py.
 
 import contextlib
 import dataclasses
-import itertools
 import math
 
 import numpy as np
@@ -174,7 +173,7 @@ def reference_train_nar(x: np.ndarray, p: int, h: int, seed: int, n_validation: 
             theta[h * p + h : h * p + 2 * h], theta[-1:], np.array(trace), stop_reason, best)
 
 
-def reference_pipeline_compare(x, breaks, p, h, seed, scale, methods, evaluation):
+def reference_pipeline_compare(x, breaks, p, h, seed, methods, evaluation):
     """Reference: the regime loop as first written, with one list of
     scored jobs and one of skipped methods, three row construction sites,
     and level forecasts reintegrated as fitted minus the differencing
@@ -218,10 +217,7 @@ def reference_pipeline_compare(x, breaks, p, h, seed, scale, methods, evaluation
                 # the row at any zero in y_win[p:]
                 mape(y_win[p:], fitted_y)
                 fitted_x = fitted_y - (y_win[p:] - x_win[p:])
-                if scale == "levels":
-                    scored_actual, scored_fitted = x_win[p + lo :], fitted_x[lo:]
-                else:
-                    scored_actual, scored_fitted = y_win[p + lo :], fitted_y[lo:]
+                scored_actual, scored_fitted = x_win[p + lo :], fitted_x[lo:]
                 score = mape(scored_actual, scored_fitted)
                 rows.append(ForecastRow(
                     seg_label, method, d_used, score, seed,
@@ -659,8 +655,6 @@ class TestPipelineCompare:
             pipeline_compare(longmemory_series, breaks=[600, 500])
 
     def test_option_validation(self, longmemory_series):
-        with pytest.raises(InputError, match="scale must be"):
-            pipeline_compare(longmemory_series, None, scale="log")
         with pytest.raises(InputError, match="evaluation must be"):
             pipeline_compare(longmemory_series, None, evaluation="cv")
         with pytest.raises(InputError, match="unknown method"):
@@ -705,7 +699,7 @@ class TestPipelineCompare:
         # skipped with "actual value is 0 at index 0", a MAPE over the whole
         # window that was then thrown away. Segment 2's rows are unchanged.
         x = np.concatenate([np.zeros(700), 100.0 + arfima_generate(0.3, 1300, seed=1)])
-        args = ([1000], 3, 4, 0, "levels", (METHOD_FD, METHOD_LFD), "holdout")
+        args = ([1000], 3, 4, 0, (METHOD_FD, METHOD_LFD), "holdout")
         with schedule(MAX_ITERATIONS=20):
             got = pipeline_compare(x, *args).rows
             want = reference_pipeline_compare(x, *args)
@@ -726,7 +720,7 @@ class TestPipelineCompare:
         # run: index 597 (FD-NAR) and 579 (LFD-NAR).
         x = 100.0 + arfima_generate(0.3, 2000, seed=1)
         x[600:1000] = 0.0
-        args = ([1200], 3, 4, 0, "levels", (METHOD_FD, METHOD_LFD), "in-sample")
+        args = ([1200], 3, 4, 0, (METHOD_FD, METHOD_LFD), "in-sample")
         with schedule(MAX_ITERATIONS=20):
             got = pipeline_compare(x, *args).rows
             want = reference_pipeline_compare(x, *args)
@@ -747,7 +741,7 @@ class TestPipelineCompare:
         assert row.eval_start is not None
         assert len(row.actual) == row.n_eval == len(row.fitted)
         assert mape(np.asarray(row.actual), np.asarray(row.fitted)) == row.mape
-        # levels scale: the scored actuals are the original level values
+        # the scored actuals are the original level values
         np.testing.assert_array_equal(
             np.asarray(row.actual),
             longmemory_series[row.eval_start : row.eval_start + row.n_eval],
@@ -774,20 +768,6 @@ class TestPipelineCompare:
         # the holdout model saw less data, so its tail forecasts differ
         assert full.fitted[-held.n_eval :] != held.fitted
 
-    def test_differenced_scale_scores_differenced_values(self, longmemory_series, fast_train):
-        # [TRIVIAL] with scale="differenced" the scored actuals are the
-        # filtered values, not the levels.
-        report = pipeline_compare(
-            longmemory_series, None, p=3, hidden_units=6,
-            methods=(METHOD_FD,), scale="differenced",
-        )
-        row = report.rows[0]
-        assert report.scale == "differenced"
-        assert not np.array_equal(
-            np.asarray(row.actual),
-            longmemory_series[row.eval_start : row.eval_start + row.n_eval],
-        )
-
     def test_multiple_seeds_make_one_row_each(self, longmemory_series, fast_train):
         # [TRIVIAL] the seed reaches the trainer: each call makes one row
         # carrying its seed, and different nets give different fits
@@ -797,16 +777,14 @@ class TestPipelineCompare:
         assert rows[0][0].fitted != rows[1][0].fitted
 
     @pytest.mark.parametrize("evaluation", ["in-sample", "holdout"])
-    @pytest.mark.parametrize("scale", ["levels", "differenced"])
-    def test_methods_share_each_segments_scored_window(self, longmemory_series, scale,
-                                                        evaluation, fast_train):
+    def test_methods_share_each_segments_scored_window(self, longmemory_series, evaluation,
+                                                        fast_train):
         # [TRIVIAL] within a segment one cut (the widest burn-in of both
         # methods) applies to every method, so every (method, seed) row
-        # scores the same observations; on the level scale they are the
-        # same actuals.
+        # scores the same observations, the same actual levels.
         def rows_of(seed, methods=(METHOD_FD, METHOD_LFD)):
             return pipeline_compare(longmemory_series, [512], p=2, hidden_units=3, seed=seed,
-                                    scale=scale, methods=methods, evaluation=evaluation).rows
+                                    methods=methods, evaluation=evaluation).rows
 
         rows = [r for seed in (0, 1) for r in rows_of(seed)]
         assert all(r.skipped_reason is None for r in rows)
@@ -815,8 +793,7 @@ class TestPipelineCompare:
             assert [(r.method, r.seed) for r in seg] == [
                 (METHOD_FD, 0), (METHOD_LFD, 0), (METHOD_FD, 1), (METHOD_LFD, 1)]
             assert len({(r.eval_start, r.n_eval) for r in seg}) == 1
-            if scale == "levels":
-                assert len({r.actual for r in seg}) == 1
+            assert len({r.actual for r in seg}) == 1
         # the cut does not depend on `methods`: a single-method call gives
         # exactly the matching rows of the both-methods call, every field
         # included. The global burn-in is 256 / 0 in the two segments and
@@ -839,22 +816,22 @@ class TestPipelineCompare:
         x_win = 100.0 + np.random.default_rng(size).standard_normal(size)
         with schedule(MAX_ITERATIONS=1):
             first, actual, fitted, score, model = _score_window(
-                x_win - 100.0, x_win, p, 1, 0, "levels", evaluation)
+                x_win - 100.0, x_win, p, 1, 0, evaluation)
         assert actual.size == size - first and math.isfinite(score)
         assert model.stop_reason == "cap"
 
     def test_rows_equal_reference_loop(self, fast_train):
         # [DERIVED] every field of every row, traces included, equals the
         # reference loop's, in the same order, for each method set, both
-        # evaluations and both scales. The 50-sample tail segment gives
+        # evaluations and both seeds. The 50-sample tail segment gives
         # both kinds of skipped row: a failed local estimate (LFD) and a
         # window too short to train on (FD).
         x = 100.0 + arfima_generate(0.25, 400, seed=3)
         kinds = set()
         for methods in [(METHOD_FD,), (METHOD_LFD,), (METHOD_FD, METHOD_LFD)]:
             for evaluation in ("in-sample", "holdout"):
-                for scale, seed in itertools.product(("levels", "differenced"), (0, 1)):
-                    args = ([350], 2, 3, seed, scale, methods, evaluation)
+                for seed in (0, 1):
+                    args = ([350], 2, 3, seed, methods, evaluation)
                     got = pipeline_compare(x, *args).rows
                     want = reference_pipeline_compare(x, *args)
                     assert len(got) == len(want) == 2 * len(methods)
@@ -877,13 +854,13 @@ class TestForecastReport:
                         skipped_reason="too short"),
             ForecastRow("s::seg1", METHOD_LFD, 0.2, 3.0, 0, 10, 0, 50),
         )
-        agg = ForecastReport(rows=rows, scale="levels").aggregate()
+        agg = ForecastReport(rows=rows).aggregate()
         assert agg == {METHOD_FD: 2.0, METHOD_LFD: 3.0}
 
     def test_to_dict_fields(self):
         row = ForecastRow("s::seg1", METHOD_FD, 0.1, 2.0, 7, 10, 0, 50,
                           stop_reason="validation", iterations=9, best_step=3)
-        doc = forecast_report_to_dict(ForecastReport(rows=(row,), scale="levels"))
+        doc = forecast_report_to_dict(ForecastReport(rows=(row,)))
         assert doc["rows"][0] == {
             "segment": "s::seg1",
             "method": METHOD_FD,

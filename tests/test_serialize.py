@@ -160,7 +160,7 @@ def forecast_reports(draw):
             eval_start=draw(st.integers(0, 10**4)) if scored else None,
             actual=tuple(draw(st.lists(floats, min_size=n, max_size=n))) if scored else None,
             fitted=tuple(draw(st.lists(floats, min_size=n, max_size=n))) if scored else None))
-    return ForecastReport(rows=tuple(rows), scale="levels")
+    return ForecastReport(rows=tuple(rows))
 
 
 @st.composite

@@ -18,7 +18,7 @@ differs -- for JSON the key paths, for CSV the columns and the first
 differing row, otherwise the file names. The last line counts the jobs.
 The exit code is 0 when every job is identical and 1 otherwise.
 
-The full list holds 427 jobs: benchmark seeds 0-9 of all three perfbench
+The full list holds 428 jobs: benchmark seeds 0-9 of all three perfbench
 workloads (7 inputs each, as perfbench runs them) plus change-point, forecast,
 surrogate and subcommand jobs on analyze_regimes input seeds 0, 371 and
 400, on one forecast_memory_switch input and on a series with a flat
@@ -39,15 +39,18 @@ blank lines, short and extra columns, a repeated header name, another date
 format or column names), under a file name CSV must quote, and with a bad
 row or a non-UTF-8 byte late in the file; every synth kind, and fgn, step
 and arfima with finite flags whose series overflows; and forecast with
---scale differenced, with --evaluation holdout, with a --config file
-setting p and hidden_units, with --p 0 and --hidden 0, with --seed 3, and
-with --method fd and with --method lfd in both --format values; and
+the retired --scale differenced, with --evaluation holdout, with a
+--config file setting p and hidden_units, with --p 0 and --hidden 0, with
+--seed 3, with a break list holding empty tokens (--breaks manual:600,,),
+and with --method fd and with --method lfd in both --format values; and
 forecast --method lfd on 100 prices and on 600 constant prices, whose
 global memory estimate fails. The
 `synth/step/nan` job exits 2, since synth rejects a non-finite --sigma,
 and so do the three `overflow` jobs, the two forecast jobs with a
-setting of 0 and the one on 100 prices; the one on constant prices exits
-3.
+setting of 0, the one on 100 prices, `forecast/0/differenced` (forecasts
+are scored on price levels only, so --scale is an unknown flag) and
+`forecast/0/breaks_empty_token` (an empty token cannot be parsed); the
+one on constant prices exits 3.
 The toy list runs a few jobs on toy-size inputs in seconds; the
 self-tests use it.
 """
@@ -279,6 +282,7 @@ def build_jobs(kind: str, inputs: Path) -> list[dict]:
             ["forecast", path, "--breaks", "auto", "--min-segment", "300", "--method", "lfd",
              "--format", fmt])
     add("forecast/0/differenced", [argv[0], path, *argv[1:], "--scale", "differenced"])
+    add("forecast/0/breaks_empty_token", [argv[0], path, *argv[1:], "--breaks", "manual:600,,"])
     add("forecast/0/holdout", [argv[0], path, *argv[1:], "--evaluation", "holdout"])
     forecast_config = inputs / "forecast_config.json"
     forecast_config.write_text(json.dumps(FORECAST_CONFIG))
