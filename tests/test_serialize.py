@@ -232,6 +232,18 @@ class TestBuildersMatchPerCellWriter:
                           serialize.series_rows(dates, np.array(values)),
                           reference_series_rows(dates, values))
 
+    def test_series_rows_across_chunks(self, tmp_path):
+        # rows are built a chunk at a time: two chunks and a short one, whose
+        # dates run from year 9999 into five-digit years
+        n = 2 * serialize.SERIES_CHUNK + 3
+        dates = np.datetime64("9999-12-31") - serialize.SERIES_CHUNK + np.arange(n)
+        values = np.random.default_rng(0).standard_normal(n)
+        values[::1000] = math.nan
+        assert_same_bytes(tmp_path, serialize.SERIES_HEADER, serialize.series_rows(dates, values),
+                          reference_series_rows(dates, values))
+        last_date = (tmp_path / "new.csv").read_text().splitlines()[-1].split(",")[0]
+        assert int(last_date.split("-")[0]) > 9999
+
     def test_changepoint_rows(self, tmp_path):
         result = ChangePointResult(breaks=(3, 9), segment_costs=(0.0, 0.0, 0.0),
                                    total_cost=0.0, config_used=ChangePointConfig(), n=12)

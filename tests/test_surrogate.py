@@ -3,13 +3,20 @@
 Oracle notes per test are tagged [TRIVIAL] / [DERIVED] as in conftest.py.
 """
 
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from smfdfa.errors import InputError
+from smfdfa import surrogate as surrogate_module
+from smfdfa.errors import InputError, NumericalError
 from smfdfa.mfdfa import MfdfaConfig, _detrending_operator, default_scale_grid, generate_cascade
 from smfdfa.serialize import clean, surrogate_to_dict
 from smfdfa.surrogate import (
+    KINDS,
     SurrogateComparison,
     make_ensemble,
     phase_surrogate,
@@ -30,6 +37,16 @@ def ar1(n: int, phi: float, seed: int) -> np.ndarray:
 def lag_autocorr(values: np.ndarray, lag: int) -> float:
     v = values - values.mean()
     return float(np.dot(v[lag:], v[:-lag]) / np.dot(v, v))
+
+
+def cpus(count: int):
+    """Patch the CPU count surrogate_test reads, the one place it is read."""
+    return mock.patch.object(surrogate_module, "_cpu_count", return_value=count)
+
+
+def assert_no_children() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------- shuffle
@@ -252,11 +269,26 @@ class TestSurrogateTest:
         # one scale grid: each scale's operator is built once, then reused
         x = np.abs(ar1(4096, 0.5, seed=21)) + 1e-6
         _detrending_operator.cache_clear()
-        surrogate_test(x, kind="shuffle", n=10, seed=5)
+        with cpus(1):
+            surrogate_test(x, kind="shuffle", n=10, seed=5)
         n_scales = len(default_scale_grid(4096))
         info = _detrending_operator.cache_info()
         assert info.misses == n_scales
         assert info.hits == 10 * n_scales
+
+    def test_forked_children_inherit_the_detrending_operators(self):
+        # [TRIVIAL] the original is analysed before the fork, so this
+        # process builds each operator once and its share 0 (members 0, 2,
+        # .., 8) reuses them; the child's lookups stay in the child
+        x = np.abs(ar1(4096, 0.5, seed=21)) + 1e-6
+        _detrending_operator.cache_clear()
+        with cpus(2):
+            surrogate_test(x, kind="shuffle", n=10, seed=5)
+        n_scales = len(default_scale_grid(4096))
+        info = _detrending_operator.cache_info()
+        assert info.misses == n_scales
+        assert info.hits == 5 * n_scales
+        assert_no_children()
 
     def test_minimum_count_guard(self):
         with pytest.raises(InputError, match="at least 10 surrogates"):
@@ -292,3 +324,99 @@ class TestSurrogateTest:
         )
         with pytest.raises(AttributeError):
             c.quantile = 0.9
+
+
+# ------------------------------------------------- members in forked children
+
+
+def outcome(x: np.ndarray, kind: str, n: int, config: MfdfaConfig, seed: int):
+    """The comparison, or the type and message of the error it raised."""
+    try:
+        return surrogate_test(x, kind, n, config, seed)
+    except NumericalError as exc:
+        return type(exc), str(exc)
+
+
+def failing_member(x: np.ndarray, seed: int, member: int, fail):
+    """Patch the member analysis so that member `member` of shuffle(x, seed ^
+    i) calls fail() instead; every other call runs as before."""
+    target = shuffle(x, seed ^ member)
+    real = surrogate_module.analyze_segment
+
+    def analyze(values, config):
+        if values.shape == target.shape and np.array_equal(values, target):
+            fail()
+        return real(values, config)
+
+    return mock.patch.object(surrogate_module, "analyze_segment", analyze)
+
+
+class TestForkedMembers:
+    # scales small enough for 64 samples; zeros give members (and at times
+    # the original) a flat window, so some analyses fail
+    CONFIG = MfdfaConfig(scale_grid=(6, 8, 11, 16))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(length=st.integers(64, 2048), kind=st.sampled_from(KINDS),
+           n=st.integers(10, 13), workers=st.integers(1, 3),
+           zero_share=st.sampled_from([0.0, 0.5, 0.8]), seed=st.integers(0, 2**32 - 1))
+    def test_result_does_not_depend_on_the_worker_count(self, length, kind, n, workers,
+                                                        zero_share, seed):
+        # [TRIVIAL] member i is built from seed ^ i and analysed by the same
+        # code in whichever process runs its share, and the widths go back
+        # in member order: every field equals the one-worker result
+        rng = np.random.default_rng(seed)
+        x = np.abs(rng.standard_t(3, length))
+        x[rng.random(length) < zero_share] = 0.0
+        with cpus(1):
+            expected = outcome(x, kind, n, self.CONFIG, seed)
+        with cpus(workers):
+            got = outcome(x, kind, n, self.CONFIG, seed)
+        assert got == expected
+        assert_no_children()
+
+    def test_a_member_failing_in_a_child_is_counted_at_that_member(self):
+        # [TRIVIAL] with two workers member 3 runs in the child; its
+        # NumericalError drops that width alone, as it does in-process
+        x = np.abs(ar1(1024, 0.5, seed=4)) + 1e-6
+        with cpus(1):
+            clean_run = surrogate_test(x, "shuffle", 11, seed=9)
+
+        def fail():
+            raise NumericalError("planted")
+
+        with failing_member(x, 9, 3, fail):
+            with cpus(2):
+                forked = surrogate_test(x, "shuffle", 11, seed=9)
+            with cpus(1):
+                serial = surrogate_test(x, "shuffle", 11, seed=9)
+        assert forked == serial
+        assert forked.n_failed == 1
+        widths = list(clean_run.surrogate_delta_alphas)
+        del widths[3]
+        assert forked.surrogate_delta_alphas == tuple(widths)
+        assert_no_children()
+
+    @pytest.mark.parametrize("member, workers", [(1, 2), (5, 3), (0, 2), (3, 3)])
+    def test_an_error_in_any_share_reaches_the_caller(self, member, workers):
+        # [TRIVIAL] member i runs in share i mod workers: share 0 is this
+        # process, the others are children; either way the ValueError
+        # reaches the caller with its message, and no child is left
+        x = np.abs(ar1(1024, 0.5, seed=4)) + 1e-6
+
+        def fail():
+            raise ValueError(f"planted in member {member}")
+
+        with failing_member(x, 9, member, fail), cpus(workers):
+            with pytest.raises(ValueError, match=f"planted in member {member}"):
+                surrogate_test(x, "shuffle", 11, seed=9)
+        assert_no_children()
+
+    def test_a_child_that_exits_without_a_result_names_its_status(self):
+        # [TRIVIAL] member 1 runs in the child, which ends at once with
+        # status 7 and sends nothing
+        x = np.abs(ar1(1024, 0.5, seed=4)) + 1e-6
+        with failing_member(x, 9, 1, lambda: os._exit(7)), cpus(2):
+            with pytest.raises(RuntimeError, match=r"without a result \(exit status 7\)"):
+                surrogate_test(x, "shuffle", 11, seed=9)
+        assert_no_children()

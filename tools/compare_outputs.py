@@ -18,7 +18,7 @@ differs -- for JSON the key paths, for CSV the columns and the first
 differing row, otherwise the file names. The last line counts the jobs.
 The exit code is 0 when every job is identical and 1 otherwise.
 
-The full list holds 428 jobs: benchmark seeds 0-9 of all three perfbench
+The full list holds 434 jobs: benchmark seeds 0-9 of all three perfbench
 workloads (7 inputs each, as perfbench runs them) plus change-point, forecast,
 surrogate and subcommand jobs on analyze_regimes input seeds 0, 371 and
 400, on one forecast_memory_switch input and on a series with a flat
@@ -27,7 +27,10 @@ one with a bad value and one naming the retired `cp_method` key. mfdfa,
 surrogate and analyze each run four --config files of MF-DFA keys: a
 q_grid, a q_grid without q = 2 (so that analyze fits each regime's DFA
 Hurst exponent in a pass of its own), a scale_grid and a
-regression_range. The 18
+regression_range. Surrogate jobs whose member count does not divide by
+a small CPU count run surrogate --n 11 (shuffle) and --kind phase --n 13
+on surrogate_cascade input 0 and analyze --surrogates 11 on
+analyze_regimes input 0, in both --format values. The 18
 `binseg` jobs still pass `--cp-method binary-segmentation`: binary
 segmentation is retired, so they exit 2 on a tree without it, and a tree
 that still has it reads as an exit-code difference under the same label. It
@@ -248,6 +251,15 @@ def build_jobs(kind: str, inputs: Path) -> list[dict]:
         for kind in ("shuffle", "phase"):
             add(f"analyze/0/surrogates/{kind}/{fmt}",
                 ["analyze", path, "--surrogates", "10", "--surrogate-kind", kind, "--format", fmt])
+        # member counts that no small CPU count divides
+        add(f"analyze/0/surrogates/n11/{fmt}",
+            ["analyze", path, "--surrogates", "11", "--format", fmt])
+    cascade, cascade_argv = prepare("surrogate_cascade", 0)
+    for fmt in FORMATS:
+        for label, flags in (("n11", ["--n", "11"]),
+                             ("phase/n13", ["--kind", "phase", "--n", "13"])):
+            add(f"surrogate/cascade/{label}/{fmt}",
+                [cascade_argv[0], cascade, *cascade_argv[1:], *flags, "--format", fmt])
     for label, mf_config in MF_CONFIGS.items():
         mf_config_path = inputs / f"mf_{label}.json"
         mf_config_path.write_text(json.dumps(mf_config))
