@@ -6,7 +6,22 @@ run MF-DFA independently on every regime, and report per-segment
 singularity spectra. Companion tools cover surrogate-data attribution,
 long-memory estimation and fractional differencing, and an FD-NAR vs
 LFD-NAR forecasting comparison.
+
+Importing it loads NumPy with one BLAS thread unless the caller set a BLAS
+variable or loaded NumPy first: surrogate_test forks a process per CPU,
+and a BLAS pool in each would oversubscribe them.
 """
+
+import os
+
+_UNSET = [var for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+          if var not in os.environ]
+os.environ.update(dict.fromkeys(_UNSET, "1"))
+try:
+    import numpy  # BLAS reads the variables when it loads, and only then
+finally:
+    for _var in _UNSET:
+        del os.environ[_var]
 
 from .changepoint import (
     ChangePointConfig,

@@ -61,7 +61,6 @@ from .serialize import (
     spectrum_rows,
     spectrum_to_dict,
     stats_to_dict,
-    structured_report_to_dict,
     surface_rows,
     surrogate_rows,
     surrogate_skipped_to_dict,
@@ -344,12 +343,13 @@ def cmd_analyze(args, file_cfg: dict, series) -> Run:
             surrogate_doc = surrogate_to_dict(comparison, asdict(mf_cfg))
 
     config = {"mfdfa": asdict(mf_cfg), "changepoint": asdict(cp_cfg)}
+    segments = segment_entries(report)
     doc = {
         "series": series.label,
         "n": int(series.values.size),
         "stats": stats_to_dict(stats, outliers),
-        "structured": structured_report_to_dict(report),
-        "segments": segment_entries(report),
+        "structured": {"changepoints": changepoints_to_dict(report.changepoints)},
+        "segments": segments,
         "surrogate": surrogate_doc,
         "config": config,
     }
@@ -362,7 +362,7 @@ def cmd_analyze(args, file_cfg: dict, series) -> Run:
                         (r for s in analyzed for r in spectrum_rows(s.label, s.spectrum))),
         "changepoints.csv": (CHANGEPOINT_HEADER,
                              changepoint_rows(report.changepoints, timestamps)),
-        "segments.csv": (SEGMENTS_HEADER, segment_rows(report)),
+        "segments.csv": (SEGMENTS_HEADER, segment_rows(segments)),
     }
     if comparison:
         tables["surrogate.csv"] = (SURROGATE_HEADER, surrogate_rows(comparison))
@@ -373,7 +373,7 @@ def cmd_analyze(args, file_cfg: dict, series) -> Run:
         f"{list(report.changepoints.offsets)}",
         f"{'segment':<24} {'start':>6} {'stop':>6} {'d_alpha':>8} {'d_hat':>8} {'hurst':>7}",
     ]
-    for e in doc["segments"]:
+    for e in segments:
         da, dh, hu = ("-" if e[k] is None else f"{e[k]:.3f}"
                       for k in ("delta_alpha", "d_hat", "hurst_dfa"))
         lines.append(f"{e['label']:<24} {e['start']:>6} {e['stop']:>6} {da:>8} {dh:>8} {hu:>7}")

@@ -71,11 +71,12 @@ def frac_diff_weights(d: float, k_max: int) -> np.ndarray:
     return w
 
 
-def _auto_truncation(d: float, n: int) -> int:
-    """K = min(500, n // 4) unless the weight magnitude cutoff binds first."""
-    k_cap = min(MAX_AUTO_TRUNCATION, max(n // 4, 1))
-    small = np.flatnonzero(np.abs(frac_diff_weights(d, k_cap)[1:]) < WEIGHT_CUTOFF)
-    return int(small[0]) + 1 if small.size else k_cap
+def _auto_weights(d: float, n: int) -> np.ndarray:
+    """w_0 .. w_K, K = min(500, n // 4) unless the weight magnitude cutoff
+    binds first: a prefix of the capped run, bit for bit a run to K."""
+    w = frac_diff_weights(d, min(MAX_AUTO_TRUNCATION, max(n // 4, 1)))
+    small = np.flatnonzero(np.abs(w[1:]) < WEIGHT_CUTOFF)
+    return w[:small[0] + 2] if small.size else w
 
 
 @dataclass(frozen=True)
@@ -102,10 +103,12 @@ def frac_diff(series: np.ndarray, d: float, truncation: int | None = None) -> Fr
     n = x.size
     if n == 0:
         raise InputError("cannot difference an empty series")
-    k_max = _auto_truncation(d, n) if truncation is None else int(truncation)
+    w = _auto_weights(d, n) if truncation is None else None
+    k_max = int(truncation) if w is None else w.size - 1
     if k_max >= n:
         raise InputError(f"truncation {k_max} must be smaller than the series length {n}")
-    w = frac_diff_weights(d, k_max)
+    if w is None:
+        w = frac_diff_weights(d, k_max)
     out = np.convolve(x, w)[:n]
     return FracDiffResult(values=out, burn_in=k_max)
 

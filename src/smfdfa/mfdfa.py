@@ -474,7 +474,6 @@ class SegmentReport:
 
 @dataclass(frozen=True)
 class StructuredReport:
-    series_label: str
     changepoints: ChangePointResult
     segments: tuple[SegmentReport, ...]
 
@@ -540,7 +539,6 @@ def s_mfdfa(
     cp = detect_multiple(flucts, cp_config)
     edges = (0, *cp.offsets, flucts.size)
     return StructuredReport(
-        series_label=label,
         changepoints=cp,
         segments=tuple(
             _regime_report(f"{label or 'series'}::seg{k + 1}", a, b, flucts[a:b], mf_config)

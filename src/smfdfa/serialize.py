@@ -157,29 +157,9 @@ def stats_to_dict(stats: DescriptiveStats, outliers: OutlierCensus) -> dict:
     return {"descriptive": asdict(stats), "outliers": asdict(outliers)}
 
 
-def structured_report_to_dict(report: StructuredReport) -> dict:
-    segments = []
-    for seg in report.segments:
-        entry: dict = {
-            "label": seg.label,
-            "start": seg.start,
-            "stop": seg.stop,
-            "skipped_reason": seg.skipped_reason,
-        }
-        if seg.spectrum is not None:
-            entry["delta_alpha"] = seg.spectrum.delta_alpha
-            entry["spectrum"] = {"segment": seg.label, **spectrum_to_dict(seg.spectrum)}
-            entry["hurst"] = {"segment": seg.label, **hurst_to_dict(seg.hurst)}
-        segments.append(entry)
-    return {
-        "series": report.series_label,
-        "changepoints": changepoints_to_dict(report.changepoints),
-        "segments": segments,
-    }
-
-
 def segment_entries(report: StructuredReport) -> list[dict]:
-    """One flat record per regime, naming both its MF-DFA and GPH failures."""
+    """One record per regime, naming both its MF-DFA and GPH failures, with
+    mfdfa's hurst and spectrum documents (None where it was not analysed)."""
     return [
         {
             "label": seg.label, "start": seg.start, "stop": seg.stop,
@@ -187,14 +167,15 @@ def segment_entries(report: StructuredReport) -> list[dict]:
             "d_hat": seg.d_hat, "d_stderr": seg.d_stderr, "hurst_dfa": seg.hurst_dfa,
             "skipped_reason": "; ".join(filter(None, (seg.skipped_reason, seg.gph_failure)))
             or None,
+            "hurst": hurst_to_dict(seg.hurst) if seg.hurst else None,
+            "spectrum": spectrum_to_dict(seg.spectrum) if seg.spectrum else None,
         }
         for seg in report.segments
     ]
 
 
-def segment_rows(report: StructuredReport) -> Iterator[tuple]:
-    yield from _with_floats(map(itemgetter(*SEGMENTS_HEADER), segment_entries(report)),
-                            (3, 4, 5))
+def segment_rows(entries: Sequence[dict]) -> Iterator[tuple]:
+    yield from _with_floats(map(itemgetter(*SEGMENTS_HEADER), entries), (3, 4, 5))
 
 
 SEGMENTS_HEADER = ("label", "start", "stop", "delta_alpha", "d_hat", "hurst_dfa",

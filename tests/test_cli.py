@@ -456,7 +456,7 @@ class TestAnalyze:
         report = json.loads((out / "report.json").read_text())
         assert report["series"] == "prices"
         assert report["n"] == 600
-        assert report["structured"]["segments"]
+        assert report["segments"]
         for name in ("spectra.csv", "surfaces.csv", "hurst.csv",
                      "changepoints.csv", "segments.csv"):
             assert (out / name).exists(), name
@@ -503,20 +503,43 @@ class TestAnalyze:
                                100.0 * np.exp(np.concatenate([[0.0], np.cumsum(r)])))
         out = tmp_path / "o"
         assert main(["analyze", str(path), "--out", str(out)]) == 0
-        segments = json.loads((out / "report.json").read_text())["segments"]
+        report = json.loads((out / "report.json").read_text())
+        segments = report["segments"]
         flat = [s for s in segments if s["start"] >= 600 and s["stop"] <= 1200]
         assert len(flat) == 1
         assert flat[0]["skipped_reason"].startswith("numerical: window variance is exactly 0")
         assert "numerical: gph:" in flat[0]["skipped_reason"]
         assert flat[0]["delta_alpha"] is None
         assert flat[0]["d_hat"] is None and flat[0]["d_stderr"] is None
+        assert flat[0]["hurst"] is None and flat[0]["spectrum"] is None
         for s in (segments[0], segments[-1]):
             assert s["skipped_reason"] is None
             assert s["delta_alpha"] is not None and s["d_hat"] is not None
+            assert s["spectrum"]["delta_alpha"] == s["delta_alpha"]
         flagged = [row["label"] for row in read_csv_rows(out / "segments.csv")
                    if row["skipped_reason"]]
         assert flagged == [flat[0]["label"]]
         assert "numerical failure" not in capsys.readouterr().err
+        # each regime is written once: structured keeps only the breaks
+        assert set(report["structured"]) == {"changepoints"}
+
+    def test_segment_json_fields_equal_csv_rows(self, tmp_path):
+        # the flat regime gives a skipped row (null/empty cells); d_stderr
+        # and the hurst and spectrum documents are JSON-only
+        rng = np.random.default_rng(1)
+        r = np.concatenate([rng.normal(0.0, 0.01, 600), np.zeros(600),
+                            rng.normal(0.0, 0.01, 600)])
+        path = write_price_csv(tmp_path / "flat.csv",
+                               100.0 * np.exp(np.concatenate([[0.0], np.cumsum(r)])))
+        out = tmp_path / "o"
+        assert main(["analyze", str(path), "--out", str(out)]) == 0
+        segments = json.loads((out / "report.json").read_text())["segments"]
+        assert any(s["skipped_reason"] for s in segments)
+        rows = read_csv_rows(out / "segments.csv")
+        assert all(set(s) - set(rows[0]) == {"d_stderr", "hurst", "spectrum"}
+                   for s in segments)
+        as_cells = [{k: "" if s[k] is None else str(s[k]) for k in rows[0]} for s in segments]
+        assert as_cells == rows
 
     def test_flat_regime_skips_the_surrogate_test_not_the_run(self, tmp_path, capsys):
         # The whole-series surrogate test runs MF-DFA over the flat regime
@@ -621,17 +644,15 @@ class TestOutputs:
 
     def test_regime_hurst_and_spectrum_match_mfdfa(self, price_csv, tmp_path):
         # with no break the one regime is the whole fluctuation series, and
-        # analyze reports its hurst and spectrum in mfdfa's shape plus a
-        # segment key
+        # analyze reports its hurst and spectrum as mfdfa does
         assert main(["analyze", str(price_csv), "--penalty", "1e15", "--format", "json",
                      "--out", str(tmp_path / "a")]) == 0
         assert main(["mfdfa", str(price_csv), "--format", "json",
                      "--out", str(tmp_path / "m")]) == 0
         analyzed = json.loads((tmp_path / "a" / "report.json").read_text())
         whole = json.loads((tmp_path / "m" / "report.json").read_text())
-        (seg,) = analyzed["structured"]["segments"]
+        (seg,) = analyzed["segments"]
         for key in ("hurst", "spectrum"):
-            assert seg[key].pop("segment") == seg["label"]
             assert seg[key] == whole[key]
 
     def test_forecast_json_rows_equal_csv_rows(self, price_csv, tmp_path):

@@ -18,7 +18,7 @@ from smfdfa import (
     gph_estimate,
     hurst_dfa,
 )
-from smfdfa.longmemory import MAX_AUTO_TRUNCATION, WEIGHT_CUTOFF, _auto_truncation
+from smfdfa.longmemory import MAX_AUTO_TRUNCATION, WEIGHT_CUTOFF, _auto_weights
 
 
 def reference_auto_truncation(d: float, n: int) -> int:
@@ -135,8 +135,11 @@ class TestFracDiff:
     @example(d=0.3, n=2000)  # the cap binds
     def test_auto_truncation_equals_reference(self, d, n):
         # [DERIVED] K read from frac_diff_weights' recurrence equals the
-        # running product's, whose rounding order differs
-        assert _auto_truncation(d, n) == reference_auto_truncation(d, n)
+        # running product's, whose rounding order differs, and the weights
+        # cut from the capped run are those of a run to K, bit for bit
+        w = _auto_weights(d, n)
+        assert w.size - 1 == reference_auto_truncation(d, n)
+        assert w.tobytes() == frac_diff_weights(d, w.size - 1).tobytes()
 
     def test_truncation_must_fit_series(self, rng):
         with pytest.raises(InputError, match="smaller than the series length"):

@@ -1,9 +1,23 @@
-"""Static checks over the package source."""
+"""Static checks over the package source, and the BLAS thread count its
+import leaves."""
 
 import ast
+import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "smfdfa"
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# the process's threads, and the BLAS variables it sees, after an import
+THREADS_AFTER = ("import os, {module}; print(len(os.listdir('/proc/self/task')), "
+                 "sorted((v, os.environ[v]) for v in " + repr(BLAS_VARS) + " if v in os.environ))")
+needs_proc_and_fork = pytest.mark.skipif(
+    not Path("/proc/self/task").is_dir() or not hasattr(os, "fork"),
+    reason="counts threads in /proc/self/task; the pin matters only where members fork")
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -228,3 +242,45 @@ def test_all_lists_exactly_the_imported_names():
     )
     assert len(exported) == len(set(exported))
     assert set(exported) == imported | {"__version__"}
+
+
+def run_python(args: list[str], cwd: Path | None = None, **blas_vars: str) -> str:
+    """stdout of a Python subprocess that imports this checkout's smfdfa,
+    with only the given BLAS variables set."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env={**env, **blas_vars}, cwd=cwd,
+                          capture_output=True, text=True, check=True).stdout
+
+
+@needs_proc_and_fork
+def test_import_loads_numpy_with_one_blas_thread_and_restores_the_environment():
+    # with no BLAS variable set, importing the package starts no BLAS
+    # thread, and the variables it set for NumPy's load are gone again
+    assert run_python(["-c", THREADS_AFTER.format(module="smfdfa")]) == "1 []\n"
+
+
+@needs_proc_and_fork
+def test_a_blas_setting_of_the_caller_wins():
+    # the caller's value is kept, and BLAS starts as many threads as under
+    # NumPy alone; the variables the caller left unset stay unset
+    threads = {module: run_python(["-c", THREADS_AFTER.format(module=module)],
+                                  OPENBLAS_NUM_THREADS="2")
+               for module in ("smfdfa", "numpy")}
+    assert threads["smfdfa"] == threads["numpy"]
+    assert threads["smfdfa"].endswith(" [('OPENBLAS_NUM_THREADS', '2')]\n")
+
+
+@needs_proc_and_fork
+def test_surrogate_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # [TRIVIAL] members forked beside a BLAS pool give the same bytes as
+    # with one BLAS thread
+    run_python(["-m", "smfdfa.cli", "synth", "cascade", "--levels", "12", "--out", "in"],
+               cwd=tmp_path)
+    digests = []
+    for threads in ("1", "2"):
+        run_python(["-m", "smfdfa.cli", "surrogate", "in/series.csv", "--transform", "values",
+                    "--n", "11", "--out", threads], cwd=tmp_path, OPENBLAS_NUM_THREADS=threads)
+        digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in sorted((tmp_path / threads).iterdir())})
+    assert "surrogate.json" in digests[0] and digests[0] == digests[1]

@@ -3,7 +3,6 @@ and the row builders they replaced, byte for byte."""
 
 import csv
 import math
-from operator import itemgetter
 from unittest import mock
 
 import numpy as np
@@ -64,7 +63,9 @@ def reference_spectrum_rows(label, spec):
 
 
 def reference_segment_rows(report):
-    return map(itemgetter(*serialize.SEGMENTS_HEADER), serialize.segment_entries(report))
+    return ((s.label, s.start, s.stop, s.spectrum.delta_alpha if s.spectrum else None, s.d_hat,
+             s.hurst_dfa, "; ".join(filter(None, (s.skipped_reason, s.gph_failure))) or None)
+            for s in report.segments)
 
 
 def reference_surrogate_rows(cmp_):
@@ -140,7 +141,7 @@ def structured_reports(draw):
         for _ in range(draw(st.integers(0, 4))))
     result = ChangePointResult(breaks=(), segment_costs=(), total_cost=0.0,
                                config_used=ChangePointConfig(), n=10)
-    return StructuredReport("series", result, segments)
+    return StructuredReport(result, segments)
 
 
 @st.composite
@@ -207,7 +208,8 @@ class TestBuildersMatchPerCellWriter:
     @PROPERTY
     @given(structured_reports())
     def test_segment_rows(self, tmp_path, report):
-        assert_same_bytes(tmp_path, serialize.SEGMENTS_HEADER, serialize.segment_rows(report),
+        assert_same_bytes(tmp_path, serialize.SEGMENTS_HEADER,
+                          serialize.segment_rows(serialize.segment_entries(report)),
                           reference_segment_rows(report))
 
     @PROPERTY

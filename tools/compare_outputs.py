@@ -18,7 +18,7 @@ differs -- for JSON the key paths, for CSV the columns and the first
 differing row, otherwise the file names. The last line counts the jobs.
 The exit code is 0 when every job is identical and 1 otherwise.
 
-The full list holds 434 jobs: benchmark seeds 0-9 of all three perfbench
+The full list holds 439 jobs: benchmark seeds 0-9 of all three perfbench
 workloads (7 inputs each, as perfbench runs them) plus change-point, forecast,
 surrogate and subcommand jobs on analyze_regimes input seeds 0, 371 and
 400, on one forecast_memory_switch input and on a series with a flat
@@ -27,8 +27,10 @@ one with a bad value and one naming the retired `cp_method` key. mfdfa,
 surrogate and analyze each run four --config files of MF-DFA keys: a
 q_grid, a q_grid without q = 2 (so that analyze fits each regime's DFA
 Hurst exponent in a pass of its own), a scale_grid and a
-regression_range. Surrogate jobs whose member count does not divide by
-a small CPU count run surrogate --n 11 (shuffle) and --kind phase --n 13
+regression_range. analyze also runs five more on analyze_regimes input
+0: one each setting detrend_order, penalty, max_breaks and min_segment,
+and one that combines MF-DFA and change-point keys. Surrogate jobs whose
+member count does not divide by a small CPU count run surrogate --n 11 (shuffle) and --kind phase --n 13
 on surrogate_cascade input 0 and analyze --surrogates 11 on
 analyze_regimes input 0, in both --format values. The 18
 `binseg` jobs still pass `--cp-method binary-segmentation`: binary
@@ -103,6 +105,17 @@ MF_CONFIGS = {
     "q_grid_no_q2": {"q_grid": [-3, -1, 1, 3, 5]},
     "scale_grid": {"scale_grid": [16, 24, 32, 48, 64, 96, 128]},
     "regression_range": {"regression_range": [20, 200]},
+}
+# settings that only analyze runs from a --config file: one key each, and
+# MF-DFA and change-point keys together (a penalty of 0.0001 gives 45
+# breaks on analyze_regimes input 0, where the default gives 3)
+ANALYZE_CONFIGS = {
+    "detrend_order": {"detrend_order": 3},
+    "penalty": {"penalty": 0.0001},
+    "max_breaks": {"max_breaks": 2},
+    "min_segment": {"min_segment": 2100},
+    "combined": {"q_grid": [-3, -1, 1, 2, 3, 5], "detrend_order": 2, "penalty": 0.00003,
+                 "max_breaks": 5, "min_segment": 48},
 }
 # change-point jobs on a 20480-return series of four 5120-sample regimes
 # (analyze_regimes' sigmas), where the DP prunes thousands of starts
@@ -260,11 +273,12 @@ def build_jobs(kind: str, inputs: Path) -> list[dict]:
                              ("phase/n13", ["--kind", "phase", "--n", "13"])):
             add(f"surrogate/cascade/{label}/{fmt}",
                 [cascade_argv[0], cascade, *cascade_argv[1:], *flags, "--format", fmt])
-    for label, mf_config in MF_CONFIGS.items():
-        mf_config_path = inputs / f"mf_{label}.json"
-        mf_config_path.write_text(json.dumps(mf_config))
-        for command in ("mfdfa", "surrogate", "analyze"):
-            add(f"{command}/0/config/{label}", [command, path, "--config", str(mf_config_path)])
+    for label, file_config in {**MF_CONFIGS, **ANALYZE_CONFIGS}.items():
+        config_path = inputs / f"config_{label}.json"
+        config_path.write_text(json.dumps(file_config))
+        commands = ("mfdfa", "surrogate", "analyze") if label in MF_CONFIGS else ("analyze",)
+        for command in commands:
+            add(f"{command}/0/config/{label}", [command, path, "--config", str(config_path)])
     for label, bad in (("bad_config", {"penalty": True}), ("cp_method", {"cp_method": "exact-dp"})):
         bad_config = inputs / f"{label}.json"
         bad_config.write_text(json.dumps(bad))
