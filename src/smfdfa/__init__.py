@@ -8,8 +8,8 @@ long-memory estimation and fractional differencing, and an FD-NAR vs
 LFD-NAR forecasting comparison.
 
 Importing it loads NumPy with one BLAS thread unless the caller set a BLAS
-variable or loaded NumPy first: surrogate_test forks a process per CPU,
-and a BLAS pool in each would oversubscribe them.
+variable or loaded NumPy first: surrogate_test and pipeline_compare fork
+a process per CPU, and a BLAS pool in each would oversubscribe them.
 """
 
 import os

@@ -9,7 +9,11 @@ differencing with one parameter per regime (LFD-NAR). Both reconstruct
 one-step-ahead values with teacher forcing and are scored by mean
 absolute percentage error on the reintegrated price levels.
 Every network the pipelines train stops early on a validation block cut
-from the end of its training part.
+from the end of its training part. pipeline_compare estimates and
+differences every input first, then trains and scores its rows with
+fork.fork_map, one share of them per CPU the process may run on; each row
+is computed by the same code wherever it runs, so the report does not
+depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, NumericalError, finite_1d
+from .fork import fork_map
 from .longmemory import frac_diff, gph_estimate
 from .series import TimeSeries
 
@@ -402,9 +407,11 @@ def pipeline_compare(
     global_d = gph_estimate(x).d_hat
     global_diff = frac_diff(x, global_d)
 
-    rows: list[ForecastRow] = []
+    # one task per row, in row order: its segment label, edges and cut, its
+    # method and that method's inputs entry. Every estimate and differencing
+    # runs here, once, before fork_map trains and scores the rows
+    tasks = []
     for k, (a, b) in enumerate(zip(edges, edges[1:])):
-        seg_label = f"{label_base}::seg{k + 1}"
         x_seg = x[a:b]
         # method -> (d_used, differenced segment, in-segment burn-in count),
         # or the reason the method has no inputs on this segment
@@ -419,28 +426,31 @@ def pipeline_compare(
         except NumericalError as exc:
             inputs[METHOD_LFD] = f"local estimate failed: numerical: {exc}"
         cut = max(got[2] for got in inputs.values() if not isinstance(got, str))
-        for method, got in inputs.items():
-            if method not in methods:
-                continue
-            if isinstance(got, str):
-                d_used, reason = math.nan, got
+        tasks += [(f"{label_base}::seg{k + 1}", a, b, cut, method, got)
+                  for method, got in inputs.items() if method in methods]
+
+    def row(task) -> ForecastRow:
+        seg_label, a, b, cut, method, got = task
+        if isinstance(got, str):
+            d_used, reason = math.nan, got
+        else:
+            d_used = got[0]
+            try:
+                first, actual, fitted, score, model = _score_window(
+                    got[1][cut:], x[a + cut:b], p, hidden_units, seed, evaluation)
+            except InputError as exc:
+                reason = str(exc)
             else:
-                d_used = got[0]
-                try:
-                    first, actual, fitted, score, model = _score_window(
-                        got[1][cut:], x_seg[cut:], p, hidden_units, seed, evaluation)
-                except InputError as exc:
-                    reason = str(exc)
-                else:
-                    rows.append(ForecastRow(
-                        seg_label, method, d_used, score, seed, n_eval=actual.size,
-                        start=a, stop=b, stop_reason=model.stop_reason,
-                        iterations=len(model.loss_trace) - 1, best_step=model.best_step,
-                        eval_start=a + cut + first,
-                        actual=tuple(actual.tolist()), fitted=tuple(fitted.tolist())))
-                    continue
-            rows.append(ForecastRow(seg_label, method, d_used, math.nan, seed, n_eval=0,
-                                    start=a, stop=b, skipped_reason=reason))
+                return ForecastRow(
+                    seg_label, method, d_used, score, seed, n_eval=actual.size,
+                    start=a, stop=b, stop_reason=model.stop_reason,
+                    iterations=len(model.loss_trace) - 1, best_step=model.best_step,
+                    eval_start=a + cut + first,
+                    actual=tuple(actual.tolist()), fitted=tuple(fitted.tolist()))
+        return ForecastRow(seg_label, method, d_used, math.nan, seed, n_eval=0,
+                           start=a, stop=b, skipped_reason=reason)
+
+    rows = fork_map(row, tasks)
     if not any(r.skipped_reason is None for r in rows):
         raise InputError("no segment was long enough to train on")
     return ForecastReport(rows=tuple(rows))

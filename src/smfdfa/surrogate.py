@@ -7,25 +7,23 @@ marginals. Comparing the spectrum width of the original against an
 ensemble of either kind attributes multifractality to the distribution,
 to linear correlation, or to nonlinear structure.
 
-surrogate_test analyses the members in forked processes, one share per CPU
-the process may run on; each member is built from its own seed and analysed
-by the same code wherever it runs, so the result does not depend on the CPU
-count, and a process confined to one CPU (taskset -c 0) runs them all
-in-process.
+surrogate_test analyses the members with fork.fork_map, in forked
+processes, one share per CPU the process may run on; each member is built
+from its own seed, in the process that analyses it, so the result does not
+depend on the CPU count, and a process confined to one CPU (taskset -c 0)
+runs them all in-process.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-import pickle
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError, NumericalError
+from .fork import fork_map
 from .mfdfa import MfdfaConfig, analyze_segment
 
 KINDS = ("shuffle", "phase")
@@ -120,95 +118,6 @@ class SurrogateComparison:
     n_failed: int = 0
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on; 1 where it cannot fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _share_widths(ensemble: SurrogateEnsemble, share: range,
-                  mf_config: MfdfaConfig) -> list[float | None]:
-    """Spectrum widths of the members in share, None where MF-DFA failed."""
-    widths = []
-    for i in share:
-        try:
-            widths.append(analyze_segment(ensemble[i], mf_config)[2].delta_alpha)
-        except NumericalError:
-            widths.append(None)
-    return widths
-
-
-def _fork_share(ensemble: SurrogateEnsemble, share: range, mf_config: MfdfaConfig):
-    """Fork a child that analyses share and writes its widths, or the
-    exception it raised, to a pipe as one pickle; returns its pid and the
-    pipe's read end."""
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child never returns into the caller's code
-        status = 1
-        try:
-            os.close(read_fd)
-            with os.fdopen(write_fd, "wb") as out:
-                try:
-                    outcome = _share_widths(ensemble, share, mf_config)
-                except Exception as exc:
-                    outcome = exc
-                pickle.dump(outcome, out)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, os.fdopen(read_fd, "rb")
-
-
-def _member_widths(ensemble: SurrogateEnsemble, mf_config: MfdfaConfig) -> list[float | None]:
-    """Widths of every member in member order, None where MF-DFA failed.
-
-    Member i falls in share i mod W, W = min(CPUs, members). Shares 1..W-1
-    run in forked children while this process runs share 0; every child is
-    reaped before an error from any share reaches the caller.
-    """
-    n = len(ensemble)
-    n_shares = min(_cpu_count(), n)
-    shares = [range(k, n, n_shares) for k in range(n_shares)]
-    children = []  # (pid, read end of its pipe), not yet reaped
-    try:
-        for share in shares[1:]:
-            children.append(_fork_share(ensemble, share, mf_config))
-        outcomes = [_share_widths(ensemble, shares[0], mf_config)]
-        while children:
-            pid, pipe = children[0]
-            with pipe:
-                data = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            children.pop(0)
-            if status or not data:
-                code = os.waitstatus_to_exitcode(status)
-                outcomes.append(RuntimeError(
-                    f"surrogate worker {pid} ended without a result (exit status {code})"))
-            else:
-                outcomes.append(pickle.loads(data))
-    finally:
-        if children:
-            import signal  # only here: a clean run never kills a child
-
-            for pid, pipe in children:
-                pipe.close()
-                with contextlib.suppress(ProcessLookupError):
-                    os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    widths: list[float | None] = [None] * n
-    for share, outcome in zip(shares, outcomes):
-        if isinstance(outcome, Exception):
-            raise outcome
-        for i, width in zip(share, outcome):
-            widths[i] = width
-    return widths
-
-
 def surrogate_test(
     series: np.ndarray,
     kind: str = "shuffle",
@@ -228,7 +137,14 @@ def surrogate_test(
     # the original first: its surface fills the detrending-operator cache
     # that forked children inherit
     _, _, spectrum = analyze_segment(x, mf_config)
-    members = _member_widths(make_ensemble(x, kind, n, seed), mf_config)
+
+    def width(member: np.ndarray) -> float | None:
+        try:
+            return analyze_segment(member, mf_config)[2].delta_alpha
+        except NumericalError:
+            return None
+
+    members = fork_map(width, make_ensemble(x, kind, n, seed))
     widths = [w for w in members if w is not None]
     n_failed = n - len(widths)
     if not widths:

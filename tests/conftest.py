@@ -11,12 +11,15 @@ comments next to each assertion:
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from smfdfa import TimeSeries
+from smfdfa import fork as fork_module
 
 
 def make_series(values: np.ndarray, label: str = "test") -> TimeSeries:
@@ -32,6 +35,17 @@ def write_price_csv(path: Path, values, start="2000-01-01") -> Path:
     lines = ["date,price"] + [f"{d},{float(v)}" for d, v in zip(dates, values)]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def cpus(count: int):
+    """Patch the CPU count fork_map reads, the one place it is read, so that
+    surrogate_test and pipeline_compare split their work into `count` shares."""
+    return mock.patch.object(fork_module, "_cpu_count", return_value=count)
+
+
+def assert_no_children() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def integrate_magnitudes(magnitudes: np.ndarray, seed: int = 0, x0: float = 1.0) -> np.ndarray:

@@ -7,6 +7,7 @@ Oracle notes per test are tagged [TRIVIAL] / [DERIVED] as in conftest.py.
 import contextlib
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import make_series
+from conftest import assert_no_children, cpus, make_series
 from smfdfa import forecast
 from smfdfa.errors import InputError, NumericalError
 from smfdfa.forecast import (
@@ -843,6 +844,104 @@ class TestPipelineCompare:
                     kinds.update(r.skipped_reason.split(" ")[0] if r.skipped_reason
                                  else "scored" for r in got)
         assert kinds == {"scored", "local", "need"}
+
+
+# ------------------------------------------------ trainings in forked children
+
+
+def outcome(x: np.ndarray, breaks, **kwargs):
+    """repr of the report, which spells every float exactly (NaN included),
+    or the type, message and last_loss bits of the error raised."""
+    try:
+        return repr(pipeline_compare(x, breaks, **kwargs))
+    except (InputError, NumericalError) as exc:
+        last_loss = getattr(exc, "last_loss", None)
+        return type(exc), str(exc), None if last_loss is None else last_loss.hex()
+
+
+def planted(min_size: int, train):
+    """Patch the trainer so that a training part longer than min_size values
+    is passed to train in its place; every other call runs as before."""
+    def dispatch(series, *args, **kwargs):
+        return (train if series.size > min_size else train_nar)(series, *args, **kwargs)
+
+    return mock.patch.object(forecast, "train_nar", dispatch)
+
+
+@st.composite
+def pipeline_instances(draw):
+    """(series, breaks, keyword arguments, schedule constants, workers):
+    long-memory levels cut at up to three breaks, some of them too close
+    to train on, with damping caps low enough that some trainings fail."""
+    n = draw(st.integers(200, 800), label="n")
+    x = 100.0 + arfima_generate(0.3, n, seed=draw(st.integers(0, 2**16), label="seed"))
+    breaks = sorted(draw(st.lists(st.integers(1, n - 1), max_size=3, unique=True),
+                         label="breaks"))
+    kwargs = dict(
+        p=draw(st.integers(1, 3), label="p"),
+        hidden_units=draw(st.integers(1, 3), label="hidden_units"),
+        methods=draw(st.sampled_from([(METHOD_FD,), (METHOD_LFD,), (METHOD_FD, METHOD_LFD)]),
+                     label="methods"),
+        evaluation=draw(st.sampled_from(EVALUATIONS), label="evaluation"),
+    )
+    constants = dict(
+        MAX_ITERATIONS=draw(st.integers(1, 8), label="max_iterations"),
+        DAMPING_CAP=draw(st.sampled_from([1e10, 1.0]), label="damping_cap"),
+    )
+    return x, breaks, kwargs, constants, draw(st.integers(2, 3), label="workers")
+
+
+class TestForkedTrainings:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(pipeline_instances())
+    def test_result_does_not_depend_on_the_worker_count(self, instance):
+        # [TRIVIAL] every row is trained and scored by the same code in
+        # whichever process runs its share, and the rows go back in row
+        # order: every field and trace, or the error raised, equals the
+        # one-worker outcome
+        x, breaks, kwargs, constants, workers = instance
+        with schedule(**constants):
+            with cpus(1):
+                expected = outcome(x, breaks, **kwargs)
+            with cpus(workers):
+                got = outcome(x, breaks, **kwargs)
+        assert got == expected
+        assert_no_children()
+
+    def test_a_damping_cap_failure_in_a_child_reaches_the_caller(self, longmemory_series,
+                                                                 fast_train):
+        # [TRIVIAL] on two workers the second segment's row runs in the
+        # child, where its training stops at the damping cap; the first
+        # row trains in this process. The NumericalError reaches the caller
+        # with the message and last_loss bits of the serial run
+        def capped(*args, **kwargs):
+            with schedule(DAMPING_CAP=1e-4):  # below DAMPING_INIT: no step is tried
+                return train_nar(*args, **kwargs)
+
+        args = (longmemory_series, [400])
+        with planted(400, capped):
+            with cpus(1):
+                serial = outcome(*args, p=3, hidden_units=4, methods=(METHOD_FD,))
+            with cpus(2):
+                forked = outcome(*args, p=3, hidden_units=4, methods=(METHOD_FD,))
+        assert serial[0] is NumericalError and "damping exceeded cap" in serial[1]
+        assert forked == serial
+        assert_no_children()
+
+    def test_an_input_error_in_a_child_skips_that_row(self, longmemory_series, fast_train):
+        # [TRIVIAL] as above, with an InputError in the child's training:
+        # it becomes the same skipped row as in the serial run
+        def reject(*args, **kwargs):
+            raise InputError("planted")
+
+        with planted(400, reject):
+            with cpus(1):
+                serial = pipeline_compare(longmemory_series, [400], 3, 4, methods=(METHOD_FD,))
+            with cpus(2):
+                forked = pipeline_compare(longmemory_series, [400], 3, 4, methods=(METHOD_FD,))
+        assert repr(forked) == repr(serial)
+        assert [r.skipped_reason for r in forked.rows] == [None, "planted"]
+        assert_no_children()
 
 
 class TestForecastReport:

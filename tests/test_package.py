@@ -15,6 +15,20 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # the process's threads, and the BLAS variables it sees, after an import
 THREADS_AFTER = ("import os, {module}; print(len(os.listdir('/proc/self/task')), "
                  "sorted((v, os.environ[v]) for v in " + repr(BLAS_VARS) + " if v in os.environ))")
+# the threads after import, then whether pipeline_compare's report is the
+# same run serially and in two forked shares, in that one process
+FORKED_BESIDE_BLAS = """
+import os
+from unittest import mock
+from smfdfa import fork, forecast, longmemory
+threads = len(os.listdir('/proc/self/task'))
+x = 100.0 + longmemory.arfima_generate(0.3, 1200, seed=5)
+reports = []
+for count in (1, 2):
+    with mock.patch.object(fork, '_cpu_count', return_value=count):
+        reports.append(repr(forecast.pipeline_compare(x, [600], p=3, hidden_units=4)))
+print(threads, reports[0] == reports[1])
+"""
 needs_proc_and_fork = pytest.mark.skipif(
     not Path("/proc/self/task").is_dir() or not hasattr(os, "fork"),
     reason="counts threads in /proc/self/task; the pin matters only where members fork")
@@ -246,11 +260,12 @@ def test_all_lists_exactly_the_imported_names():
 
 def run_python(args: list[str], cwd: Path | None = None, **blas_vars: str) -> str:
     """stdout of a Python subprocess that imports this checkout's smfdfa,
-    with only the given BLAS variables set."""
+    with only the given BLAS variables set; one that runs past a minute,
+    such as a child hung beside a BLAS pool, fails the test."""
     env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], env={**env, **blas_vars}, cwd=cwd,
-                          capture_output=True, text=True, check=True).stdout
+                          capture_output=True, text=True, check=True, timeout=60).stdout
 
 
 @needs_proc_and_fork
@@ -284,3 +299,11 @@ def test_surrogate_outputs_do_not_depend_on_blas_threads(tmp_path):
         digests.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                         for p in sorted((tmp_path / threads).iterdir())})
     assert "surrogate.json" in digests[0] and digests[0] == digests[1]
+
+
+@needs_proc_and_fork
+def test_forked_trainings_beside_a_live_blas_pool():
+    # [TRIVIAL] with a two-thread BLAS pool running, rows trained in a
+    # forked child equal the rows trained in-process, and no child hangs
+    threads, same = run_python(["-c", FORKED_BESIDE_BLAS], OPENBLAS_NUM_THREADS="2").split()
+    assert int(threads) > 1 and same == "True"

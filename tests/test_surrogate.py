@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_no_children, cpus
 from smfdfa import surrogate as surrogate_module
 from smfdfa.errors import InputError, NumericalError
 from smfdfa.mfdfa import MfdfaConfig, _detrending_operator, default_scale_grid, generate_cascade
@@ -37,16 +38,6 @@ def ar1(n: int, phi: float, seed: int) -> np.ndarray:
 def lag_autocorr(values: np.ndarray, lag: int) -> float:
     v = values - values.mean()
     return float(np.dot(v[lag:], v[:-lag]) / np.dot(v, v))
-
-
-def cpus(count: int):
-    """Patch the CPU count surrogate_test reads, the one place it is read."""
-    return mock.patch.object(surrogate_module, "_cpu_count", return_value=count)
-
-
-def assert_no_children() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------- shuffle
@@ -409,6 +400,23 @@ class TestForkedMembers:
 
         with failing_member(x, 9, member, fail), cpus(workers):
             with pytest.raises(ValueError, match=f"planted in member {member}"):
+                surrogate_test(x, "shuffle", 11, seed=9)
+        assert_no_children()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_the_lowest_failing_member_raises_on_any_worker_count(self, workers):
+        # [TRIVIAL] members 1 and 2 both raise; the serial loop stops at
+        # member 1, and so does every worker count, although on two workers
+        # member 2 fails in this process while member 1 fails in the child
+        x = np.abs(ar1(1024, 0.5, seed=4)) + 1e-6
+
+        def fail(member):
+            def raise_error():
+                raise ValueError(f"planted in member {member}")
+            return raise_error
+
+        with failing_member(x, 9, 1, fail(1)), failing_member(x, 9, 2, fail(2)), cpus(workers):
+            with pytest.raises(ValueError, match="planted in member 1"):
                 surrogate_test(x, "shuffle", 11, seed=9)
         assert_no_children()
 

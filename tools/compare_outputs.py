@@ -18,7 +18,7 @@ differs -- for JSON the key paths, for CSV the columns and the first
 differing row, otherwise the file names. The last line counts the jobs.
 The exit code is 0 when every job is identical and 1 otherwise.
 
-The full list holds 439 jobs: benchmark seeds 0-9 of all three perfbench
+The full list holds 443 jobs: benchmark seeds 0-9 of all three perfbench
 workloads (7 inputs each, as perfbench runs them) plus change-point, forecast,
 surrogate and subcommand jobs on analyze_regimes input seeds 0, 371 and
 400, on one forecast_memory_switch input and on a series with a flat
@@ -47,7 +47,9 @@ and arfima with finite flags whose series overflows; and forecast with
 the retired --scale differenced, with --evaluation holdout, with a
 --config file setting p and hidden_units, with --p 0 and --hidden 0, with
 --seed 3, with a break list holding empty tokens (--breaks manual:600,,),
-and with --method fd and with --method lfd in both --format values; and
+with --method fd and with --method lfd in both --format values, and with
+--breaks manual:400,800 (three regimes) under the default methods and
+under --method fd, in both --format values; and
 forecast --method lfd on 100 prices and on 600 constant prices, whose
 global memory estimate fails. The
 `synth/step/nan` job exits 2, since synth rejects a non-finite --sigma,
@@ -320,6 +322,12 @@ def build_jobs(kind: str, inputs: Path) -> list[dict]:
         for fmt in FORMATS:
             add(f"forecast/0/{method}/{fmt}",
                 [argv[0], path, *argv[1:], "--method", method, "--format", fmt])
+    # three regimes: 6 rows to train under the default methods, 3 (an odd
+    # count) under fd
+    for label, flags in (("breaks3", []), ("breaks3/fd", ["--method", "fd"])):
+        for fmt in FORMATS:
+            add(f"forecast/0/{label}/{fmt}", [argv[0], path, *argv[1:], "--breaks",
+                                             "manual:400,800", *flags, "--format", fmt])
     # series whose global memory estimate fails: too short, and constant
     short = inputs / "short.csv"
     workloads.write_price_csv(short, workloads.prices_from_returns(
