@@ -9,7 +9,8 @@ LFD-NAR forecasting comparison.
 
 Importing it loads NumPy with one BLAS thread unless the caller set a BLAS
 variable or loaded NumPy first: surrogate_test and pipeline_compare fork
-a process per CPU, and a BLAS pool in each would oversubscribe them.
+a process per CPU, which they do only from a process that runs one OS
+thread, and a BLAS pool in each would oversubscribe them.
 """
 
 import os

@@ -75,12 +75,10 @@ SYNTH_START_DATE = np.datetime64("2000-01-01")
 # the longest series synth writes: each generator allocates its whole series
 # at once (fgn a 2n-point circulant), so a longer one could exhaust memory
 MAX_SYNTH_LENGTH = 2**22
-# every key a --config file may hold; one set for all subcommands, so that
-# one file serves every command
-CONFIG_KEYS = frozenset({
-    "q_grid", "scale_grid", "detrend_order", "regression_range", "penalty",
-    "max_breaks", "min_segment", "p", "hidden_units",
-})
+# every key a --config file may hold: the MF-DFA grids, which have no flag
+# (every scalar setting is a flag); one set for all subcommands, so that one
+# file serves every command
+CONFIG_KEYS = frozenset({"q_grid", "scale_grid", "regression_range"})
 Run = tuple[dict, dict, dict, str]  # a handler's (config, docs, tables, summary)
 
 
@@ -93,24 +91,29 @@ def _add_common(p: argparse.ArgumentParser, reads_input: bool = True):
     p.add_argument("--out", default="smfdfa_out", help="output directory")
     p.add_argument("--seed", type=int, default=0)
     if reads_input:
-        p.add_argument("--config", default=None, help="JSON file overriding analysis defaults")
+        p.add_argument("--config", default=None,
+                       help="JSON file of MF-DFA grids: q_grid, scale_grid, regression_range")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
-def _add_mf_flags(p: argparse.ArgumentParser):
-    p.add_argument("--detrend-order", type=int, default=None)
-    p.add_argument(
-        "--transform",
-        choices=("returns", "values"),
-        default="returns",
-        help="analyze absolute log returns of the column, or its raw values",
-    )
+def _add_detrend_order(p: argparse.ArgumentParser):
+    p.add_argument("--detrend-order", type=int, default=MfdfaConfig.detrend_order,
+                   help="MF-DFA detrending polynomial order (default: %(default)s)")
+
+
+def _add_transform(p: argparse.ArgumentParser):
+    p.add_argument("--transform", choices=("returns", "values"), default="returns",
+                   help="analyze absolute log returns of the column, or its raw values "
+                        "(default: %(default)s)")
 
 
 def _add_cp_flags(p: argparse.ArgumentParser):
-    p.add_argument("--penalty", type=float, default=None)
-    p.add_argument("--min-segment", type=int, default=None)
-    p.add_argument("--max-breaks", type=int, default=None)
+    p.add_argument("--penalty", type=float, default=None,
+                   help="change-point penalty per break (default: automatic)")
+    p.add_argument("--min-segment", type=int, default=ChangePointConfig.min_segment,
+                   help="fewest samples in a regime (default: %(default)s)")
+    p.add_argument("--max-breaks", type=int, default=None,
+                   help="most breaks to place (default: uncapped)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full pipeline: stats, breaks, per-segment spectra")
     _add_common(p)
     # no --transform: analyze always segments the fluctuation series
-    p.add_argument("--detrend-order", type=int, default=None)
+    _add_detrend_order(p)
     _add_cp_flags(p)
     p.add_argument("--surrogates", type=int, default=0, help="surrogate count (0 disables)")
     p.add_argument("--surrogate-kind", choices=KINDS, default="shuffle")
@@ -130,20 +133,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("changepoints", help="change-point detection only")
     _add_common(p)
     _add_cp_flags(p)
-    p.add_argument(
-        "--transform", choices=("returns", "values"), default="returns",
-        help="detect on absolute log returns, or on the raw values",
-    )
+    _add_transform(p)
     p.set_defaults(handler=cmd_changepoints)
 
     p = sub.add_parser("mfdfa", help="whole-series MF-DFA, no segmentation")
     _add_common(p)
-    _add_mf_flags(p)
+    _add_detrend_order(p)
+    _add_transform(p)
     p.set_defaults(handler=cmd_mfdfa)
 
     p = sub.add_parser("surrogate", help="spectrum-width surrogate comparison")
     _add_common(p)
-    _add_mf_flags(p)
+    _add_detrend_order(p)
+    _add_transform(p)
     p.add_argument("--kind", choices=KINDS, default="shuffle")
     p.add_argument("--n", type=int, default=20, help="number of surrogates")
     p.set_defaults(handler=cmd_surrogate)
@@ -156,8 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--breaks", default="auto",
         help="'auto' (detect), 'none', or 'manual:i,j,...' (0-based value offsets)",
     )
-    p.add_argument("--p", type=int, default=None, help="autoregressive lags")
-    p.add_argument("--hidden", type=int, default=None, help="hidden units")
+    p.add_argument("--p", type=int, default=DEFAULT_LAGS,
+                   help="autoregressive lags (default: %(default)s)")
+    p.add_argument("--hidden", type=int, default=DEFAULT_HIDDEN,
+                   help="hidden units (default: %(default)s)")
     p.add_argument("--evaluation", choices=EVALUATIONS, default="in-sample",
                    help="score the training window, or only a held-out final 20%%")
     p.set_defaults(handler=cmd_forecast)
@@ -206,15 +210,6 @@ def _load_config_file(args) -> dict:
     return cfg
 
 
-def _checked(key: str, value, convert):
-    """convert(value) for a config-file value; a malformed value is an input
-    error that names its key."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"config key {key!r} has a bad value {value!r}: {exc}") from exc
-
-
 def _number(value):
     """A JSON number, kept as given so the config echo shows it unchanged;
     a boolean or a string is rejected."""
@@ -233,18 +228,16 @@ def _integer(value):
     return value
 
 
-def _pick(flag_value, file_cfg: dict, key: str, default, convert):
-    if flag_value is not None:
-        return flag_value
-    if file_cfg.get(key) is not None:
-        return _checked(key, file_cfg[key], convert)
-    return default
-
-
 def _grid(file_cfg: dict, key: str, convert, default=None):
-    """A config-file list as a tuple of convert(item); absent or empty means default."""
+    """A config-file list as a tuple of convert(item); absent or empty means
+    default, and a malformed list is an input error that names its key."""
     items = file_cfg.get(key)
-    return _checked(key, items, lambda v: tuple(convert(x) for x in v)) if items else default
+    if not items:
+        return default
+    try:
+        return tuple(convert(x) for x in items)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"config key {key!r} has a bad value {items!r}: {exc}") from exc
 
 
 def _mf_config(args, file_cfg: dict) -> MfdfaConfig:
@@ -253,8 +246,7 @@ def _mf_config(args, file_cfg: dict) -> MfdfaConfig:
     cfg = MfdfaConfig(
         q_grid=_grid(file_cfg, "q_grid", _number, MfdfaConfig.q_grid),
         scale_grid=_grid(file_cfg, "scale_grid", _integer),
-        detrend_order=_pick(args.detrend_order, file_cfg, "detrend_order",
-                            MfdfaConfig.detrend_order, _integer),
+        detrend_order=args.detrend_order,
         regression_range=_grid(file_cfg, "regression_range", _number),
     )
     if len(cfg.q_grid) < MIN_SPECTRUM_Q:
@@ -262,13 +254,9 @@ def _mf_config(args, file_cfg: dict) -> MfdfaConfig:
     return cfg
 
 
-def _cp_config(args, file_cfg: dict) -> ChangePointConfig:
-    return ChangePointConfig(
-        penalty=_pick(args.penalty, file_cfg, "penalty", None, _number),
-        max_breaks=_pick(args.max_breaks, file_cfg, "max_breaks", None, _integer),
-        min_segment=_pick(args.min_segment, file_cfg, "min_segment",
-                          ChangePointConfig.min_segment, _integer),
-    )
+def _cp_config(args) -> ChangePointConfig:
+    return ChangePointConfig(penalty=args.penalty, max_breaks=args.max_breaks,
+                             min_segment=args.min_segment)
 
 
 def _load_series(args):
@@ -324,7 +312,7 @@ def _transformed(series, transform: str = "returns"):
 
 def cmd_analyze(args, file_cfg: dict, series) -> Run:
     mf_cfg = _mf_config(args, file_cfg)
-    cp_cfg = _cp_config(args, file_cfg)
+    cp_cfg = _cp_config(args)
 
     flucts, timestamps = _transformed(series)
     stats = describe(flucts)
@@ -388,7 +376,7 @@ def cmd_analyze(args, file_cfg: dict, series) -> Run:
 
 
 def cmd_changepoints(args, file_cfg: dict, series) -> Run:
-    cp_cfg = _cp_config(args, file_cfg)
+    cp_cfg = _cp_config(args)
     values, timestamps = _transformed(series, args.transform)
     result = detect_multiple(values, cp_cfg)
     return (asdict(result.config_used),
@@ -450,18 +438,16 @@ def _parse_breaks(args, series, cp_cfg) -> list[int]:
 
 
 def cmd_forecast(args, file_cfg: dict, series) -> Run:
-    cp_cfg = _cp_config(args, file_cfg)
+    cp_cfg = _cp_config(args)
     breaks = _parse_breaks(args, series, cp_cfg)
     methods = {"both": (METHOD_FD, METHOD_LFD), "fd": (METHOD_FD,),
                "lfd": (METHOD_LFD,)}[args.method]
-    p = _pick(args.p, file_cfg, "p", DEFAULT_LAGS, _integer)
-    hidden = _pick(args.hidden, file_cfg, "hidden_units", DEFAULT_HIDDEN, _integer)
     report = pipeline_compare(
-        series, breaks, p=p, hidden_units=hidden, seed=args.seed,
+        series, breaks, p=args.p, hidden_units=args.hidden, seed=args.seed,
         methods=methods, evaluation=args.evaluation,
     )
     config_snapshot = {
-        "p": p, "hidden_units": hidden, "methods": list(methods),
+        "p": args.p, "hidden_units": args.hidden, "methods": list(methods),
         "breaks": breaks, "evaluation": args.evaluation,
         "changepoint": asdict(cp_cfg),
     }

@@ -11,9 +11,10 @@ absolute percentage error on the reintegrated price levels.
 Every network the pipelines train stops early on a validation block cut
 from the end of its training part. pipeline_compare estimates and
 differences every input first, then trains and scores its rows with
-fork.fork_map, one share of them per CPU the process may run on; each row
-is computed by the same code wherever it runs, so the report does not
-depend on the CPU count.
+fork.fork_map, one share of them per CPU the process may run on, or all
+in-process where it runs more than one OS thread (a BLAS pool NumPy
+started before smfdfa was imported); each row is computed by the same code
+wherever it runs, so the report does not depend on the CPU count.
 """
 
 from __future__ import annotations

@@ -1,7 +1,10 @@
 """One function over a sequence of items in forked processes, one share of
 the items per CPU the process may run on, with the results and the error
 of a serial loop whatever the CPU count. Children inherit the caller's
-memory, so only results and exceptions are pickled."""
+memory, so only results and exceptions are pickled. Only a process that
+runs one OS thread forks: fork copies the calling thread alone, and a BLAS
+pool NumPy started before smfdfa would run beside each child's. Any other,
+or one with no /proc to count its threads in (macOS), runs serially."""
 
 import contextlib
 import os
@@ -10,12 +13,12 @@ from collections.abc import Callable, Sequence
 
 
 def _cpu_count() -> int:
-    """CPUs this process may run on; 1 where it cannot fork."""
-    if not hasattr(os, "fork"):
+    """CPUs this process may run on; 1 where it should not fork."""
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
         return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0)) if threads == 1 else 1
 
 
 def _run_share(fn: Callable, items: Sequence, share: range):

@@ -11,7 +11,7 @@ surrogate_test analyses the members with fork.fork_map, in forked
 processes, one share per CPU the process may run on; each member is built
 from its own seed, in the process that analyses it, so the result does not
 depend on the CPU count, and a process confined to one CPU (taskset -c 0)
-runs them all in-process.
+or running more than one OS thread runs them all in-process.
 """
 
 from __future__ import annotations

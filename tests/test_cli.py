@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 from conftest import write_price_csv
-from smfdfa import hurst_dfa, load_csv, to_fluctuations
+from smfdfa import ChangePointConfig, MfdfaConfig, hurst_dfa, load_csv, to_fluctuations
 from smfdfa.cli import main
+from smfdfa.forecast import DEFAULT_HIDDEN, DEFAULT_LAGS
 
 
 def read_csv_rows(path: Path) -> list[dict]:
@@ -147,9 +148,7 @@ class TestErrorPaths:
                                                               capsys):
         # each once exited 2 as "no segment was long enough to train on",
         # after every row had been skipped with this message
-        cfg = tmp_path / "p0.json"
-        cfg.write_text(json.dumps({"p": 0}))
-        for flags in (["--p", "0"], ["--p", "-2"], ["--hidden", "0"], ["--config", str(cfg)]):
+        for flags in (["--p", "0"], ["--p", "-2"], ["--hidden", "0"]):
             code = main(["forecast", str(price_csv), "--breaks", "manual:300", *flags,
                          "--out", str(tmp_path / "o")])
             assert code == 2, flags
@@ -165,7 +164,8 @@ class TestErrorPaths:
         # key, not tracebacks or silently ignored settings (there is one
         # change-point cost and one search, so "statistic" and "cp_method"
         # are not keys)
-        for key, value in (("q_grid", ["a", 1]), ("min_segment", "x"), ("penalty", "high"),
+        for key, value in (("q_grid", ["a", 1]), ("scale_grid", "x"),
+                           ("regression_range", "high"),
                            ("qgrid", [1, 2, 3]), ("statistic", "mean-only"),
                            ("cp_method", "exact-dp")):
             cfg = tmp_path / f"{key}.json"
@@ -193,39 +193,38 @@ class TestErrorPaths:
                 assert not out.exists()
 
     def test_integer_keys_reject_fractions_bools_and_strings(self, price_csv, tmp_path, capsys):
-        # int() once truncated "detrend_order": 1.5 to 1 and echoed 1
-        cases = (
-            ("detrend_order", 1.5, ["mfdfa"]),
-            ("detrend_order", True, ["mfdfa"]),
-            ("scale_grid", [16, 32.5, 64, 128], ["mfdfa"]),
-            ("min_segment", "64", ["changepoints"]),
-            ("max_breaks", 2.5, ["changepoints"]),
-            ("p", 3.5, ["forecast", "--breaks", "none"]),
-            ("hidden_units", False, ["forecast", "--breaks", "none"]),
-        )
-        for key, value, argv in cases:
-            path = tmp_path / f"{key}.json"
-            path.write_text(json.dumps({key: value}))
-            assert main([argv[0], str(price_csv), *argv[1:], "--config", str(path),
-                         "--out", str(tmp_path / "o")]) == 2, key
-            assert (f"input error: config key {key!r} has a bad value {value!r}: "
-                    "expected an integer" in capsys.readouterr().err), key
+        # int() once truncated a config file's 1.5 to 1 and echoed 1
+        for value in ([16, 32.5, 64, 128], [16, True, 64, 128], [16, "32", 64, 128]):
+            path = tmp_path / "scale_grid.json"
+            path.write_text(json.dumps({"scale_grid": value}))
+            assert main(["mfdfa", str(price_csv), "--config", str(path),
+                         "--out", str(tmp_path / "o")]) == 2, value
+            assert (f"input error: config key 'scale_grid' has a bad value {value!r}: "
+                    "expected an integer" in capsys.readouterr().err), value
             assert not (tmp_path / "o").exists()
-        # integral values, written as integers or not, keep their echo
+        # the integer flags take only integers, as usage errors
+        for argv in (["mfdfa", "--detrend-order", "1.5"], ["changepoints", "--min-segment", "x"],
+                     ["changepoints", "--max-breaks", "2.5"],
+                     ["forecast", "--breaks", "none", "--p", "3.5"],
+                     ["forecast", "--breaks", "none", "--hidden", "False"]):
+            with pytest.raises(SystemExit) as exc:
+                main([argv[0], str(price_csv), *argv[1:], "--out", str(tmp_path / "o")])
+            assert exc.value.code == 2, argv
+            assert f"{argv[-2]}: invalid int value" in capsys.readouterr().err, argv
+            assert not (tmp_path / "o").exists()
+        # integral values, written as integers or not, are echoed as integers
         path = tmp_path / "integral.json"
-        path.write_text(json.dumps({"detrend_order": 2.0, "scale_grid": [16, 32.0, 64, 128]}))
+        path.write_text(json.dumps({"scale_grid": [16, 32.0, 64, 128]}))
         assert main(["mfdfa", str(price_csv), "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 0
-        text = (tmp_path / "o" / "manifest.json").read_text()
-        assert '"detrend_order": 2,' in text
-        assert json.loads(text)["config"]["scale_grid"] == [16, 32, 64, 128]
+        grid = json.loads((tmp_path / "o" / "manifest.json").read_text())["config"]["scale_grid"]
+        assert grid == [16, 32, 64, 128] and {type(s) for s in grid} == {int}
 
     def test_number_keys_reject_bools_and_strings(self, price_csv, tmp_path, capsys):
-        # bool is a subclass of int: {"penalty": true} once ran with 0 breaks
+        # bool is a subclass of int: a penalty of true once ran with 0 breaks
         # and echoed true, and q_grid items went through float(), so true
         # and "1" ran as 1.0
         cases = (
-            ("penalty", True, ["changepoints"]),
             ("regression_range", [False, 100], ["mfdfa"]),
             ("q_grid", [-2, -1, True, 2, 3], ["mfdfa"]),
             ("q_grid", ["-2", "-1", "1", "2", "3"], ["analyze"]),
@@ -238,6 +237,33 @@ class TestErrorPaths:
             assert (f"input error: config key {key!r} has a bad value {value!r}: "
                     "expected a number" in capsys.readouterr().err), (key, value)
             assert not (tmp_path / "o").exists()
+        with pytest.raises(SystemExit) as exc:  # the penalty is a flag
+            main(["changepoints", str(price_csv), "--penalty", "True",
+                  "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "--penalty: invalid float value: 'True'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value, argv", [
+        ("detrend_order", 2, ["mfdfa"]),
+        ("penalty", 0.5, ["changepoints"]),
+        ("max_breaks", 2, ["changepoints"]),
+        ("min_segment", 64, ["changepoints"]),
+        ("p", 3, ["forecast", "--breaks", "none"]),
+        ("hidden_units", 6, ["forecast", "--breaks", "none"]),
+    ])
+    def test_scalar_settings_are_flags_not_config_keys(self, key, value, argv, price_csv,
+                                                       tmp_path, capsys):
+        # each scalar setting has one way in, its flag; a file naming one
+        # is rejected as the retired cp_method key is, not run without it
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        assert main([argv[0], str(price_csv), *argv[1:], "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: config key {key!r} is not known "
+            "(known keys: q_grid, regression_range, scale_grid)\n")
+        assert not (tmp_path / "o").exists()
 
     def test_overflowing_window_variance_exits_3(self, tmp_path, capsys):
         # values near 1e155 once printed overflow RuntimeWarnings and exited
@@ -642,6 +668,24 @@ class TestOutputs:
         assert manifest["format"] == fmt
         assert {p.name for p in out.iterdir()} == expected | {"manifest.json"}
 
+    @pytest.mark.parametrize("argv, defaults", [
+        (["analyze"], ["--detrend-order", MfdfaConfig.detrend_order,
+                       "--min-segment", ChangePointConfig.min_segment]),
+        (["changepoints"], ["--min-segment", ChangePointConfig.min_segment]),
+        (["forecast", "--method", "fd"], ["--min-segment", ChangePointConfig.min_segment,
+                                          "--p", DEFAULT_LAGS, "--hidden", DEFAULT_HIDDEN]),
+    ])
+    def test_scalar_flags_at_their_defaults_write_the_same_bytes(self, argv, defaults,
+                                                                 price_csv, tmp_path, capsys):
+        # [TRIVIAL] the defaults live in the parser: naming each flag with
+        # the library's default changes no output, the echo included
+        runs = []
+        for k, flags in enumerate(([], [str(v) for v in defaults])):
+            out = tmp_path / f"o{k}"
+            assert main([argv[0], str(price_csv), *argv[1:], *flags, "--out", str(out)]) == 0
+            runs.append((capsys.readouterr().out, tree_digest(out)))
+        assert runs[0] == runs[1]
+
     def test_regime_hurst_and_spectrum_match_mfdfa(self, price_csv, tmp_path):
         # with no break the one regime is the whole fluctuation series, and
         # analyze reports its hurst and spectrum as mfdfa does
@@ -714,11 +758,9 @@ class TestChangepoints:
         rows = read_csv_rows(outs["changepoints"] / "changepoints.csv")
         assert [row["timestamp"] for row in rows] == [dates[f + 1] for f in offsets]
 
-    def test_config_file_overrides_defaults(self, tmp_path, price_csv):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"min_segment": 64}))
+    def test_flags_override_defaults(self, tmp_path, price_csv):
         out = tmp_path / "o"
-        assert main(["changepoints", str(price_csv), "--config", str(cfg),
+        assert main(["changepoints", str(price_csv), "--min-segment", "64",
                      "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["min_segment"] == 64

@@ -29,6 +29,21 @@ for count in (1, 2):
         reports.append(repr(forecast.pipeline_compare(x, [600], p=3, hidden_units=4)))
 print(threads, reports[0] == reports[1])
 """
+# the threads after `{first}` is imported first, then the pids an unpatched
+# fork_map of two items ran in, whether the first is the process's own, and
+# whether a child is left
+PIDS_AFTER = """
+import {first}, os
+from smfdfa import fork
+threads = len(os.listdir('/proc/self/task'))
+pids = fork.fork_map(lambda _: os.getpid(), range(2))
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = True
+except ChildProcessError:
+    left = False
+print(threads, len(set(pids)), pids[0] == os.getpid(), left)
+"""
 needs_proc_and_fork = pytest.mark.skipif(
     not Path("/proc/self/task").is_dir() or not hasattr(os, "fork"),
     reason="counts threads in /proc/self/task; the pin matters only where members fork")
@@ -307,3 +322,22 @@ def test_forked_trainings_beside_a_live_blas_pool():
     # forked child equal the rows trained in-process, and no child hangs
     threads, same = run_python(["-c", FORKED_BESIDE_BLAS], OPENBLAS_NUM_THREADS="2").split()
     assert int(threads) > 1 and same == "True"
+
+
+@needs_proc_and_fork
+def test_a_process_running_a_blas_pool_does_not_fork():
+    # NumPy imported first starts its BLAS pool before smfdfa can pin it;
+    # forking beside it ran the trainings many times slower, so every item
+    # runs in the process
+    threads, pids = run_python(["-c", PIDS_AFTER.format(first="numpy")]).split(maxsplit=1)
+    assert pids == "1 True False\n"
+    assert int(threads) > 1 or len(os.sched_getaffinity(0)) == 1
+
+
+@needs_proc_and_fork
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda _: ())(0)) < 2,
+                    reason="one CPU runs every item in the process")
+def test_a_one_thread_process_forks_one_share_per_cpu():
+    # smfdfa imported first pins BLAS to one thread, so the process runs
+    # one OS thread and its second item runs in a forked child
+    assert run_python(["-c", PIDS_AFTER.format(first="smfdfa")]) == "1 2 True False\n"

@@ -18,18 +18,22 @@ differs -- for JSON the key paths, for CSV the columns and the first
 differing row, otherwise the file names. The last line counts the jobs.
 The exit code is 0 when every job is identical and 1 otherwise.
 
-The full list holds 443 jobs: benchmark seeds 0-9 of all three perfbench
+The full list holds 444 jobs: benchmark seeds 0-9 of all three perfbench
 workloads (7 inputs each, as perfbench runs them) plus change-point, forecast,
 surrogate and subcommand jobs on analyze_regimes input seeds 0, 371 and
 400, on one forecast_memory_switch input and on a series with a flat
-regime, mostly in both --format values, and two rejected --config files,
-one with a bad value and one naming the retired `cp_method` key. mfdfa,
-surrogate and analyze each run four --config files of MF-DFA keys: a
-q_grid, a q_grid without q = 2 (so that analyze fits each regime's DFA
-Hurst exponent in a pass of its own), a scale_grid and a
-regression_range. analyze also runs five more on analyze_regimes input
-0: one each setting detrend_order, penalty, max_breaks and min_segment,
-and one that combines MF-DFA and change-point keys. Surrogate jobs whose
+regime, mostly in both --format values, and three rejected --config files:
+one with a boolean q_grid item (mfdfa), one naming the retired `cp_method`
+key, and one naming all six scalar settings (analyze), which are flags
+only; a tree that still reads them from a file exits 0 there, an exit-code
+difference under the same label. A
+--config file holds only the MF-DFA grids. mfdfa, surrogate and analyze
+each run four of them: a q_grid, a q_grid without q = 2 (so that analyze
+fits each regime's DFA Hurst exponent in a pass of its own), a scale_grid
+and a regression_range. analyze also runs five more on analyze_regimes
+input 0, labelled `config` as when they were files: one flag each of
+--detrend-order, --penalty, --max-breaks and --min-segment, and a q_grid
+file together with all four. Surrogate jobs whose
 member count does not divide by a small CPU count run surrogate --n 11 (shuffle) and --kind phase --n 13
 on surrogate_cascade input 0 and analyze --surrogates 11 on
 analyze_regimes input 0, in both --format values. The 18
@@ -44,8 +48,8 @@ blank lines, short and extra columns, a repeated header name, another date
 format or column names), under a file name CSV must quote, and with a bad
 row or a non-UTF-8 byte late in the file; every synth kind, and fgn, step
 and arfima with finite flags whose series overflows; and forecast with
-the retired --scale differenced, with --evaluation holdout, with a
---config file setting p and hidden_units, with --p 0 and --hidden 0, with
+the retired --scale differenced, with --evaluation holdout, with --p 3
+--hidden 6 (labelled `config`), with --p 0 and --hidden 0, with
 --seed 3, with a break list holding empty tokens (--breaks manual:600,,),
 with --method fd and with --method lfd in both --format values, and with
 --breaks manual:400,800 (three regimes) under the default methods and
@@ -56,8 +60,8 @@ global memory estimate fails. The
 and so do the three `overflow` jobs, the two forecast jobs with a
 setting of 0, the one on 100 prices, `forecast/0/differenced` (forecasts
 are scored on price levels only, so --scale is an unknown flag) and
-`forecast/0/breaks_empty_token` (an empty token cannot be parsed); the
-one on constant prices exits 3.
+`forecast/0/breaks_empty_token` (an empty token cannot be parsed) and the
+three rejected --config files; the one on constant prices exits 3.
 The toy list runs a few jobs on toy-size inputs in seconds; the
 self-tests use it.
 """
@@ -99,8 +103,10 @@ CP_SETTINGS = {
     "pen0": ["--penalty", "0"],
     "binseg": ["--cp-method", "binary-segmentation"],
 }
-CONFIG = {"min_segment": 64, "max_breaks": 3, "detrend_order": 2}
-FORECAST_CONFIG = {"p": 3, "hidden_units": 6}
+# scalar settings these jobs once set through a --config file, now flags
+# under the same job labels
+CONFIG_FLAGS = ["--min-segment", "64", "--max-breaks", "3", "--detrend-order", "2"]
+FORECAST_CONFIG_FLAGS = ["--p", "3", "--hidden", "6"]
 # MF-DFA settings that mfdfa, surrogate and analyze read from a --config file
 MF_CONFIGS = {
     "q_grid": {"q_grid": [-4, -2, -1, 0.5, 1, 2, 4]},
@@ -108,17 +114,23 @@ MF_CONFIGS = {
     "scale_grid": {"scale_grid": [16, 24, 32, 48, 64, 96, 128]},
     "regression_range": {"regression_range": [20, 200]},
 }
-# settings that only analyze runs from a --config file: one key each, and
-# MF-DFA and change-point keys together (a penalty of 0.0001 gives 45
-# breaks on analyze_regimes input 0, where the default gives 3)
+# settings that only analyze runs, as (--config file or None, flags): one
+# flag each, and a q_grid file together with MF-DFA and change-point flags
+# (a penalty of 0.0001 gives 45 breaks on analyze_regimes input 0, where the
+# default gives 3)
 ANALYZE_CONFIGS = {
-    "detrend_order": {"detrend_order": 3},
-    "penalty": {"penalty": 0.0001},
-    "max_breaks": {"max_breaks": 2},
-    "min_segment": {"min_segment": 2100},
-    "combined": {"q_grid": [-3, -1, 1, 2, 3, 5], "detrend_order": 2, "penalty": 0.00003,
-                 "max_breaks": 5, "min_segment": 48},
+    "detrend_order": (None, ["--detrend-order", "3"]),
+    "penalty": (None, ["--penalty", "0.0001"]),
+    "max_breaks": (None, ["--max-breaks", "2"]),
+    "min_segment": (None, ["--min-segment", "2100"]),
+    "combined": ({"q_grid": [-3, -1, 1, 2, 3, 5]},
+                 ["--detrend-order", "2", "--penalty", "0.00003", "--max-breaks", "5",
+                  "--min-segment", "48"]),
 }
+# a --config file naming every scalar setting: the settings are flags, so
+# it exits 2
+REMOVED_KEYS = {"detrend_order": 2, "penalty": 0.0001, "max_breaks": 2, "min_segment": 64,
+                "p": 3, "hidden_units": 6}
 # change-point jobs on a 20480-return series of four 5120-sample regimes
 # (analyze_regimes' sigmas), where the DP prunes thousands of starts
 LONG_REGIME = 5120
@@ -227,16 +239,13 @@ def build_jobs(kind: str, inputs: Path) -> list[dict]:
     def add(name: str, argv: list[str]):
         jobs.append({"name": name, "argv": argv})
 
-    config = inputs / "config.json"
-    config.write_text(json.dumps(CONFIG))
     if toy:
         path, argv = prepare("analyze_regimes", 0)
         add("toy/analyze", [argv[0], path, *argv[1:]])
         for fmt in FORMATS:
             add(f"toy/changepoints/values/{fmt}",
                 ["changepoints", path, "--transform", "values", "--format", fmt])
-        add("toy/analyze/config/json",
-            ["analyze", path, "--config", str(config), "--format", "json"])
+        add("toy/analyze/config/json", ["analyze", path, *CONFIG_FLAGS, "--format", "json"])
         return jobs
     for workload in ("analyze_regimes", "surrogate_cascade", "forecast_memory_switch"):
         for seed in BENCH_SEEDS:
@@ -256,8 +265,7 @@ def build_jobs(kind: str, inputs: Path) -> list[dict]:
                                  ("binseg", ["--cp-method", "binary-segmentation"])):
                 add(f"changepoints/{input_seed}/values/{label}/{fmt}",
                     ["changepoints", path, "--transform", "values", *flags, *tail])
-            add(f"analyze/{input_seed}/config/{fmt}",
-                ["analyze", path, "--config", str(config), *tail])
+            add(f"analyze/{input_seed}/config/{fmt}", ["analyze", path, *CONFIG_FLAGS, *tail])
     path, _ = prepare("analyze_regimes", 0)
     for fmt in FORMATS:
         add(f"mfdfa/0/{fmt}", ["mfdfa", path, "--format", fmt])
@@ -275,16 +283,22 @@ def build_jobs(kind: str, inputs: Path) -> list[dict]:
                              ("phase/n13", ["--kind", "phase", "--n", "13"])):
             add(f"surrogate/cascade/{label}/{fmt}",
                 [cascade_argv[0], cascade, *cascade_argv[1:], *flags, "--format", fmt])
-    for label, file_config in {**MF_CONFIGS, **ANALYZE_CONFIGS}.items():
+    def config_file(label: str, file_config: dict) -> list[str]:
         config_path = inputs / f"config_{label}.json"
         config_path.write_text(json.dumps(file_config))
-        commands = ("mfdfa", "surrogate", "analyze") if label in MF_CONFIGS else ("analyze",)
-        for command in commands:
-            add(f"{command}/0/config/{label}", [command, path, "--config", str(config_path)])
-    for label, bad in (("bad_config", {"penalty": True}), ("cp_method", {"cp_method": "exact-dp"})):
-        bad_config = inputs / f"{label}.json"
-        bad_config.write_text(json.dumps(bad))
-        add(f"changepoints/0/{label}", ["changepoints", path, "--config", str(bad_config)])
+        return ["--config", str(config_path)]
+
+    for label, file_config in MF_CONFIGS.items():
+        for command in ("mfdfa", "surrogate", "analyze"):
+            add(f"{command}/0/config/{label}", [command, path, *config_file(label, file_config)])
+    for label, (file_config, flags) in ANALYZE_CONFIGS.items():
+        add(f"analyze/0/config/{label}",
+            ["analyze", path, *(config_file(label, file_config) if file_config else []), *flags])
+    add("analyze/0/config/removed_keys",
+        ["analyze", path, *config_file("removed_keys", REMOVED_KEYS)])
+    for command, label, bad in (("mfdfa", "bad_config", {"q_grid": [-2, -1, True, 2, 3]}),
+                                ("changepoints", "cp_method", {"cp_method": "exact-dp"})):
+        add(f"{command}/0/{label}", [command, path, *config_file(label, bad)])
     # a flat regime: 600 noisy returns, 600 zero returns, 600 noisy returns
     flat = inputs / "flat.csv"
     gen = np.random.default_rng(0)
@@ -312,9 +326,7 @@ def build_jobs(kind: str, inputs: Path) -> list[dict]:
     add("forecast/0/differenced", [argv[0], path, *argv[1:], "--scale", "differenced"])
     add("forecast/0/breaks_empty_token", [argv[0], path, *argv[1:], "--breaks", "manual:600,,"])
     add("forecast/0/holdout", [argv[0], path, *argv[1:], "--evaluation", "holdout"])
-    forecast_config = inputs / "forecast_config.json"
-    forecast_config.write_text(json.dumps(FORECAST_CONFIG))
-    add("forecast/0/config", [argv[0], path, *argv[1:], "--config", str(forecast_config)])
+    add("forecast/0/config", [argv[0], path, *argv[1:], *FORECAST_CONFIG_FLAGS])
     for label, flags in (("p0", ["--p", "0"]), ("hidden0", ["--hidden", "0"]),
                          ("seed3", ["--seed", "3"])):
         add(f"forecast/0/{label}", [argv[0], path, *argv[1:], *flags])
