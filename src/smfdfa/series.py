@@ -100,14 +100,143 @@ def load_csv(path: str | Path, config: CsvConfig = CsvConfig()) -> TimeSeries:
     Duplicate dates are rejected; every parse failure reports the offending
     line number.
 
-    The rows are read in chunks of LOAD_CHUNK_ROWS, and each chunk's date
-    and value columns are converted whole. A chunk that fails to convert,
-    or whose read fails, is checked again row by row, so the first bad row
-    is named by its own line, as a row-at-a-time loop would name it.
+    A plain file (see _load_plain) is read by NumPy's C reader in one call.
+    Every other file is read by the csv path, and so is a plain file that
+    fails to load, so that the csv path alone words the errors. It reads the
+    rows in chunks of LOAD_CHUNK_ROWS, and converts each chunk's date and
+    value columns whole. A chunk that fails to convert, or whose read fails,
+    is checked again row by row, so the first bad row is named by its own
+    line, as a row-at-a-time loop would name it.
     """
     path = Path(path)
     if not path.exists():
         raise InputError(f"input file not found: {path}")
+    loaded = _load_plain(path, config)
+    day_numbers, vals = loaded if loaded is not None else _load_with_csv(path, config)
+    if day_numbers.size < 2:
+        raise InputError(f"{path}: need at least 2 rows, got {day_numbers.size}")
+    if not np.all(day_numbers[1:] >= day_numbers[:-1]):
+        order = np.argsort(day_numbers, kind="stable")
+        day_numbers, vals = day_numbers[order], vals[order]
+    ts = (day_numbers - _UNIX_EPOCH_ORDINAL).astype("datetime64[D]")
+    dup = np.flatnonzero(ts[1:] == ts[:-1])
+    if dup.size:
+        raise InputError(f"{path}: duplicated date {ts[dup[0]]}")
+    return TimeSeries(timestamps=ts, values=vals, label=path.stem)
+
+
+# Bytes a plain file may hold: the newline, and printable ASCII but the
+# quote. Such a file has no quoting, \r or non-ASCII text, so a line split
+# on "," gives the fields csv.reader gives, and NumPy reads it as the csv
+# path does
+_PLAIN_BYTES = bytes([ord("\n"), *range(0x20, 0x7F)]).replace(b'"', b"")
+# Bytes scanned per read of a plain-file check. A line within one block is
+# shorter than the block, so only a line that spans blocks is measured; under
+# a csv.field_size_limit() below the block, the csv path reads every file
+_PLAIN_BLOCK = 1 << 16
+# np.loadtxt decompresses a file named so, and raises lzma.LZMAError, say,
+# on one that is not compressed
+_DECOMPRESSED_SUFFIXES = (".bz2", ".gz", ".lzma", ".xz")
+
+
+def _load_plain(path: Path, config: CsvConfig) -> tuple[np.ndarray, np.ndarray] | None:
+    """Day ordinals and values of a plain file, in file order, read by
+    np.loadtxt; None for any other file, which the csv path then reads.
+
+    A file is plain when the dates are ISO (no date_format); its name has no
+    suffix np.loadtxt decompresses; every byte is in _PLAIN_BYTES; no line is
+    longer than csv.field_size_limit(), so no field is one the csv path
+    rejects; the header names both columns at different positions (the last
+    of a repeated name wins); the two lines after the header are not blank,
+    so there are at least two rows, and the first of them ends within the
+    first _PLAIN_BLOCK bytes; every row holds both columns; every value
+    converts and is finite; and every date is exactly YYYY-MM-DD and names a
+    real day in the years 1-9999.
+    """
+    limit = csv.field_size_limit()
+    if (config.date_format is not None or limit < _PLAIN_BLOCK
+            or path.suffix in _DECOMPRESSED_SUFFIXES):
+        return None
+    try:
+        with open(path, "rb") as fh:
+            first = block = fh.read(_PLAIN_BLOCK)
+            start, last_newline = 0, -1
+            while block:
+                if block.translate(None, _PLAIN_BYTES):
+                    return None
+                newline = block.find(b"\n")
+                line_end = start + (newline if newline >= 0 else len(block))
+                if line_end - last_newline - 1 > limit:
+                    return None
+                if newline >= 0:
+                    last_newline = start + block.rfind(b"\n")
+                start += len(block)
+                block = fh.read(_PLAIN_BLOCK)
+        head, *rows = first.split(b"\n", 3)[:3]
+        if len(rows) < 2 or not all(rows):
+            return None
+        header = head.decode("ascii").split(",")
+        names = (config.date_column, config.value_column)
+        if not all(name in header for name in names):
+            return None
+        cols = tuple(len(header) - 1 - header[::-1].index(name) for name in names)
+        if cols[0] == cols[1]:
+            return None
+        table = np.loadtxt(path, delimiter=",", comments=None, quotechar=None, skiprows=1,
+                           usecols=cols, dtype=[("d", "S11"), ("v", "f8")])
+    except (OSError, ValueError):  # a short row, a bad or underscored value, say
+        return None
+    if not np.isfinite(table["v"]).all():
+        return None
+    # each record's first 11 bytes are its date field
+    days = _iso_day_ordinals(table.view(np.uint8).reshape(table.size, -1)[:, :11])
+    return None if days is None else (days, np.ascontiguousarray(table["v"]))
+
+
+# days before each month (1-12) of a common year, and each month's length in
+# a leap year
+_DAYS_BEFORE_MONTH = np.array([0, 0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334],
+                              dtype=np.int16)
+_MONTH_DAYS = np.array([0, 31, 29, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31], dtype=np.int8)
+
+
+def _iso_day_ordinals(raw: np.ndarray) -> np.ndarray | None:
+    """Proleptic Gregorian ordinals (int32) of YYYY-MM-DD dates held as rows
+    of 11 bytes (an S11 field); None if any row is not exactly that (an 11th
+    byte means a longer field, which S11 truncated) or names no real day in
+    the years 1-9999."""
+    if raw[:, 10].any() or not ((raw[:, 4] == ord("-")) & (raw[:, 7] == ord("-"))).all():
+        return None
+    digits = raw[:, [0, 1, 2, 3, 5, 6, 8, 9]]
+    digits -= ord("0")  # wraps below "0"
+    if digits.max() > 9:
+        return None
+    d = digits.T
+    year = ((d[0].astype(np.int16) * 10 + d[1]) * 10 + d[2]) * 10 + d[3]
+    month = d[4] * 10 + d[5]
+    day = d[6] * 10 + d[7]
+    del d, digits  # the arithmetic below holds a few int32 arrays at a time
+    if not ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)).all():
+        return None
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    if not (day <= _MONTH_DAYS[month] - ((month == 2) & ~leap)).all():
+        return None
+    y = year.astype(np.int32)
+    y -= 1
+    ordinals = y * 365
+    ordinals += y // 4
+    ordinals -= y // 100
+    ordinals += y // 400
+    ordinals += _DAYS_BEFORE_MONTH[month]
+    ordinals += (month > 2) & leap
+    ordinals += day
+    return ordinals
+
+
+def _load_with_csv(path: Path, config: CsvConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Day ordinals and values of any file, in file order, read by
+    csv.reader in chunks of LOAD_CHUNK_ROWS; every failure raises an
+    InputError naming the file and, for a bad row, its line."""
     days: list[np.ndarray] = []  # proleptic Gregorian ordinals, one array per chunk
     values: list[np.ndarray] = []
     try:
@@ -148,15 +277,7 @@ def load_csv(path: str | Path, config: CsvConfig = CsvConfig()) -> TimeSeries:
     except csv.Error as exc:  # a field over csv.field_size_limit(), say
         raise InputError(f"{path} line {reader.line_num}: {exc}") from exc
     day_numbers = np.concatenate(days) if days else np.empty(0, dtype=np.int64)
-    if day_numbers.size < 2:
-        raise InputError(f"{path}: need at least 2 rows, got {day_numbers.size}")
-    order = np.argsort(day_numbers, kind="stable")
-    ts = (day_numbers[order] - _UNIX_EPOCH_ORDINAL).astype("datetime64[D]")
-    vals = np.concatenate(values)[order]
-    dup = np.flatnonzero(ts[1:] == ts[:-1])
-    if dup.size:
-        raise InputError(f"{path}: duplicated date {ts[dup[0]]}")
-    return TimeSeries(timestamps=ts, values=vals, label=path.stem)
+    return day_numbers, np.concatenate(values) if values else np.empty(0)
 
 
 def _parse_columns(chunk: list[list[str]], cols: tuple[int, int],

@@ -146,34 +146,39 @@ class TestLoadCsv:
 
 def reference_load_csv(path, config=CsvConfig()):
     """The ingest loop as first written, on csv.DictReader, with one array
-    conversion of the dates per use."""
+    conversion of the dates per use, and csv.reader's field-limit error
+    worded as load_csv words it."""
     path = Path(path)
     dates = []
     values = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in (config.date_column, config.value_column):
-            if col not in header:
-                raise InputError(f"column '{col}' not found in {path} (header: {header})")
-        for row in reader:
-            raw_date = (row.get(config.date_column) or "").strip()
-            raw_val = (row.get(config.value_column) or "").strip()
-            try:
-                if config.date_format is None:
-                    date = dt.date.fromisoformat(raw_date)
-                else:
-                    date = dt.datetime.strptime(raw_date, config.date_format).date()
-            except ValueError as exc:
-                raise InputError(f"{path} line {reader.line_num}: bad date '{raw_date}' ({exc})")
-            try:
-                value = float(raw_val)
-            except ValueError:
-                raise InputError(f"{path} line {reader.line_num}: bad value '{raw_val}'")
-            if not math.isfinite(value):
-                raise InputError(f"{path} line {reader.line_num}: non-finite value '{raw_val}'")
-            dates.append(date)
-            values.append(value)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or []
+            for col in (config.date_column, config.value_column):
+                if col not in header:
+                    raise InputError(f"column '{col}' not found in {path} (header: {header})")
+            for row in reader:
+                raw_date = (row.get(config.date_column) or "").strip()
+                raw_val = (row.get(config.value_column) or "").strip()
+                try:
+                    if config.date_format is None:
+                        date = dt.date.fromisoformat(raw_date)
+                    else:
+                        date = dt.datetime.strptime(raw_date, config.date_format).date()
+                except ValueError as exc:
+                    raise InputError(f"{path} line {reader.line_num}: bad date '{raw_date}' ({exc})")
+                try:
+                    value = float(raw_val)
+                except ValueError:
+                    raise InputError(f"{path} line {reader.line_num}: bad value '{raw_val}'")
+                if not math.isfinite(value):
+                    raise InputError(f"{path} line {reader.line_num}: non-finite value '{raw_val}'")
+                dates.append(date)
+                values.append(value)
+    except csv.Error as exc:  # a field over csv.field_size_limit(), on the line
+        # csv.reader counts; DictReader's own count stops at the last good row
+        raise InputError(f"{path} line {reader.reader.line_num}: {exc}") from exc
     if len(dates) < 2:
         raise InputError(f"{path}: need at least 2 rows, got {len(dates)}")
     order = np.argsort(np.asarray(dates, dtype="datetime64[D]"), kind="stable")
@@ -194,11 +199,58 @@ def padded(draw, text: str) -> str:
     return draw(st.sampled_from(["", " ", "\t"])) + text + draw(st.sampled_from(["", "  "]))
 
 
+# cells of the plain documents that a plain file may not hold, or that
+# np.loadtxt or the date checks refuse, so that the csv path reads the file
+PLAIN_BAD_DATES = ("2000-02-30", "1900-02-29", "0000-01-01", " 1990-01-05", "1990-1-05",
+                   "1990-01-055")
+PLAIN_BAD_VALUES = ("1_5", "2.5\x1c", "nan", "-inf", "1e400", "", "x")
+
+
+def plain_document(draw) -> tuple[str, CsvConfig]:
+    """A document in the plain form np.loadtxt reads: the two columns in any
+    order among extra columns, no quoting, LF line ends, and values in
+    repr, exponent and signed-zero forms on unsorted unique dates. A few
+    cells break the form or are bad (PLAIN_BAD_DATES, PLAIN_BAD_VALUES, an
+    unused field longer than csv.field_size_limit()), and a few rows are
+    short or follow a blank line; the file may lack its final newline or
+    hold no data rows."""
+    value_column = draw(st.sampled_from(["price", "close"]))
+    extra = draw(st.lists(st.sampled_from(["note", "open", "price", "close"]), max_size=3))
+    header = draw(st.permutations(["date", value_column, *extra]))
+    size = draw(st.sampled_from([0, 1, 2, 3, 5, 8]))
+    days = draw(st.lists(st.dates(dt.date(1896, 1, 1), dt.date(2004, 12, 31)), unique=True,
+                         min_size=size, max_size=size))
+    numbers = st.floats(allow_nan=False, allow_infinity=False)
+    values = st.one_of(numbers.map(repr), numbers.map("{:.17e}".format),
+                       numbers.map("{:g}".format), st.sampled_from(["-0", "0", "5e-324", " 7 "]))
+    rarely = st.integers(0, 29).map(lambda k: k == 7)  # hypothesis favours the ends
+    lines = [",".join(header)]
+    for day in days:
+        row = []
+        for name in header:
+            if name == "date":
+                row.append(draw(st.sampled_from(("2000-02-29", *PLAIN_BAD_DATES)))
+                           if draw(rarely) else day.isoformat())
+            elif name in ("price", "close"):
+                row.append(draw(st.sampled_from(PLAIN_BAD_VALUES)) if draw(rarely)
+                           else draw(values))
+            else:
+                row.append("y" * (csv.field_size_limit() + 1) if draw(rarely)
+                           else draw(st.sampled_from(["x", "", "a b", "#"])))
+        lines += [""] * draw(rarely)  # a blank line, which both readers skip
+        lines.append(",".join(row[:len(row) - draw(rarely)]))
+    text = "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+    return text, CsvConfig(value_column=value_column)
+
+
 @st.composite
 def csv_documents(draw):
-    """(text, CsvConfig) pairs: a header drawn from a few names, repeats
+    """(text, CsvConfig) pairs. A third are plain documents (see
+    plain_document). The rest have a header drawn from a few names, repeats
     allowed, then data rows that are blank, short, long or well formed,
     with padded fields and some bad dates and values."""
+    if draw(st.integers(0, 2)) == 0:
+        return plain_document(draw)
     date_format = draw(st.sampled_from(DATE_FORMATS))
     value_column = draw(st.sampled_from(["price", "close"]))
     header = draw(st.lists(st.sampled_from(["date", "price", "close", "note"]), max_size=5))
@@ -252,10 +304,12 @@ class TestLoadCsvMatchesDictReader:
     @example(("date,price\n1990-01-01,1\n\n\n1990-01-02\n", CsvConfig()))
     @example(("\ndate,price\n1990-01-01,1\n", CsvConfig()))
     @example(("", CsvConfig()))
+    @example(("date,price\n", CsvConfig()))
+    @example(("note,price,date\nx,2,1990-01-02\n,1,1990-01-01", CsvConfig()))
     def test_same_arrays_and_messages(self, tmp_path_factory, document):
-        # [DERIVED] the one-pass csv.reader loop against the DictReader loop
-        # it replaced: equal arrays, or the same InputError message, line
-        # numbers included
+        # [DERIVED] load_csv, on whichever path reads the document, against
+        # the DictReader loop it replaced: equal arrays, or the same
+        # InputError message, line numbers included
         text, config = document
         path = tmp_path_factory.getbasetemp() / "prices.csv"
         path.write_text(text, newline="")
@@ -268,15 +322,103 @@ class TestLoadCsvMatchesDictReader:
     @example(("date,price,note\n1990-01-01,1,\"two\nlines\"\n\n1990-01-02,2,x\n\n"
               "1990-01-03,3\n1990-01-04,x,y\n", CsvConfig()), 2)
     def test_same_arrays_and_messages_in_small_chunks(self, tmp_path_factory, document, chunk):
-        # [DERIVED] the same documents read 1-3 rows per chunk, so that bad,
-        # blank, short and multi-line rows fall in later chunks: a chunk that
-        # fails is checked again from its own first line
+        # [DERIVED] the same documents read by the csv path 1-3 rows per
+        # chunk, plain ones included, so that bad, blank, short and
+        # multi-line rows fall in later chunks: a chunk that fails is checked
+        # again from its own first line
         text, config = document
         path = tmp_path_factory.getbasetemp() / "prices.csv"
         path.write_text(text, newline="")
-        with mock.patch.object(series_module, "LOAD_CHUNK_ROWS", chunk):
+        with mock.patch.object(series_module, "LOAD_CHUNK_ROWS", chunk), \
+                mock.patch.object(series_module, "_load_plain", return_value=None):
             got = load_outcome(load_csv, path, config)
         assert got == load_outcome(reference_load_csv, path, config)
+
+
+PLAIN_TEXT = "note,price,date\nx,1.5,1990-01-02\n,-0,1990-01-01\n#,5e-324,1990-01-04\n"
+LONG_LINE = csv.field_size_limit()  # the longest line a plain file may hold
+# files that differ from PLAIN_TEXT, which np.loadtxt reads, in one trigger
+# of the csv path
+NON_PLAIN = {
+    "date_format": (PLAIN_TEXT, CsvConfig(date_format="%Y-%m-%d")),
+    "quote": (PLAIN_TEXT.replace("x", '"x"'), CsvConfig()),
+    "crlf": (PLAIN_TEXT.replace("\n", "\r\n"), CsvConfig()),
+    "tab": (PLAIN_TEXT.replace("1.5", "1.5\t"), CsvConfig()),
+    "non_ascii": (PLAIN_TEXT.replace("x", "\u00e9"), CsvConfig()),
+    "bom": ("\ufeff" + PLAIN_TEXT, CsvConfig()),
+    "x1c": (PLAIN_TEXT.replace("1.5", "1.5\x1c"), CsvConfig()),
+    "long_line": (PLAIN_TEXT.replace("#", "y" * (LONG_LINE - 17)), CsvConfig()),
+    "long_field": (PLAIN_TEXT.replace("#", "y" * (LONG_LINE + 1)), CsvConfig()),
+    "long_first_row": (PLAIN_TEXT.replace("x", "y" * series_module._PLAIN_BLOCK), CsvConfig()),
+    "missing_column": (PLAIN_TEXT, CsvConfig(value_column="close")),
+    "one_column": (PLAIN_TEXT, CsvConfig(date_column="price")),
+    "header_only": ("date,price\n", CsvConfig()),
+    "one_row": ("date,price\n1990-01-01,1\n", CsvConfig()),
+    "blank_after_header": ("date,price\n\n1990-01-01,1\n1990-01-02,2\n", CsvConfig()),
+    "short_row": (PLAIN_TEXT + "y,2\n", CsvConfig()),
+    "bad_value": (PLAIN_TEXT.replace("1.5", "x"), CsvConfig()),
+    "underscore": (PLAIN_TEXT.replace("1.5", "1_5"), CsvConfig()),
+    "non_finite": (PLAIN_TEXT.replace("1.5", "1e400"), CsvConfig()),
+    "padded_date": (PLAIN_TEXT.replace(",1990-01-02", ", 1990-01-02"), CsvConfig()),
+    "long_date": (PLAIN_TEXT.replace("1990-01-02", "1990-01-022"), CsvConfig()),
+    "short_date": (PLAIN_TEXT.replace("1990-01-02", "1990-1-02"), CsvConfig()),
+    "feb_30": (PLAIN_TEXT.replace("1990-01-02", "2000-02-30"), CsvConfig()),
+    "feb_29_1900": (PLAIN_TEXT.replace("1990-01-02", "1900-02-29"), CsvConfig()),
+    "year_0": (PLAIN_TEXT.replace("1990-01-02", "0000-01-01"), CsvConfig()),
+}
+
+
+class TestPlainFiles:
+    @pytest.mark.parametrize("text", [
+        None,  # 3000 rows as the synth command writes them
+        PLAIN_TEXT,
+        PLAIN_TEXT + "\n\n y , 2.5e3 ,1990-01-03\n\nz,-7,1990-01-05,extra",
+        PLAIN_TEXT.replace("#", "y" * (LONG_LINE - 18)),
+    ], ids=["synth", "plain", "blank_lines", "long_line"])
+    def test_plain_file_is_read_without_csv_reader(self, tmp_path, text):
+        # blank lines after the first two rows, padded values, extra fields,
+        # a missing final newline and a line as long as the field limit are
+        # plain too
+        path = tmp_path / "p.csv"
+        if text is None:
+            write_price_csv(path, 1.0 + np.arange(3000) / 7)
+        else:
+            path.write_text(text)
+        want = load_outcome(reference_load_csv, path, CsvConfig())
+        with mock.patch.object(series_module.csv, "reader", side_effect=AssertionError):
+            assert load_outcome(load_csv, path, CsvConfig()) == want
+        assert not isinstance(want, str)
+
+    @pytest.mark.parametrize("text,config", NON_PLAIN.values(), ids=NON_PLAIN)
+    def test_each_non_plain_trigger_falls_back_to_the_csv_path(self, tmp_path, text, config):
+        # [DERIVED] the csv path reads each file, as the oracle does; a line
+        # one byte over the field limit goes there although no field is, and
+        # so does a first row that does not end within the first scan block
+        path = tmp_path / "p.csv"
+        path.write_text(PLAIN_TEXT, newline="")
+        assert series_module._load_plain(path, CsvConfig()) is not None
+        path.write_text(text, newline="")
+        assert series_module._load_plain(path, config) is None
+        assert load_outcome(load_csv, path, config) == load_outcome(reference_load_csv, path,
+                                                                     config)
+
+    def test_lowered_field_limit_and_compressed_suffix_fall_back(self, tmp_path):
+        # a field limit below the scan block, and a name np.loadtxt would
+        # open as compressed, send a plain text to the csv path
+        path = tmp_path / "p.xz"
+        path.write_text(PLAIN_TEXT)
+        assert series_module._load_plain(path, CsvConfig()) is None
+        assert load_outcome(load_csv, path, CsvConfig()) == load_outcome(reference_load_csv,
+                                                                          path, CsvConfig())
+        path = path.rename(tmp_path / "p.csv")
+        old = csv.field_size_limit(1000)
+        try:
+            assert series_module._load_plain(path, CsvConfig()) is None
+            assert len(load_csv(path)) == 3
+        finally:
+            csv.field_size_limit(old)
+        assert series_module._load_plain(path, CsvConfig()) is not None
+
 
 class TestTimeSeries:
     def test_non_finite_value_rejected_with_position(self):

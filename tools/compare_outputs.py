@@ -18,7 +18,7 @@ differs -- for JSON the key paths, for CSV the columns and the first
 differing row, otherwise the file names. The last line counts the jobs.
 The exit code is 0 when every job is identical and 1 otherwise.
 
-The full list holds 444 jobs: benchmark seeds 0-9 of all three perfbench
+The full list holds 451 jobs: benchmark seeds 0-9 of all three perfbench
 workloads (7 inputs each, as perfbench runs them) plus change-point, forecast,
 surrogate and subcommand jobs on analyze_regimes input seeds 0, 371 and
 400, on one forecast_memory_switch input and on a series with a flat
@@ -46,7 +46,12 @@ volatility regimes, in both --format values; analyze on analyze_regimes
 input 0 rewritten in other CSV dialects (quoted fields, CRLF line ends,
 blank lines, short and extra columns, a repeated header name, another date
 format or column names), under a file name CSV must quote, and with a bad
-row or a non-UTF-8 byte late in the file; every synth kind, and fgn, step
+row or a non-UTF-8 byte late in the file; analyze on seven plain
+rewrites of that input, which the loader reads with np.loadtxt, or with
+csv.reader when one cell breaks the plain form (the price column first
+among two extra columns, no final newline, rows in reverse date order, a
+value written 1_0.5, a non-ASCII character in an unused column, no data
+rows, a 2000-02-30 date); every synth kind, and fgn, step
 and arfima with finite flags whose series overflows; and forecast with
 the retired --scale differenced, with --evaluation holdout, with --p 3
 --hidden 6 (labelled `config`), with --p 0 and --hidden 0, with
@@ -60,8 +65,9 @@ global memory estimate fails. The
 and so do the three `overflow` jobs, the two forecast jobs with a
 setting of 0, the one on 100 prices, `forecast/0/differenced` (forecasts
 are scored on price levels only, so --scale is an unknown flag) and
-`forecast/0/breaks_empty_token` (an empty token cannot be parsed) and the
-three rejected --config files; the one on constant prices exits 3.
+`forecast/0/breaks_empty_token` (an empty token cannot be parsed), the
+three rejected --config files and the plain header-only and 2000-02-30
+files; the one on constant prices exits 3.
 The toy list runs a few jobs on toy-size inputs in seconds; the
 self-tests use it.
 """
@@ -156,8 +162,10 @@ SYNTH_JOBS = {
 
 def _io_jobs(source: Path, inputs: Path) -> dict[str, list[str]]:
     """Jobs on the prices of `source` (a date,price CSV) written again in
-    other CSV dialects, under a name CSV must quote, and with a bad row or
-    byte late in the file (past the loader's first chunks)."""
+    other CSV dialects, under a name CSV must quote, with a bad row or byte
+    late in the file (past the loader's first chunks), and in plain files
+    (which the loader reads with np.loadtxt) and files plain but for one
+    cell."""
     dates, values = zip(*(line.split(",") for line in source.read_text().splitlines()[1:]))
     late = len(dates) - 200
 
@@ -198,6 +206,25 @@ def _io_jobs(source: Path, inputs: Path) -> dict[str, list[str]]:
             [f"{d},oops,x" if k == late else row
              for k, (d, row) in enumerate(zip(dates, noted))])],
     }
+    # plain files, which the loader reads with np.loadtxt, beside ones that
+    # look plain but for one cell, which it reads with csv.reader
+    mid = len(dates) // 2
+    jobs.update({
+        "plain/columns": ["analyze", write("plain_columns.csv", "price,note,date,volume",
+                                           [f"{v},n{k},{d},{k}"
+                                            for k, (d, v) in enumerate(zip(dates, values))])],
+        "plain/reversed": ["analyze", write("plain_reversed.csv", "date,price", plain[::-1])],
+        "plain/underscore": ["analyze", write("plain_underscore.csv", "date,price", [
+            f"{dates[k]},1_0.5" if k == mid else row for k, row in enumerate(plain)])],
+        "plain/non_ascii": ["analyze", write("plain_non_ascii.csv", "date,price,note", [
+            row + (",\u00e9" if k == mid else ",x") for k, row in enumerate(plain)])],
+        "plain/header_only": ["analyze", write("plain_header_only.csv", "date,price", [])],
+        "plain/feb_30": ["analyze", write("plain_feb_30.csv", "date,price",
+                                          ["2000-02-30,1.0", *plain])],
+    })
+    no_newline = inputs / "plain_no_final_newline.csv"
+    no_newline.write_bytes("\n".join(["date,price", *plain]).encode())
+    jobs["plain/no_final_newline"] = ["analyze", str(no_newline)]
     quoted_label = write('a,b"c.csv', "date,price", plain)
     jobs["label/analyze"] = ["analyze", quoted_label]
     jobs["label/mfdfa"] = ["mfdfa", quoted_label]
