@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import itertools
 import math
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
@@ -87,11 +85,6 @@ class CsvConfig:
     date_format: str | None = None  # None means ISO-8601 (YYYY-MM-DD)
 
 
-# Data rows parsed per chunk: the loader holds one chunk of rows at a time,
-# and converts its date and value columns each in one pass.
-LOAD_CHUNK_ROWS = 1024
-
-
 def load_csv(path: str | Path, config: CsvConfig = CsvConfig()) -> TimeSeries:
     """Load a dated price CSV into a TimeSeries sorted by date, labelled with
     the file stem.
@@ -102,11 +95,9 @@ def load_csv(path: str | Path, config: CsvConfig = CsvConfig()) -> TimeSeries:
 
     A plain file (see _load_plain) is read by NumPy's C reader in one call.
     Every other file is read by the csv path, and so is a plain file that
-    fails to load, so that the csv path alone words the errors. It reads the
-    rows in chunks of LOAD_CHUNK_ROWS, and converts each chunk's date and
-    value columns whole. A chunk that fails to convert, or whose read fails,
-    is checked again row by row, so the first bad row is named by its own
-    line, as a row-at-a-time loop would name it.
+    fails to load, so that the csv path alone words the errors. It reads and
+    checks one row at a time, so the first bad row, or the first read that
+    fails, is the one reported.
     """
     path = Path(path)
     if not path.exists():
@@ -235,10 +226,13 @@ def _iso_day_ordinals(raw: np.ndarray) -> np.ndarray | None:
 
 def _load_with_csv(path: Path, config: CsvConfig) -> tuple[np.ndarray, np.ndarray]:
     """Day ordinals and values of any file, in file order, read by
-    csv.reader in chunks of LOAD_CHUNK_ROWS; every failure raises an
-    InputError naming the file and, for a bad row, its line."""
-    days: list[np.ndarray] = []  # proleptic Gregorian ordinals, one array per chunk
-    values: list[np.ndarray] = []
+    csv.reader one row at a time; every failure raises an InputError naming
+    the file and, for a bad row, its line (a row's last line, as csv.reader
+    counts lines)."""
+    from array import array  # only here: a plain file never loads the module
+
+    days = array("q")  # proleptic Gregorian ordinals
+    values = array("d")
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -251,82 +245,32 @@ def _load_with_csv(path: Path, config: CsvConfig) -> tuple[np.ndarray, np.ndarra
             # skipped (but counted in line numbers)
             cols = tuple(len(header) - 1 - header[::-1].index(col)
                          for col in (config.date_column, config.value_column))
-            rows = filter(None, reader)
-            while True:
-                first_line = reader.line_num  # the lines read before this chunk
-                chunk: list[list[str]] = []
+            for row in filter(None, reader):
+                raw_date, raw_val = (row[i].strip() if i < len(row) else "" for i in cols)
                 try:
-                    # extend keeps the rows read before a failed read
-                    chunk.extend(itertools.islice(rows, LOAD_CHUNK_ROWS))
-                except (UnicodeDecodeError, csv.Error):
-                    _parse_rows(path, config, cols, first_line, len(chunk))
-                    raise  # no row before the failed read is bad
-                if not chunk:
-                    break
+                    if config.date_format is None:
+                        date = dt.date.fromisoformat(raw_date)
+                    else:
+                        date = dt.datetime.strptime(raw_date, config.date_format).date()
+                except ValueError as exc:
+                    raise InputError(
+                        f"{path} line {reader.line_num}: bad date '{raw_date}' ({exc})")
                 try:
-                    chunk_days, chunk_values = _parse_columns(chunk, cols, config.date_format)
-                except (ValueError, IndexError):
-                    chunk_days, chunk_values = _parse_rows(path, config, cols, first_line,
-                                                           len(chunk))
-                days.append(chunk_days)
-                values.append(chunk_values)
+                    value = float(raw_val)
+                except ValueError:
+                    raise InputError(f"{path} line {reader.line_num}: bad value '{raw_val}'")
+                if not math.isfinite(value):
+                    raise InputError(
+                        f"{path} line {reader.line_num}: non-finite value '{raw_val}'")
+                days.append(date.toordinal())
+                values.append(value)
     except OSError as exc:  # a directory, say, or no read permission
         raise InputError(f"cannot read input file {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise InputError(f"cannot read input file {path}: not UTF-8 text ({exc.reason})") from exc
     except csv.Error as exc:  # a field over csv.field_size_limit(), say
         raise InputError(f"{path} line {reader.line_num}: {exc}") from exc
-    day_numbers = np.concatenate(days) if days else np.empty(0, dtype=np.int64)
-    return day_numbers, np.concatenate(values) if values else np.empty(0)
-
-
-def _parse_columns(chunk: list[list[str]], cols: tuple[int, int],
-                   date_format: str | None) -> tuple[np.ndarray, np.ndarray]:
-    """Day ordinals and values of a chunk of rows, each column converted in
-    one pass. Raises ValueError or IndexError, naming no row, when any row
-    is bad: a short row, a bad date or value, or a non-finite value."""
-    i_date, i_val = cols
-    raw_dates = map(str.strip, map(itemgetter(i_date), chunk))
-    dates = (map(dt.date.fromisoformat, raw_dates) if date_format is None
-             else map(dt.datetime.strptime, raw_dates, itertools.repeat(date_format)))
-    day_numbers = np.fromiter(map(dt.date.toordinal, dates), np.int64, len(chunk))
-    # float() ignores the whitespace str.strip() removes, but for \x1c-\x1f,
-    # which it rejects: such a chunk is checked again row by row
-    values = np.fromiter(map(float, map(itemgetter(i_val), chunk)), float, len(chunk))
-    if not np.isfinite(values).all():
-        raise ValueError("non-finite value")
-    return day_numbers, values
-
-
-def _parse_rows(path: Path, config: CsvConfig, cols: tuple[int, int], first_line: int,
-                count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Day ordinals and values of the `count` data rows that follow line
-    `first_line`, parsed one row at a time from a fresh read of the file:
-    the first bad row raises an InputError naming its line (a row's last
-    line, as csv.reader counts lines)."""
-    days: list[int] = []
-    values: list[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(itertools.islice(fh, first_line, None))
-        for row in itertools.islice(filter(None, reader), count):
-            line_num = first_line + reader.line_num
-            raw_date, raw_val = (row[i].strip() if i < len(row) else "" for i in cols)
-            try:
-                if config.date_format is None:
-                    date = dt.date.fromisoformat(raw_date)
-                else:
-                    date = dt.datetime.strptime(raw_date, config.date_format).date()
-            except ValueError as exc:
-                raise InputError(f"{path} line {line_num}: bad date '{raw_date}' ({exc})")
-            try:
-                value = float(raw_val)
-            except ValueError:
-                raise InputError(f"{path} line {line_num}: bad value '{raw_val}'")
-            if not math.isfinite(value):
-                raise InputError(f"{path} line {line_num}: non-finite value '{raw_val}'")
-            days.append(date.toordinal())
-            values.append(value)
-    return np.asarray(days, dtype=np.int64), np.asarray(values, dtype=float)
+    return np.frombuffer(days, dtype=np.int64), np.frombuffer(values)
 
 
 def to_fluctuations(series: TimeSeries) -> np.ndarray:

@@ -99,11 +99,13 @@ class TestLoadCsv:
                            match=r"long.csv line 3: field larger than field limit \(131072\)"):
             load_csv(p)
 
-    def test_bad_row_of_a_late_chunk_named_by_its_line(self, tmp_path):
-        # [TRIVIAL] more than three chunks, with blank lines and quoted
-        # two-line fields in the earlier ones, and a bad value in the last:
-        # the error names the bad row's own line, counted here by hand
-        chunk = series_module.LOAD_CHUNK_ROWS
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_bad_row_of_a_late_chunk_named_by_its_line(self, tmp_path, newline):
+        # [TRIVIAL] more than 3 * 1024 rows, with blank lines and quoted
+        # two-line fields among them, and a bad value after them, under
+        # either line end: the error names the bad row's own line, counted
+        # here by hand
+        chunk = 1024
         lines = ["date,price,note"]
         day = dt.date(1900, 1, 1)
         for k in range(3 * chunk + 100):
@@ -115,7 +117,7 @@ class TestLoadCsv:
             if value == "oops":
                 bad_line = sum(line.count("\n") + 1 for line in lines)
         p = tmp_path / "long.csv"
-        p.write_text("\n".join(lines) + "\n")
+        p.write_text(newline.join(lines) + newline, newline="")
         with pytest.raises(InputError, match=f"line {bad_line}: bad value 'oops'$"):
             load_csv(p)
         assert load_outcome(load_csv, p, CsvConfig()) == load_outcome(reference_load_csv, p,
@@ -124,13 +126,11 @@ class TestLoadCsv:
 
     @pytest.mark.parametrize("bad_row_first", [True, False])
     def test_bad_row_and_bad_byte_in_one_chunk(self, tmp_path, bad_row_first):
-        # a bad row and a byte that is not UTF-8, in one chunk but in
+        # a bad row and a byte that is not UTF-8, within 1024 rows but in
         # different 8 KiB blocks of the decoder: whichever comes first in
-        # the file is reported, as a row-at-a-time read reports it. The
-        # chunk's read fails at the byte, so its rows before the byte are
-        # checked again
+        # the file is reported, as a row-at-a-time read reports it
         rows = [f"{dt.date(1900, 1, 1) + dt.timedelta(days=k)},{1.0 + k / 7!r}\n"
-                for k in range(series_module.LOAD_CHUNK_ROWS)]
+                for k in range(1024)]
         bad_row, bad_byte = (100, 800) if bad_row_first else (800, 100)
         rows[bad_row] = rows[bad_row].replace(",", ",x")
         data = [row.encode() for row in rows]
@@ -318,19 +318,17 @@ class TestLoadCsvMatchesDictReader:
 
     @settings(max_examples=300, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(csv_documents(), st.integers(1, 3))
+    @given(csv_documents())
     @example(("date,price,note\n1990-01-01,1,\"two\nlines\"\n\n1990-01-02,2,x\n\n"
-              "1990-01-03,3\n1990-01-04,x,y\n", CsvConfig()), 2)
-    def test_same_arrays_and_messages_in_small_chunks(self, tmp_path_factory, document, chunk):
-        # [DERIVED] the same documents read by the csv path 1-3 rows per
-        # chunk, plain ones included, so that bad, blank, short and
-        # multi-line rows fall in later chunks: a chunk that fails is checked
-        # again from its own first line
+              "1990-01-03,3\n1990-01-04,x,y\n", CsvConfig()))
+    def test_csv_path_reads_every_document_as_the_oracle(self, tmp_path_factory, document):
+        # [DERIVED] the same documents read by the csv path alone, plain
+        # ones included, against the DictReader loop: equal arrays, or the
+        # same InputError message, line numbers included
         text, config = document
         path = tmp_path_factory.getbasetemp() / "prices.csv"
         path.write_text(text, newline="")
-        with mock.patch.object(series_module, "LOAD_CHUNK_ROWS", chunk), \
-                mock.patch.object(series_module, "_load_plain", return_value=None):
+        with mock.patch.object(series_module, "_load_plain", return_value=None):
             got = load_outcome(load_csv, path, config)
         assert got == load_outcome(reference_load_csv, path, config)
 

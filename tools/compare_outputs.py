@@ -18,7 +18,7 @@ differs -- for JSON the key paths, for CSV the columns and the first
 differing row, otherwise the file names. The last line counts the jobs.
 The exit code is 0 when every job is identical and 1 otherwise.
 
-The full list holds 451 jobs: benchmark seeds 0-9 of all three perfbench
+The full list holds 452 jobs: benchmark seeds 0-9 of all three perfbench
 workloads (7 inputs each, as perfbench runs them) plus change-point, forecast,
 surrogate and subcommand jobs on analyze_regimes input seeds 0, 371 and
 400, on one forecast_memory_switch input and on a series with a flat
@@ -46,7 +46,8 @@ volatility regimes, in both --format values; analyze on analyze_regimes
 input 0 rewritten in other CSV dialects (quoted fields, CRLF line ends,
 blank lines, short and extra columns, a repeated header name, another date
 format or column names), under a file name CSV must quote, and with a bad
-row or a non-UTF-8 byte late in the file; analyze on seven plain
+row or a non-UTF-8 byte late in the file (a bad row also in the multi-line
+rewrite, and in it again with CRLF line ends); analyze on seven plain
 rewrites of that input, which the loader reads with np.loadtxt, or with
 csv.reader when one cell breaks the plain form (the price column first
 among two extra columns, no final newline, rows in reverse date order, a
@@ -163,7 +164,8 @@ SYNTH_JOBS = {
 def _io_jobs(source: Path, inputs: Path) -> dict[str, list[str]]:
     """Jobs on the prices of `source` (a date,price CSV) written again in
     other CSV dialects, under a name CSV must quote, with a bad row or byte
-    late in the file (past the loader's first chunks), and in plain files
+    late in the file (after thousands of rows, blank and multi-line ones
+    among them, under either line end), and in plain files
     (which the loader reads with np.loadtxt) and files plain but for one
     cell."""
     dates, values = zip(*(line.split(",") for line in source.read_text().splitlines()[1:]))
@@ -186,6 +188,8 @@ def _io_jobs(source: Path, inputs: Path) -> dict[str, list[str]]:
               for k, (d, v) in enumerate(zip(dates, values))]
     bad_value = [f"{d},oops" if k == late else row
                  for k, (d, row) in enumerate(zip(dates, blank))]
+    bad_noted = [f"{d},oops,x" if k == late else row
+                 for k, (d, row) in enumerate(zip(dates, noted))]
     jobs = {
         "quoted": ["analyze", write("quoted.csv", '"date","price"',
                                     [f'"{d}","{v}"' for d, v in zip(dates, values)])],
@@ -201,10 +205,10 @@ def _io_jobs(source: Path, inputs: Path) -> dict[str, list[str]]:
         "value_column": ["analyze", write("columns.csv", "day,close", plain),
                          "--date-column", "day", "--value-column", "close"],
         "late_bad_value": ["analyze", write("late_bad_value.csv", "date,price", bad_value)],
-        "late_bad_value/multiline": ["analyze", write(
-            "late_bad_multiline.csv", "date,price,note",
-            [f"{d},oops,x" if k == late else row
-             for k, (d, row) in enumerate(zip(dates, noted))])],
+        "late_bad_value/multiline": ["analyze", write("late_bad_multiline.csv",
+                                                      "date,price,note", bad_noted)],
+        "late_bad_value/crlf": ["analyze", write("late_bad_crlf.csv", "date,price,note",
+                                                 bad_noted, "\r\n")],
     }
     # plain files, which the loader reads with np.loadtxt, beside ones that
     # look plain but for one cell, which it reads with csv.reader
