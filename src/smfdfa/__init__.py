@@ -29,7 +29,6 @@ from .changepoint import (
     ChangePointResult,
     default_penalty,
     detect_multiple,
-    detect_single,
     segment_cost,
 )
 from .errors import InputError, NumericalError
@@ -123,7 +122,6 @@ __all__ = [
     "default_scale_grid",
     "describe",
     "detect_multiple",
-    "detect_single",
     "fa_partition",
     "fgn_generate",
     "fluctuation_surface",

@@ -1,12 +1,11 @@
 """Penalized multiple change-point detection.
 
 Breaks are located by minimizing the sum of within-segment squared
-deviations about each segment mean plus a fixed penalty per break. Both
-searches -- the exact dynamic program and the single split -- minimize
-that same cost through one kernel: each takes the cumulative sums of x
-and x**2 once (_prefix_sums), and _segment_costs turns them into the O(1)
-cost of any candidate segment, clamped at 0 against rounding. The exact
-DP runs one recursion, _dp_columns, which drops
+deviations about each segment mean plus a fixed penalty per break, by one
+exact dynamic program. It takes the cumulative sums of x and x**2 once
+(_prefix_sums), and _segment_costs turns them into the O(1) cost of any
+candidate segment, clamped at 0 against rounding. The DP runs one
+recursion, _dp_columns, which drops
 candidate starts that can never win again and returns the same breaks as
 the unpruned recursion, bit for bit. It keeps its live starts as
 contiguous columns of position, prior cost and prefix sums, and it tests
@@ -29,7 +28,10 @@ layer is scored at the whole series alone. The envelope keeps a few
 hundred starts at most on the regime, noise and random-walk series
 measured (n = 20480), so the DP is near-linear there; it stays quadratic
 in the series length in the worst case, where the envelope keeps every
-start. It is the one search for more than one break.
+start. It is the one search. The best single split is detect_multiple
+with max_breaks=1 and penalty 0: its last layer scores every admissible
+split t as cost(t, n) + cost(0, t), the smallest t winning ties, and it
+returns no break where no split lowers the whole series' cost.
 
 Precision limit: the cost of a segment is a difference of sums that carry
 the series' level, so it loses the digits the level and the spread share.
@@ -145,47 +147,6 @@ def _segment_costs(s1: np.ndarray, s2: np.ndarray, i, j, head=None, out=None):
     cost = np.subtract(s2[j], a2, out=out)
     cost -= tot
     return np.maximum(cost, 0.0, out=out)
-
-
-def _result_from_offsets(
-    x: np.ndarray, offsets: Sequence[int], config: ChangePointConfig, penalty: float
-) -> ChangePointResult:
-    # Segment costs are recomputed with segment_cost on the final slices so
-    # the reported total matches a direct evaluation bit-for-bit.
-    edges = [0] + list(offsets) + [x.size]
-    costs = tuple(segment_cost(x[a:b]) for a, b in zip(edges, edges[1:]))
-    total = float(sum(costs) + penalty * len(offsets))
-    used = replace(config, penalty=penalty)
-    return ChangePointResult(
-        breaks=tuple(b + 1 for b in offsets),
-        segment_costs=costs,
-        total_cost=total,
-        config_used=used,
-        n=x.size,
-    )
-
-
-def _best_split(s1: np.ndarray, s2: np.ndarray, lo: int, hi: int, ms: int) -> tuple[int, float]:
-    """Best 0-based split b of x[lo:hi] with both sides >= ms, scored from
-    the prefix sums of x; returns (b, left+right cost), ties to the
-    smallest b. Needs hi - lo >= 2 * ms."""
-    cuts = np.arange(lo + ms, hi - ms + 1)
-    d = _segment_costs(s1, s2, lo, cuts) + _segment_costs(s1, s2, cuts, hi)
-    k = int(d.argmin())
-    return int(cuts[k]), float(d[k])
-
-
-def detect_single(
-    values: Sequence[float] | np.ndarray, config: ChangePointConfig = ChangePointConfig()
-) -> ChangePointResult:
-    """Locate the single break minimizing the two-segment cost (no penalty)."""
-    x = _cost_input(values)
-    ms = config.min_segment
-    if x.size < 2 * ms:
-        raise InputError(f"series of length {x.size} too short for min_segment {ms}")
-    s1, s2 = _prefix_sums(x)
-    b, _ = _best_split(s1, s2, 0, x.size, ms)
-    return _result_from_offsets(x, [b], config, penalty=0.0)
 
 
 # Most cells (steps x live starts) that one block of _dp_columns scores:
@@ -495,4 +456,14 @@ def detect_multiple(
         cuts = _dp_capped(x, theta, ms, config.max_breaks)
     else:
         cuts = _dp_unbounded(x, theta, ms)
-    return _result_from_offsets(x, cuts, config, penalty=theta)
+    # Segment costs are recomputed with segment_cost on the final slices so
+    # the reported total matches a direct evaluation bit-for-bit.
+    edges = [0] + cuts + [x.size]
+    costs = tuple(segment_cost(x[a:b]) for a, b in zip(edges, edges[1:]))
+    return ChangePointResult(
+        breaks=tuple(b + 1 for b in cuts),
+        segment_costs=costs,
+        total_cost=float(sum(costs) + theta * len(cuts)),
+        config_used=replace(config, penalty=theta),
+        n=x.size,
+    )

@@ -229,12 +229,14 @@ def _integer(value):
 
 
 def _grid(file_cfg: dict, key: str, convert, default=None):
-    """A config-file list as a tuple of convert(item); absent or empty means
-    default, and a malformed list is an input error that names its key."""
+    """A config-file list as a tuple of convert(item); a missing key, null or
+    [] means default; a non-list or a bad item is an input error naming its key."""
     items = file_cfg.get(key)
-    if not items:
+    if items is None or items == []:
         return default
     try:
+        if not isinstance(items, list):
+            raise TypeError("expected a list")
         return tuple(convert(x) for x in items)
     except (TypeError, ValueError) as exc:
         raise InputError(f"config key {key!r} has a bad value {items!r}: {exc}") from exc

@@ -78,7 +78,10 @@ class OutlierCensus:
 
 @dataclass(frozen=True)
 class CsvConfig:
-    """Column names and date format for price CSV ingestion."""
+    """Column names and date format for price CSV ingestion. With no
+    date_format the plain path reads only YYYY-MM-DD, and the csv path reads
+    dates with date.fromisoformat, which from Python 3.11 on also accepts
+    forms such as 19900102 and 1990-W01-2 (an input error on 3.10)."""
 
     date_column: str = "date"
     value_column: str = "price"

@@ -17,7 +17,6 @@ from smfdfa import (
     InputError,
     default_penalty,
     detect_multiple,
-    detect_single,
     segment_cost,
 )
 from smfdfa import changepoint
@@ -227,11 +226,12 @@ class TestSegmentCost:
             segment_cost([])
 
 
-class TestDetectSingle:
+class TestBestSingleSplit:
+    # the best single split is the capped DP with one break at no penalty
     def test_obvious_step_found_exactly(self):
         # [TRIVIAL] noiseless step: the cost of the true split is 0
         x = np.array([0.0] * 40 + [5.0] * 40)
-        r = detect_single(x, ChangePointConfig(min_segment=5))
+        r = detect_multiple(x, ChangePointConfig(max_breaks=1, penalty=0.0, min_segment=5))
         assert r.offsets == (40,)
         assert r.breaks == (41,)  # 1-based: first sample of the new regime
         assert r.segment_costs == (0.0, 0.0)
@@ -239,20 +239,17 @@ class TestDetectSingle:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(dp_instances())
     def test_split_is_the_best_two_segment_split(self, instance):
-        # [DERIVED] the scan scores splits with the DP's clamped kernel, so
-        # the split it returns costs at most the brute-force best split
-        # plus the DP's rounding margin delta (see _dp_columns)
+        # [DERIVED] the capped DP scores splits with its clamped kernel, so
+        # the segmentation it returns, one split or none, costs at most the
+        # brute-force best split plus the DP's rounding margin delta (see
+        # _dp_columns)
         x, _, ms = instance
         assume(x.size >= 2 * ms)
-        b = detect_single(x, ChangePointConfig(min_segment=ms)).offsets[0]
+        r = detect_multiple(x, ChangePointConfig(max_breaks=1, penalty=0.0, min_segment=ms))
         best = min(segment_cost(x[:c]) + segment_cost(x[c:]) for c in range(ms, x.size - ms + 1))
         w = float(np.abs(x).max()) * float(np.abs(x).sum())
         delta = 64 * np.finfo(float).eps * (x.size + 1) * w
-        assert segment_cost(x[:b]) + segment_cost(x[b:]) <= best + delta
-
-    def test_too_short_rejected(self):
-        with pytest.raises(InputError):
-            detect_single(np.zeros(10), ChangePointConfig(min_segment=8))
+        assert sum(r.segment_costs) <= best + delta
 
 
 class TestDetectMultiple:
@@ -526,9 +523,10 @@ class TestDetectMultiple:
             cfg = ChangePointConfig(min_segment=8)
             breaks += detect_multiple(x, cfg).n_breaks
             s1, s2 = changepoint._prefix_sums(x)
-            split, cost = changepoint._best_split(s1, s2, 0, x.size, 8)
-            assert cost >= 0.0
-            assert detect_single(x, cfg).offsets == (split,)
+            cuts = np.arange(8, x.size - 8 + 1)
+            cost = changepoint._segment_costs(s1, s2, 0, cuts) + changepoint._segment_costs(
+                s1, s2, cuts, x.size)
+            assert cost.min() >= 0.0
         assert breaks <= 50
 
     def test_three_sigma_step_localized(self):
@@ -632,11 +630,12 @@ class TestConfigValidation:
             detect_multiple(np.zeros(50), ChangePointConfig(max_breaks=2, min_segment=32))
 
 
-# detect_single, and detect_multiple uncapped and capped under the default
-# penalty and an explicit one
-DETECTORS = [detect_single] + [
-    partial(detect_multiple, config=ChangePointConfig(penalty=penalty, max_breaks=max_breaks))
-    for penalty in (None, 1.0) for max_breaks in (None, 3)
+# detect_multiple uncapped and capped under the default penalty and an
+# explicit one; the ids number the cases from 1, as they have been reported
+DETECTORS = [
+    pytest.param(partial(detect_multiple, config=ChangePointConfig(penalty=p, max_breaks=h)),
+                 id=f"detect{i}")
+    for i, (p, h) in enumerate([(None, None), (None, 3), (1.0, None), (1.0, 3)], start=1)
 ]
 
 

@@ -166,6 +166,9 @@ class TestErrorPaths:
         # are not keys)
         for key, value in (("q_grid", ["a", 1]), ("scale_grid", "x"),
                            ("regression_range", "high"),
+                           # a falsy value other than null or [] is not "absent"
+                           ("q_grid", False), ("q_grid", 0), ("scale_grid", ""),
+                           ("regression_range", {}),
                            ("qgrid", [1, 2, 3]), ("statistic", "mean-only"),
                            ("cp_method", "exact-dp")):
             cfg = tmp_path / f"{key}.json"

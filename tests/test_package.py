@@ -115,7 +115,7 @@ def test_one_change_point_cost_kernel():
     ]
     assert sorted(summing) == sorted(
         (name, "s1, s2 = _prefix_sums(x)")
-        for name in ("detect_single", "_dp_unbounded", "_dp_capped")
+        for name in ("_dp_unbounded", "_dp_capped")
     )
     calls = [
         node for node in ast.walk(tree)
@@ -136,9 +136,9 @@ def test_one_change_point_cost_kernel():
 def test_one_exact_change_point_recursion():
     # both exact searches, uncapped and capped, score candidates only
     # through the pruned column kernel _dp_columns, so neither keeps a step
-    # loop of its own, and no greedy search comes back beside them; the
-    # single split scores through _best_split. The capped DP scores its
-    # last layer's one cell itself: one call, outside any loop
+    # loop of its own, and no greedy search comes back beside them. The
+    # capped DP scores its last layer's one cell itself: one call, outside
+    # any loop
     tree = ast.parse((SRC / "changepoint.py").read_text())
     functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
 
@@ -150,9 +150,8 @@ def test_one_exact_change_point_recursion():
             if isinstance(node, ast.Call) and ast.unparse(node.func) == name
         }
 
-    assert callers("_segment_costs") == {"_best_split", "_dp_columns", "_dp_capped"}
+    assert callers("_segment_costs") == {"_dp_columns", "_dp_capped"}
     assert callers("_dp_columns") == {"_dp_capped", "_dp_unbounded"}
-    assert callers("_best_split") == {"detect_single"}
     assert not [node for node in ast.walk(tree) if isinstance(node, ast.Call)
                 and ast.unparse(node.func).startswith("heapq.")]
     capped = next(fn for fn in functions if fn.name == "_dp_capped")

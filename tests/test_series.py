@@ -363,6 +363,14 @@ NON_PLAIN = {
     "feb_30": (PLAIN_TEXT.replace("1990-01-02", "2000-02-30"), CsvConfig()),
     "feb_29_1900": (PLAIN_TEXT.replace("1990-01-02", "1900-02-29"), CsvConfig()),
     "year_0": (PLAIN_TEXT.replace("1990-01-02", "0000-01-01"), CsvConfig()),
+    # an invalid day far into a file: NumPy's datetime64 cast of such a column
+    # has killed the process, where it raises for a short one
+    "feb_30_late": (PLAIN_TEXT + "".join(f"y,{i},{dt.date(1991, 1, 1) + dt.timedelta(i)}\n"
+                                         for i in range(1200)) + "z,1,2000-02-30\n",
+                    CsvConfig()),
+    # date.fromisoformat reads these from Python 3.11 on; the plain path never
+    "basic_date": (PLAIN_TEXT.replace("1990-01-02", "19900102"), CsvConfig()),
+    "week_date": (PLAIN_TEXT.replace("1990-01-02", "1990-W01-2"), CsvConfig()),
 }
 
 
